@@ -25,4 +25,8 @@ levyint counterexample --config scripts/exp_trap.yaml
 echo "== sublevel-set scan =="
 levyint scan --config scripts/exp_lset_scan.yaml
 
-echo "all experiments finished; artifacts in out/"
+# One sorted checksum line per artifact: two checkouts reproduce each other
+# exactly when their SHA256SUMS files are identical.
+(cd out && find . -type f ! -name SHA256SUMS -print0 | LC_ALL=C sort -z \
+   | xargs -0 sha256sum > SHA256SUMS)
+echo "all experiments finished; artifacts and out/SHA256SUMS in out/"

@@ -55,17 +55,15 @@ from .models import (
     TruncatedStable,
     build_model,
     describe,
-    simulate_path,
+    reduce_paths,
 )
 from .perpetual import (
     batty_inequality_check,
-    estimate_I_distribution,
     estimate_L_set,
     finiteness_diagnosis,
     khasminskii_exponential_check,
 )
 from .potential import analytic_potential, estimate_potential
-from . import rng as _rng
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -317,17 +315,12 @@ def cmd_simulate(cfg: dict, args) -> int:
     step = cfg.get("step")
     out = _outdir(cfg)
 
-    rows = []
-    finals = []
-    for i in range(paths):
-        path = simulate_path(model, horizon, step=step,
-                             rng=_rng.derive_rng(cfg["seed"], _rng.STREAM_PATH, i))
-        finals.append(path.values[-1])
-        for t, v in zip(path.times, path.values):
-            rows.append((i, t, v))
+    sims = [path for part in reduce_paths(model, horizon, paths, cfg["seed"], list, step=step)
+            for path in part]
+    rows = [(i, t, v) for i, path in enumerate(sims) for t, v in zip(path.times, path.values)]
     write_csv(out / "paths.csv", ["path", "time", "value"], rows, cfg,
               {"model": describe(model), "horizon": repr(horizon)})
-    finals = np.array(finals)
+    finals = np.array([path.values[-1] for path in sims])
     write_json(out / "simulate_summary.json", {
         "model": describe(model), "paths": paths, "horizon": horizon,
         "final_value_mean": float(finals.mean()),

@@ -21,8 +21,8 @@ import numpy as np
 from . import rng as _rng
 from .criteria import RegionSpec, dk_test, potential_integral
 from .functions import TestFunction, lattice_sine, triangle_train
-from .models import LevyModel, TruncatedStable, describe, simulate_path
-from .perpetual import _classify_plateau, integral_at_times
+from .models import LevyModel, TruncatedStable, describe, first_passage, reduce_paths, simulate_path
+from .perpetual import _censoring_rule, _classify_plateau, integral_at_times
 from .potential import estimate_potential
 
 __all__ = [
@@ -184,7 +184,6 @@ def estimate_overshoot_cdf(
                 else:
                     mean = model.mean if math.isfinite(model.mean) else 1.0
                     path = simulate_path(model, max(8.0 * (_level + 1.0) / mean, 8.0), rng=rng)
-                    from .models import first_passage
                     rec = first_passage(path, _level)
                     if rec.censored:
                         continue
@@ -381,10 +380,11 @@ def lattice_counterexample(
     sites = alpha * np.arange(0, 200)
     max_on_lattice = float(np.abs(f(sites)).max())
     dk = dk_test(f, 0.0)
-    worst = 0.0
-    for i in range(paths):
-        path = simulate_path(model, horizon, rng=_rng.derive_rng(seed, _rng.STREAM_PATH, i))
-        worst = max(worst, abs(integral_at_times(f, path, 0.0, np.array([horizon]))[0]))
+    at = np.array([horizon])
+    worst = float(max(reduce_paths(
+        model, horizon, paths, seed,
+        lambda chunk: max(abs(integral_at_times(f, path, 0.0, at)[0]) for path in chunk)),
+        default=0.0))
     passed = (max_on_lattice <= zero_tol
               and dk.verdict == "infinite"
               and worst <= integral_tol_per_time * horizon)
@@ -450,18 +450,14 @@ def verify_counterexample(
             raise ValueError("pass horizon explicitly for models without finite positive mean")
         horizon = 1.5 * (beta_top + 10.0) / mean
     rungs = np.array([horizon / 4.0, horizon / 2.0, horizon])
-    eval_times = np.concatenate([rungs, 0.9 * rungs])
-    order = np.argsort(eval_times)
-    inv = np.argsort(order)
+    row, split = _censoring_rule(trap.f, 0.0, rungs)
     lo_arr, hi_arr = trap.alpha, trap.beta
 
-    def worker(a, b):
+    def reducer(chunk):
         visits = 0
-        vals = np.empty((b - a, len(eval_times)))
-        for i in range(a, b):
-            path = simulate_path(model, horizon, rng=_rng.derive_rng(seed, _rng.STREAM_PATH, i),
-                                 small_jump_cutoff=small_jump_cutoff)
-            vals[i - a] = integral_at_times(trap.f, path, 0.0, eval_times[order])[inv]
+        vals = []
+        for path in chunk:
+            vals.append(row(path))
             v = path.values
             landed = np.searchsorted(lo_arr, v, side="right") - 1
             ok = (landed >= 0) & (v < hi_arr[np.clip(landed, 0, len(lo_arr) - 1)])
@@ -475,16 +471,10 @@ def verify_counterexample(
                 visits += bool(swept.any())
         return visits, vals
 
-    parts = _rng.map_chunks(paths, worker, threads=threads)
-    visit_count = 0
-    blocks = []
-    for c, vals in parts:
-        visit_count += c
-        blocks.append(vals)
-    allvals = np.vstack(blocks)
-    at_rungs = allvals[:, :3]
-    at_early = allvals[:, 3:]
-    censored = (at_rungs - at_early) > np.maximum(1e-3 * at_rungs, 1e-12)
+    parts = reduce_paths(model, horizon, paths, seed, reducer, threads=threads,
+                         small_jump_cutoff=small_jump_cutoff)
+    visit_count = sum(c for c, _ in parts)
+    at_rungs, censored = split(np.concatenate([vals for _, vals in parts]))
 
     p_visit = visit_count / paths
     se = math.sqrt(max(p_visit * (1 - p_visit), 1e-12) / paths)

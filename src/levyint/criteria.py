@@ -17,9 +17,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from . import rng as _rng
 from .functions import TestFunction
-from .models import LevyModel, describe, simulate_path
+from .models import LevyModel, describe, reduce_paths
 from .potential import PotentialMeasure
 
 __all__ = [
@@ -427,17 +426,12 @@ def transience_probe(
     and how close it clusters to {0, 1} are both reported.
     """
     last_visits = np.full(paths, -math.inf)
-    end_vals = np.empty(paths)
-    maxima = np.empty(paths)
-    path_store = []
-    for i in range(paths):
-        path = simulate_path(model, horizon, step=step,
-                             rng=_rng.derive_rng(seed, _rng.STREAM_PATH, i))
-        path_store.append(path)
-        end_vals[i] = path.values[-1]
-        maxima[i] = path.values.max()
+    path_store = [path for part in reduce_paths(model, horizon, paths, seed, list, step=step)
+                  for path in part]
+    end_vals = np.array([path.values[-1] for path in path_store])
+    top = max(path.values.max() for path in path_store)
 
-    ivals = visited_set.materialize(upper=float(maxima.max()) + 1.0 if visited_set.generator else None)
+    ivals = visited_set.materialize(upper=float(top) + 1.0 if visited_set.generator else None)
     if len(ivals) == 0:
         raise RegionCoverageError("visited set materialized to nothing")
     sup_materialized = float(ivals[:, 1].max())

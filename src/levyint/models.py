@@ -16,12 +16,12 @@ Gaussian part are sampled on a time grid and flagged ``exact=False``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
 
-from .rng import derive_rng
+from .rng import STREAM_PATH, derive_rng, map_chunks
 
 __all__ = [
     "ModelRejectionError",
@@ -31,9 +31,9 @@ __all__ = [
     "PathSample",
     "PassageRecord",
     "build_model",
-    "mean_of",
     "describe",
     "simulate_path",
+    "reduce_paths",
     "first_passage",
 ]
 
@@ -267,11 +267,6 @@ def build_model(
     return model
 
 
-def mean_of(model: LevyModel) -> float:
-    """E[xi_1]; +inf when the jump law has infinite mean."""
-    return model.mean
-
-
 def describe(model: LevyModel) -> str:
     """Compact model identifier embedded in artifact metadata."""
     parts = [f"drift={model.drift:g}", f"gvar={model.gaussian_var:g}"]
@@ -413,6 +408,35 @@ def simulate_path(
     values = base + np.concatenate([[0.0], np.cumsum(sizes)])
     times, values = _finalize_exact(times, values, horizon, rate)
     return PathSample(times, values, exact=True, horizon=horizon, linear_rate=rate)
+
+
+def reduce_paths(
+    model: LevyModel,
+    horizon: float,
+    paths: int,
+    seed: int,
+    reducer,
+    key: tuple = (STREAM_PATH,),
+    threads: int = 1,
+    step: Optional[float] = None,
+    small_jump_cutoff: Optional[float] = None,
+) -> list:
+    """The package's one Monte Carlo path loop.
+
+    Path i is ``simulate_path(model, horizon, rng=derive_rng(seed, *key, i))``
+    (with ``step`` and ``small_jump_cutoff`` passed through).  Each fixed
+    chunk of path indices goes to ``reducer`` as a lazy iterable of its
+    paths, in index order; the per-chunk results come back in chunk order,
+    so the caller's final reduction, and every random stream, is the same
+    for any number of threads.
+    """
+    def worker(a, b):
+        return reducer(simulate_path(model, horizon, step=step,
+                                     rng=derive_rng(seed, *key, i),
+                                     small_jump_cutoff=small_jump_cutoff)
+                       for i in range(a, b))
+
+    return map_chunks(paths, worker, threads=threads)
 
 
 def _simulate_grid(model, horizon, step, rng):

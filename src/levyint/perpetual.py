@@ -11,14 +11,14 @@ ladder diagnosis extrapolates finite-T samples toward it and says so.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
 from . import rng as _rng
 from .functions import TestFunction
-from .models import LevyModel, PathSample, describe, simulate_path
+from .models import LevyModel, PathSample, describe, reduce_paths
 
 __all__ = [
     "TailEstimate",
@@ -126,34 +126,42 @@ class IDistribution:
         return np.quantile(self.samples, q)
 
 
+def _censoring_rule(f, x, rungs):
+    """The ladder's censoring rule as ``(row, split)`` for sorted ``rungs``.
+
+    ``row(path)`` is the running integral at each rung, then at the start of
+    each rung's final CENSOR_WINDOW share.  ``split(rows)`` turns stacked
+    rows into (integrals at the rungs, censored flags): a path is censored
+    at a rung when that final window still accrues more than
+    CENSOR_REL_ACCRUAL of the running integral.
+    """
+    k = len(rungs)
+    eval_times = np.concatenate([rungs, (1.0 - CENSOR_WINDOW) * rungs])
+    order = np.argsort(eval_times)
+    eval_sorted, inv = eval_times[order], np.argsort(order)
+
+    def row(path):
+        return integral_at_times(f, path, x, eval_sorted)[inv]
+
+    def split(rows):
+        at_rungs, at_early = rows[:, :k], rows[:, k:]
+        return at_rungs, (at_rungs - at_early) > np.maximum(CENSOR_REL_ACCRUAL * at_rungs, 1e-12)
+
+    return row, split
+
+
 def _ladder_samples(f, model, x, rungs, paths, seed, step, threads):
-    """Per-path running integrals at each rung and at 0.9 * rung.
+    """Per-path running integrals at each rung, and censored flags.
 
     One path per index serves every rung (the running integral is
     nondecreasing in the horizon along a fixed path), which couples the
     ladder and keeps the cost of k rungs equal to one long horizon.
     """
     rungs = np.asarray(sorted(rungs), float)
-    horizon = float(rungs[-1])
-    eval_times = np.concatenate([rungs, (1.0 - CENSOR_WINDOW) * rungs])
-    order = np.argsort(eval_times)
-    eval_sorted = eval_times[order]
-    inv = np.argsort(order)
-
-    def worker(a, b):
-        vals = np.empty((b - a, len(eval_times)))
-        for i in range(a, b):
-            path = simulate_path(model, horizon, step=step,
-                                 rng=_rng.derive_rng(seed, _rng.STREAM_PATH, i))
-            vals[i - a] = integral_at_times(f, path, x, eval_sorted)[inv]
-        return vals
-
-    parts = _rng.map_chunks(paths, worker, threads=threads)
-    allvals = np.vstack(parts)
-    at_rungs = allvals[:, :len(rungs)]
-    at_early = allvals[:, len(rungs):]
-    # censored: the last 10% of the horizon still contributes materially
-    censored = (at_rungs - at_early) > np.maximum(CENSOR_REL_ACCRUAL * at_rungs, 1e-12)
+    row, split = _censoring_rule(f, x, rungs)
+    parts = reduce_paths(model, float(rungs[-1]), paths, seed,
+                         lambda chunk: [row(path) for path in chunk], threads=threads, step=step)
+    at_rungs, censored = split(np.concatenate(parts))
     return rungs, at_rungs, censored
 
 
@@ -327,20 +335,15 @@ def estimate_L_set(
     if not 0.0 < q < 1.0:
         raise ValueError("q must lie in (0, 1)")
 
-    def worker(lo, hi):
+    def reducer(chunk):
         counts = np.zeros(len(xs))
-        for i in range(lo, hi):
-            path = simulate_path(model, horizon, step=step,
-                                 rng=_rng.derive_rng(seed, _rng.STREAM_PATH, i))
+        for path in chunk:
             for j, x in enumerate(xs):
                 counts[j] += integral_along_path(f, path, x) > a
         return counts
 
-    parts = _rng.map_chunks(paths, worker, threads=threads)
-    counts = np.zeros(len(xs))
-    for c in parts:
-        counts += c
-    g = counts / paths
+    parts = reduce_paths(model, horizon, paths, seed, reducer, threads=threads, step=step)
+    g = sum(parts, np.zeros(len(xs))) / paths
     stderr = np.sqrt(np.maximum(g * (1 - g), 1e-12) / paths)
     return LSetApprox(a=float(a), q=float(q), xs=xs, g_hat=g, stderr=stderr,
                       member=g <= q,
@@ -400,21 +403,18 @@ def batty_inequality_check(
 
     p_hat = np.empty(probe_points)
     for j, y in enumerate(probes):
-        below = 0
-        for i in range(n_inner):
-            path = simulate_path(model, t, step=step,
-                                 rng=_rng.derive_rng(seed, _rng.STREAM_INNER, j, i))
-            below += integral_along_path(f, path, float(y)) <= a
-        p_hat[j] = below / n_inner
+        below = reduce_paths(model, t, n_inner, seed,
+                             lambda chunk: sum(integral_along_path(f, path, float(y)) <= a
+                                               for path in chunk),
+                             key=(_rng.STREAM_INNER, j), step=step)
+        p_hat[j] = sum(below) / n_inner
     j_min = int(np.argmin(p_hat))
     beta = float(p_hat[j_min])
     se_beta = math.sqrt(max(beta * (1 - beta), 1e-12) / n_inner)
 
-    outer = np.empty(n_outer)
-    for i in range(n_outer):
-        path = simulate_path(model, t, step=step,
-                             rng=_rng.derive_rng(seed, _rng.STREAM_PATH, i))
-        outer[i] = integral_along_path(f, path, x)
+    outer = np.array(sum(reduce_paths(
+        model, t, n_outer, seed, lambda chunk: [integral_along_path(f, path, x) for path in chunk],
+        step=step), []))
     mean_i = float(outer.mean())
     se_mean = float(outer.std(ddof=1) / math.sqrt(n_outer)) if n_outer > 1 else 0.0
 

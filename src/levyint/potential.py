@@ -8,8 +8,6 @@ and drifted Brownian motion and are used to cross-validate the estimator.
 
 from __future__ import annotations
 
-import io
-import json
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -17,15 +15,13 @@ from typing import Optional
 
 import numpy as np
 
-from . import rng as _rng
-from .models import LevyModel, CompoundPoisson, PathSample, describe, simulate_path
+from .models import LevyModel, CompoundPoisson, PathSample, describe, reduce_paths
 
 __all__ = [
     "PotentialMeasure",
     "estimate_potential",
     "analytic_potential",
     "hitting_probability",
-    "hitting_ratio_inf",
     "horizon_heuristic",
     "occupation_histogram",
 ]
@@ -48,7 +44,6 @@ class PotentialMeasure:
     masses: np.ndarray
     stderr: np.ndarray
     lattice_span: Optional[float] = None
-    analytic_density: Optional[object] = None    # callable u(y), exact variants only
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -170,13 +165,8 @@ def occupation_histogram(path: PathSample, edges: np.ndarray, out: np.ndarray) -
                 if overlap > 0:
                     out[i] += overlap / abs(r)
         return
-    if path.exact:
-        dt = np.diff(path.times)
-        v = path.values[:-1]
-    else:
-        dt = np.diff(path.times)
-        v = path.values[:-1]
-    idx = np.searchsorted(edges, v, side="right") - 1
+    dt = np.diff(path.times)
+    idx = np.searchsorted(edges, path.values[:-1], side="right") - 1
     ok = (idx >= 0) & (idx < nbins)
     np.add.at(out, idx[ok], dt[ok])
 
@@ -227,25 +217,20 @@ def estimate_potential(
 
     nbins = len(edges) - 1
 
-    def worker(a, b):
+    def reducer(chunk):
         acc = np.zeros(nbins)
         acc2 = np.zeros(nbins)
         buf = np.zeros(nbins)
-        for i in range(a, b):
+        for path in chunk:
             buf[:] = 0.0
-            path = simulate_path(model, horizon, step=step,
-                                 rng=_rng.derive_rng(seed, _rng.STREAM_PATH, i))
             occupation_histogram(path, edges, buf)
             acc += buf
             acc2 += buf * buf
         return acc, acc2
 
-    parts = _rng.map_chunks(paths, worker, threads=threads)
-    total = np.zeros(nbins)
-    total2 = np.zeros(nbins)
-    for acc, acc2 in parts:          # fixed reduction order
-        total += acc
-        total2 += acc2
+    parts = reduce_paths(model, horizon, paths, seed, reducer, threads=threads, step=step)
+    total = sum(acc for acc, _ in parts)        # chunk order: fixed reduction order
+    total2 = sum(acc2 for _, acc2 in parts)
     masses = total / paths
     var = np.maximum(total2 / paths - masses * masses, 0.0)
     stderr = np.sqrt(var / paths)
@@ -274,13 +259,7 @@ def analytic_potential(model: LevyModel, edges: np.ndarray) -> Optional[Potentia
     if model.jumps is None and model.gaussian_var == 0.0 and model.drift > 0:
         b = model.drift
         masses = np.clip(hi, 0.0, None) / b - np.clip(lo, 0.0, None) / b
-
-        def u(y):
-            y = np.asarray(y, float)
-            return np.where(y >= 0, 1.0 / b, 0.0)
-
         return PotentialMeasure(edges, masses, np.zeros_like(masses),
-                                analytic_density=u,
                                 meta={"model": describe(model), "estimator": "analytic_pure_drift"})
 
     if model.lattice_span is not None and isinstance(model.jumps, CompoundPoisson):
@@ -300,17 +279,13 @@ def analytic_potential(model: LevyModel, edges: np.ndarray) -> Optional[Potentia
         mu, s2 = model.drift, model.gaussian_var
         k = 2.0 * mu / s2
 
-        def u(y):
-            y = np.asarray(y, float)
-            return np.where(y >= 0, 1.0 / mu, np.exp(k * y) / mu)
-
-        def cum(y):  # integral of u from -inf to y
+        def cum(y):  # integral of the density from -inf to y
             y = np.asarray(y, float)
             neg = np.exp(k * np.minimum(y, 0.0)) / (mu * k)
             return neg + np.clip(y, 0.0, None) / mu
 
         masses = cum(hi) - cum(lo)
-        return PotentialMeasure(edges, masses, np.zeros_like(masses), analytic_density=u,
+        return PotentialMeasure(edges, masses, np.zeros_like(masses),
                                 meta={"model": describe(model), "estimator": "analytic_drifted_bm"})
 
     return None
@@ -331,29 +306,3 @@ def hitting_probability(pm: PotentialMeasure, x: float) -> float:
         warnings.warn(f"hitting ratio {ratio:g} exceeds 1; clipping (estimation noise)", stacklevel=2)
     return float(min(ratio, 1.0))
 
-
-def hitting_ratio_inf(pm: PotentialMeasure, window_lo: float, window_hi: float) -> dict:
-    """Proxy for the eventual-hitting lower bound: min of u(x)/u(0+) over a
-    far window [window_lo, window_hi].
-
-    The minimum over a finite window stands in for a liminf at infinity; the
-    window is recorded so the caveat is visible downstream.
-    """
-    if not window_lo < window_hi:
-        raise ValueError("window_lo must be < window_hi")
-    u0 = pm.density_proxy(0.0)
-    if u0 <= 0:
-        raise ValueError("potential density proxy at 0 is not positive")
-    if pm.lattice_span is not None:
-        sel = (pm.sites >= window_lo) & (pm.sites <= window_hi)
-        dens = pm.masses[sel]
-    else:
-        sel = (pm.edges[:-1] >= window_lo) & (pm.edges[1:] <= window_hi)
-        dens = pm.masses[sel] / pm.widths[sel]
-    if not sel.any():
-        raise ValueError("window contains no complete bins")
-    return {
-        "ratio": float(dens.min() / u0),
-        "window": (float(window_lo), float(window_hi)),
-        "caveat": "minimum over a finite window; proxy for a liminf at infinity",
-    }

@@ -43,9 +43,10 @@ def map_chunks(n: int, worker, threads: int = 1, chunk: int = DEFAULT_CHUNK) -> 
 
     Thread scheduling may finish chunks out of order; the returned list is
     always ordered by chunk index so downstream reductions are deterministic.
+    A single chunk runs on the calling thread: a pool would only add a thread.
     """
     ranges = chunk_ranges(n, chunk)
-    if threads <= 1:
+    if threads <= 1 or len(ranges) <= 1:
         return [worker(a, b) for a, b in ranges]
     with ThreadPoolExecutor(max_workers=threads) as ex:
         futures = [ex.submit(worker, a, b) for a, b in ranges]

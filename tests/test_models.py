@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import levyint as L
-from levyint.models import ModelRejectionError
+from levyint.models import ModelRejectionError, reduce_paths
 
 import oracles
 
@@ -125,6 +125,38 @@ def test_poisson_jump_counts(lattice_model):
     p_hat = np.mean(zeros)
     p_exact = oracles.poisson_count_pmf(0, 2.0, 1.0)
     assert abs(p_hat - p_exact) < 3 * math.sqrt(p_exact * (1 - p_exact) / 2000)
+
+
+# -- path engine ------------------------------------------------------------
+
+@pytest.mark.parametrize("which", ["lattice", "tstable"])
+def test_reduce_paths_matches_seeded_paths(which, lattice_model, ts_model):
+    """Three chunks, a non-default key: path i is the one derive_rng(seed, *key, i)
+    gives, in index order, whatever the thread count."""
+    m = lattice_model if which == "lattice" else ts_model
+    key = (L.rng.STREAM_INNER, 4)
+    expected = [L.simulate_path(m, 3.0, rng=L.derive_rng(17, *key, i)) for i in range(600)]
+    for threads in (1, 2):
+        parts = reduce_paths(m, 3.0, 600, 17, list, key=key, threads=threads)
+        assert [len(part) for part in parts] == [256, 256, 88]
+        got = [path for part in parts for path in part]
+        for a, b in zip(got, expected):
+            assert np.array_equal(a.times, b.times) and np.array_equal(a.values, b.values)
+            assert a.linear_rate == b.linear_rate
+
+
+def test_verify_counterexample_independent_of_threads(ts_model):
+    table = L.estimate_overshoot_cdf(ts_model, [2, 3, 4, 6, 8, 12], paths=300, seed=5)
+    trap = L.build_transient_trap(table, n_max=4, safety=2.0)
+    reports = [L.verify_counterexample(ts_model, trap, paths=300, seed=6, horizon=40.0,
+                                       threads=threads, small_jump_cutoff=1e-3).to_dict()
+               for threads in (1, 2)]
+    assert reports[0] == reports[1]
+
+
+def test_lattice_counterexample_max_integral_is_python_float(lattice_model):
+    rep = L.lattice_counterexample(lattice_model, paths=300, horizon=20.0, seed=3)
+    assert type(rep.max_integral) is float
 
 
 # -- first passage ----------------------------------------------------------

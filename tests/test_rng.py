@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 
 from levyint import rng
@@ -40,3 +42,14 @@ def test_map_chunks_preserves_order():
     out = rng.map_chunks(100, lambda a, b: (a, b), threads=4, chunk=16)
     flat = [a for a, _ in out]
     assert flat == sorted(flat)
+
+
+def test_map_chunks_single_chunk_runs_on_calling_thread():
+    ran_on = []
+
+    def worker(a, b):
+        ran_on.append(threading.get_ident())
+        return a, b
+
+    assert rng.map_chunks(rng.DEFAULT_CHUNK, worker, threads=4) == [(0, rng.DEFAULT_CHUNK)]
+    assert ran_on == [threading.get_ident()]
