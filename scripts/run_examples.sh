@@ -5,6 +5,9 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# The package runs from the checkout; no installed console script is needed.
+levyint() { PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python3 -m levyint.cli "$@"; }
+
 echo "== exponential integrand on the lattice model =="
 levyint test --config scripts/exp_exponential.yaml
 levyint diagnose --config scripts/exp_exponential.yaml --horizon 80 --out out/exponential

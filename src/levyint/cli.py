@@ -82,21 +82,28 @@ class ConfigError(Exception):
 # across reruns (different output dirs) or worker pools (thread counts)
 _DIGEST_EXCLUDE = {"out", "threads"}
 
-_NAMED_MODELS = {
-    "lattice_cpp": lambda: build_model(
-        jumps=CompoundPoisson(rate=2.0, atoms=((1.0, 1.0),)), lattice_span=1.0),
-    "bm": lambda: build_model(drift=1.0, gaussian_var=1.0),
-    "tstable": lambda: build_model(jumps=TruncatedStable(activity=1.0, index=0.5, cutoff=1.0)),
-    "drift": lambda: build_model(drift=1.0),
+# Bare-name specs mean {kind: name}; these names are presets of a kind.
+_MODEL_PRESETS = {
+    "lattice_cpp": {"kind": "cpp", "rate": 2.0, "atoms": [[1.0, 1.0]], "lattice_span": 1.0},
 }
 
-_NAMED_FUNCTIONS = {
-    "exp_decay": fn.exp_decay,
-    "inverse_square": lambda: fn.inverse_power(2.0),
-    "inverse_first": lambda: fn.inverse_power(1.0),
-    "unit_indicator": lambda: fn.indicator(0.0, 1.0),
-    "lattice_sine": fn.lattice_sine,
+_FUNCTION_PRESETS = {
+    "inverse_square": {"kind": "inverse_power", "power": 2.0},
+    "inverse_first": {"kind": "inverse_power", "power": 1.0},
+    "unit_indicator": {"kind": "indicator", "lo": 0.0, "hi": 1.0},
 }
+
+
+def _expand(spec, presets: dict, what: str) -> dict:
+    """A spec as a mapping: a bare name s is {kind: s}, a preset kind its parameters."""
+    if isinstance(spec, str):
+        spec = {"kind": spec}
+    if not isinstance(spec, dict):
+        raise ConfigError(f"{what} spec must be a name or a mapping")
+    preset = presets.get(spec.get("kind"))
+    if preset is None:
+        return spec
+    return {**preset, **{k: v for k, v in spec.items() if k != "kind"}}
 
 
 def load_config(path: str) -> dict:
@@ -131,6 +138,9 @@ def resolve_config(args: argparse.Namespace) -> dict:
         raise ConfigError("a master seed is required (config key 'seed' or --seed); "
                           "there is no wall-clock default")
     cfg["seed"] = int(cfg["seed"])
+    for key in ("paths", "overshoot_paths"):
+        if key in cfg and not int(cfg[key]) >= 1:
+            raise ConfigError(f"'{key}' must be a positive path budget, got {cfg[key]}")
     cfg.setdefault("threads", 1)
     cfg.setdefault("out", "out")
     return cfg
@@ -149,13 +159,8 @@ def _require(cfg: dict, key: str):
 
 
 def model_from_config(spec) -> LevyModel:
-    """Build a model from a registry name or a parameter mapping."""
-    if isinstance(spec, str):
-        if spec not in _NAMED_MODELS:
-            raise ConfigError(f"unknown model '{spec}' (known: {sorted(_NAMED_MODELS)})")
-        return _NAMED_MODELS[spec]()
-    if not isinstance(spec, dict):
-        raise ConfigError("model spec must be a name or a mapping")
+    """Build a model from a kind or preset name, or a parameter mapping."""
+    spec = _expand(spec, _MODEL_PRESETS, "model")
     kind = spec.get("kind")
     try:
         if kind in ("drift", "deterministic"):
@@ -188,12 +193,8 @@ def model_from_config(spec) -> LevyModel:
 
 
 def function_from_config(spec) -> fn.TestFunction:
-    if isinstance(spec, str):
-        if spec not in _NAMED_FUNCTIONS:
-            raise ConfigError(f"unknown function '{spec}' (known: {sorted(_NAMED_FUNCTIONS)})")
-        return _NAMED_FUNCTIONS[spec]()
-    if not isinstance(spec, dict):
-        raise ConfigError("function spec must be a name or a mapping")
+    """Build a test function from a kind or preset name, or a parameter mapping."""
+    spec = _expand(spec, _FUNCTION_PRESETS, "function")
     kind = spec.get("kind")
     try:
         if kind == "exp_decay":
@@ -541,9 +542,9 @@ def _parser() -> argparse.ArgumentParser:
         sp.add_argument("--horizon", type=float, help="time horizon")
         sp.add_argument("--threads", type=int, help="worker threads (does not change results)")
         sp.add_argument("--out", help="output directory")
-        sp.add_argument("--model", help="named model from the registry")
+        sp.add_argument("--model", help="model kind or preset name")
         if name in ("test", "diagnose", "scan"):
-            sp.add_argument("--function", help="named test function from the registry")
+            sp.add_argument("--function", help="test function kind or preset name")
         if name == "counterexample":
             sp.add_argument("--mode", choices=["lattice", "trap"])
     return p
@@ -554,10 +555,7 @@ def main(argv=None) -> int:
     try:
         cfg = resolve_config(args)
         return _COMMANDS[args.command](cfg, args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except RegionCoverageError as exc:
+    except (ConfigError, RegionCoverageError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except ModelRejectionError as exc:

@@ -21,7 +21,7 @@ import numpy as np
 from . import rng as _rng
 from .criteria import RegionSpec, dk_test, potential_integral
 from .functions import TestFunction, lattice_sine, triangle_train
-from .models import LevyModel, TruncatedStable, describe, first_passage, reduce_paths, simulate_path
+from .models import LevyModel, TruncatedStable, describe, first_passage, reduce_paths
 from .perpetual import _censoring_rule, _classify_plateau, integral_at_times
 from .potential import estimate_potential
 
@@ -171,28 +171,30 @@ def estimate_overshoot_cdf(
         eps_grid = np.geomspace(1e-9, jumps.cutoff if isinstance(jumps, TruncatedStable) else 1.0, 181)
     eps_grid = np.asarray(eps_grid, float)
 
+    def tally(passages):
+        counts = np.zeros(len(eps_grid))
+        n_creep = 0
+        for over, by_drift in passages:
+            n_creep += by_drift
+            counts += over <= eps_grid
+        return counts, n_creep
+
     cdfs = np.empty((len(levels), len(eps_grid)))
     creep = np.empty(len(levels))
     for li, level in enumerate(levels):
-        def worker(a, b, _level=level, _li=li):
-            counts = np.zeros(len(eps_grid))
-            n_creep = 0
-            for i in range(a, b):
-                rng = _rng.derive_rng(seed, _rng.STREAM_PATH, _li, i)
-                if isinstance(jumps, TruncatedStable):
-                    over, by_drift = _overshoot_one_path(jumps, _level, rng)
-                else:
-                    mean = model.mean if math.isfinite(model.mean) else 1.0
-                    path = simulate_path(model, max(8.0 * (_level + 1.0) / mean, 8.0), rng=rng)
-                    rec = first_passage(path, _level)
-                    if rec.censored:
-                        continue
-                    over, by_drift = rec.overshoot, rec.hit_exactly and rec.overshoot == 0.0
-                n_creep += by_drift
-                counts += over <= eps_grid
-            return counts, n_creep
-
-        parts = _rng.map_chunks(paths, worker, threads=threads)
+        if isinstance(jumps, TruncatedStable):
+            def worker(a, b, _level=level, _li=li):
+                rngs = (_rng.derive_rng(seed, _rng.STREAM_PATH, _li, i) for i in range(a, b))
+                return tally(_overshoot_one_path(jumps, _level, g) for g in rngs)
+            parts = _rng.map_chunks(paths, worker, threads=threads)
+        else:
+            def reducer(chunk, _level=level):
+                recs = (first_passage(path, _level) for path in chunk)
+                return tally((rec.overshoot, rec.hit_exactly and rec.overshoot == 0.0)
+                             for rec in recs if not rec.censored)
+            mean = model.mean if math.isfinite(model.mean) else 1.0
+            parts = reduce_paths(model, max(8.0 * (level + 1.0) / mean, 8.0), paths, seed, reducer,
+                                 key=(_rng.STREAM_PATH, li), threads=threads)
         counts = np.zeros(len(eps_grid))
         n_creep = 0
         for c, nc in parts:
@@ -436,12 +438,12 @@ def verify_counterexample(
     integral restricted to the off-trap region is exactly zero; (iv) the
     tail Lebesgue test on the bump train diverges.
 
-    Visit counting is conservative: a path counts as visiting when any
-    skeleton value lands in a bump interval or a linear segment sweeps
-    across one (the compensated small-jump line cannot distinguish sweeping
-    from landing).  A finer ``small_jump_cutoff`` shrinks the compensation
-    drift and with it the rate of spurious drift sweeps through bumps much
-    narrower than the default cutoff.
+    Visit counting is conservative: a path counts as visiting when it meets
+    the closure of a bump interval under :meth:`RegionSpec.last_visit`, by a
+    landing or by a linear sweep (the compensated small-jump line cannot
+    distinguish sweeping from landing).  A finer ``small_jump_cutoff``
+    shrinks the compensation drift and with it the rate of spurious drift
+    sweeps through bumps much narrower than the default cutoff.
     """
     beta_top = float(trap.beta[-1])
     if horizon is None:
@@ -451,24 +453,13 @@ def verify_counterexample(
         horizon = 1.5 * (beta_top + 10.0) / mean
     rungs = np.array([horizon / 4.0, horizon / 2.0, horizon])
     row, split = _censoring_rule(trap.f, 0.0, rungs)
-    lo_arr, hi_arr = trap.alpha, trap.beta
 
     def reducer(chunk):
         visits = 0
         vals = []
         for path in chunk:
             vals.append(row(path))
-            v = path.values
-            landed = np.searchsorted(lo_arr, v, side="right") - 1
-            ok = (landed >= 0) & (v < hi_arr[np.clip(landed, 0, len(lo_arr) - 1)])
-            if ok.any():
-                visits += 1
-                continue
-            if path.linear_rate > 0:
-                v0, v1 = v[:-1], v[:-1] + path.linear_rate * np.diff(path.times)
-                swept = (np.searchsorted(lo_arr, v1, side="right")
-                         > np.searchsorted(hi_arr, v0, side="left"))
-                visits += bool(swept.any())
+            visits += trap.trap_set.last_visit(path) > -math.inf
         return visits, vals
 
     parts = reduce_paths(model, horizon, paths, seed, reducer, threads=threads,

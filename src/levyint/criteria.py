@@ -18,7 +18,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .functions import TestFunction
-from .models import LevyModel, describe, reduce_paths
+from .models import LevyModel, PathSample, describe, reduce_paths
 from .potential import PotentialMeasure
 
 __all__ = [
@@ -128,6 +128,38 @@ class RegionSpec:
         if cursor < hi:
             out.append((cursor, hi))
         return out
+
+    def last_visit(self, path: PathSample, x: float = 0.0) -> float:
+        """Last time ``x + path`` meets the closure of the intervals; -inf if never.
+
+        The package's one visit rule.  Segment k sweeps the closed range
+        between v_k and v_k + r * dt_k (r = ``path.linear_rate``), so jump
+        landings count as the start of the next sweep; a grid cell (r = 0)
+        holds v_k over the whole cell, the cadlag convention of
+        ``occupation_histogram``.  A generated region is materialized up to
+        the top of the shifted path's sweeps.
+        """
+        if self.describes_complement:
+            raise ValueError(f"{self.name}: last_visit needs the intervals themselves, "
+                             "not a complement description")
+        t0, dt, v = path.segments()
+        r = path.linear_rate
+        v0 = x + v
+        v1 = v0 + r * dt
+        u0, u1 = (v0, v1) if r >= 0 else (v1, v0)
+        ivals = self.materialize(upper=float(u1.max()) if self.generator else None)
+        lo, hi = ivals[:, 0], ivals[:, 1]
+        up_to = np.searchsorted(lo, u1, side="right")     # intervals starting at or below the sweep top
+        below = np.searchsorted(hi, u0, side="left")      # intervals ending below the sweep bottom
+        met = np.nonzero(up_to > below)[0]
+        if len(met) == 0:
+            return -math.inf
+        k = met[-1]
+        if r == 0.0:
+            return float(t0[k] + dt[k])
+        # leave the highest interval met going up, the lowest going down
+        leave = min(hi[up_to[k] - 1], u1[k]) if r > 0 else max(lo[below[k]], u0[k])
+        return float(t0[k] + np.clip((leave - v0[k]) / (r * dt[k]), 0.0, 1.0) * dt[k])
 
     def contains(self, y: float, atol: float = 1e-12) -> bool:
         """Closure membership: points on an interval boundary count as inside."""
@@ -417,55 +449,27 @@ def transience_probe(
     x: float = 0.0,
     step: Optional[float] = None,
 ) -> dict:
-    """Empirical check that paths leave ``visited_set`` for good.
+    """Empirical check that paths started at ``x`` leave ``visited_set`` for good.
 
     ``visited_set`` is the candidate transient set (the complement of the
     region where a potential-integral test was run).  A path "stays away"
-    when its last visit happens before 0.9 * horizon and it ends above the
-    materialized part of the set.  The estimate of P(eventually stay away)
+    when its last visit (:meth:`RegionSpec.last_visit`) happens before
+    0.9 * horizon and it ends above the set materialized to one unit past
+    the highest shifted path value.  The estimate of P(eventually stay away)
     and how close it clusters to {0, 1} are both reported.
     """
-    last_visits = np.full(paths, -math.inf)
-    path_store = [path for part in reduce_paths(model, horizon, paths, seed, list, step=step)
-                  for path in part]
-    end_vals = np.array([path.values[-1] for path in path_store])
-    top = max(path.values.max() for path in path_store)
+    def reducer(chunk):
+        return [(visited_set.last_visit(path, x), path.values[-1], path.values.max())
+                for path in chunk]
 
-    ivals = visited_set.materialize(upper=float(top) + 1.0 if visited_set.generator else None)
+    last_visits, end_vals, tops = np.array(
+        [row for part in reduce_paths(model, horizon, paths, seed, reducer, step=step)
+         for row in part]).T
+    top = x + float(tops.max())
+    ivals = visited_set.materialize(upper=top + 1.0 if visited_set.generator else None)
     if len(ivals) == 0:
         raise RegionCoverageError("visited set materialized to nothing")
     sup_materialized = float(ivals[:, 1].max())
-    lo_arr, hi_arr = ivals[:, 0], ivals[:, 1]
-
-    for i, path in enumerate(path_store):
-        vals = x + path.values
-        if path.exact:
-            t0, dt, _ = path.segments()
-            r = path.linear_rate
-            v0 = vals[:-1]
-            v1 = v0 + r * dt
-            lo_seg = np.minimum(v0, v1)
-            hi_seg = np.maximum(v0, v1)
-            overlap = (hi_seg[:, None] > lo_arr) & (lo_seg[:, None] < hi_arr)
-            seg_hit = overlap.any(axis=1)
-            if seg_hit.any():
-                k = int(np.nonzero(seg_hit)[0][-1])
-                if r != 0.0:
-                    exits = np.minimum(hi_arr, hi_seg[k])
-                    valid = overlap[k]
-                    leave_val = float(exits[valid].max())
-                    frac = np.clip((leave_val - v0[k]) / (r * dt[k]), 0.0, 1.0) if r > 0 else 1.0
-                    last_visits[i] = t0[k] + frac * dt[k]
-                else:
-                    last_visits[i] = t0[k] + dt[k]
-            # jump landings exactly on set points are covered by the segment
-            # that starts at the landing value
-        else:
-            inside = np.zeros(len(vals), bool)
-            for a, b in ivals:
-                inside |= (vals > a) & (vals < b)
-            if inside.any():
-                last_visits[i] = path.times[int(np.nonzero(inside)[0][-1])]
 
     stays = (last_visits < 0.9 * horizon) & (x + end_vals > sup_materialized)
     p_stay = float(stays.mean())

@@ -428,8 +428,11 @@ def reduce_paths(
     chunk of path indices goes to ``reducer`` as a lazy iterable of its
     paths, in index order; the per-chunk results come back in chunk order,
     so the caller's final reduction, and every random stream, is the same
-    for any number of threads.
+    for any number of threads.  A budget below one path is refused.
     """
+    if paths < 1:
+        raise ValueError(f"paths must be >= 1, got {paths}")
+
     def worker(a, b):
         return reducer(simulate_path(model, horizon, step=step,
                                      rng=derive_rng(seed, *key, i),

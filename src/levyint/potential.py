@@ -193,8 +193,6 @@ def estimate_potential(
         heuristic, since far-field bins are then biased low.
     """
     edges = np.asarray(edges, float)
-    if paths < 1:
-        raise ValueError("paths must be >= 1")
     heuristic = None
     try:
         heuristic = horizon_heuristic(model, edges[0], edges[-1])

@@ -114,6 +114,42 @@ def test_scan_writes_lset(tmp_path):
     assert any(l.startswith("x,g_hat,stderr,member") for l in lines)
 
 
+@pytest.mark.parametrize("args", [
+    ["scan", "--model", "lattice_cpp", "--function", "exp_decay", "--paths", "0"],
+    ["counterexample", "--mode", "lattice", "--paths", "0"],
+    ["counterexample", "--mode", "trap", "--paths", "-3"],
+])
+def test_nonpositive_path_budget_is_config_error(tmp_path, args):
+    out = tmp_path / "o"
+    assert run_cli([*args, "--seed", "1", "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+def test_nonpositive_overshoot_budget_is_config_error(tmp_path):
+    cfg = tmp_path / "trap.yaml"
+    cfg.write_text(yaml.safe_dump({"seed": 1, "mode": "trap", "overshoot_paths": 0}))
+    out = tmp_path / "o"
+    assert run_cli(["counterexample", "--config", str(cfg), "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+def test_kind_spec_equals_bare_name(tmp_path):
+    """model: {kind: lattice_cpp} is the --model lattice_cpp preset."""
+    cfg = tmp_path / "kind.yaml"
+    cfg.write_text(yaml.safe_dump({"seed": 5, "model": {"kind": "lattice_cpp"}}))
+    bodies = []
+    for name, extra in (("kind", ["--config", str(cfg)]),
+                        ("bare", ["--model", "lattice_cpp", "--seed", "5"])):
+        out = tmp_path / name
+        assert run_cli(["simulate", *extra, "--paths", "4", "--horizon", "10",
+                        "--out", str(out)]) == 0
+        lines = (out / "paths.csv").read_text().splitlines()
+        bodies.append(([l for l in lines if l.startswith("# model:")],
+                       [l for l in lines if not l.startswith("#")]))
+    assert bodies[0] == bodies[1]
+    assert len(bodies[0][0]) == 1 and len(bodies[0][1]) > 1
+
+
 def test_config_digest_excludes_threads_and_out(tmp_path):
     outs = []
     for i, th in enumerate(("1", "4")):

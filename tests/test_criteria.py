@@ -228,6 +228,14 @@ def test_transience_probe_trap_like(ts_model):
     assert out["p_stay"] > 0.95
 
 
+def test_transience_probe_shifted_start(lattice_model):
+    """Started at x = 20, every path sits in the all-sites set at every time."""
+    visited = L.RegionSpec(generator=lambda n: (float(n) - 0.25, float(n) + 0.25),
+                           max_depth=100_000, name="all_sites")
+    out = L.transience_probe(lattice_model, visited, paths=100, horizon=30.0, seed=4, x=20.0)
+    assert out["p_stay"] == 0.0
+
+
 def test_transience_probe_recurrent_lattice(lattice_model):
     """Every lattice site keeps being revisited... by a monotone path the
     staying probability for an unbounded visited set is zero."""
@@ -235,3 +243,71 @@ def test_transience_probe_recurrent_lattice(lattice_model):
                            max_depth=100_000, name="all_sites")
     out = L.transience_probe(lattice_model, visited, paths=100, horizon=30.0, seed=4)
     assert out["p_stay"] < 0.05
+
+
+# -- visit rule -------------------------------------------------------------
+
+def _brute_last_visit(intervals, times, values, rate, x):
+    """Latest time any segment's closed sweep meets any closed interval."""
+    best = -math.inf
+    for k in range(len(times) - 1):
+        t, dt, v = times[k], times[k + 1] - times[k], x + values[k]
+        end = v + rate * dt
+        for a, b in intervals:
+            if min(v, end) > b or max(v, end) < a:
+                continue
+            if rate > 0:
+                frac = (min(b, end) - v) / (rate * dt)
+            elif rate < 0:
+                frac = (max(a, end) - v) / (rate * dt)
+            else:
+                frac = 1.0
+            best = max(best, t + min(max(frac, 0.0), 1.0) * dt)
+    return best
+
+
+_quarters = st.integers(-16, 32).map(lambda n: 0.25 * n)
+
+
+@given(kind=st.sampled_from(["up", "flat", "down", "grid"]),
+       steps=st.lists(st.tuples(st.integers(1, 8).map(lambda n: 0.25 * n), _quarters),
+                      min_size=1, max_size=8),
+       cuts=st.lists(_quarters, min_size=2, max_size=8, unique=True),
+       x=st.sampled_from([0.0, 0.5, -1.25]))
+@settings(max_examples=200, deadline=None)
+def test_last_visit_matches_brute_force(kind, steps, cuts, x):
+    """Hand-built paths (r > 0, r = 0, r < 0, grid) against a loop over every
+    (segment, interval) pair; dyadic values make boundary touches exact."""
+    rate = {"up": 0.5, "flat": 0.0, "down": -2.0, "grid": 0.0}[kind]
+    times, values = [0.0], [0.0]
+    for dt, jump in steps:
+        times.append(times[-1] + dt)
+        values.append(values[-1] + rate * dt + jump)
+    path = L.PathSample(np.array(times), np.array(values), exact=kind != "grid",
+                        horizon=times[-1], linear_rate=rate)
+    edges = sorted(cuts)
+    intervals = list(zip(edges[0::2], edges[1::2]))
+    region = L.RegionSpec(intervals=intervals)
+    expected = _brute_last_visit(intervals, times, values, rate, x)
+    got = region.last_visit(path, x)
+    if math.isinf(expected):
+        assert got == -math.inf
+    else:
+        assert got == pytest.approx(expected, rel=1e-12, abs=1e-12)
+
+
+def test_last_visit_generated_region_follows_shift():
+    """A generated region is materialized up to the shifted path's top."""
+    path = L.PathSample(np.array([0.0, 1.0, 2.0]), np.array([0.0, 0.0, 0.0]),
+                        exact=True, horizon=2.0, linear_rate=0.0)
+    sites = L.RegionSpec(generator=lambda n: (float(n) - 0.25, float(n) + 0.25), max_depth=100)
+    assert sites.last_visit(path, x=20.0) == 2.0
+    assert sites.last_visit(path, x=20.5) == -math.inf
+
+
+def test_last_visit_refuses_complement_region():
+    path = L.PathSample(np.array([0.0, 1.0]), np.array([0.0, 1.0]), exact=True,
+                        horizon=1.0, linear_rate=1.0)
+    off = L.RegionSpec(intervals=[(0.2, 0.3)], describes_complement=True)
+    with pytest.raises(ValueError):
+        off.last_visit(path)

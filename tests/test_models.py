@@ -159,6 +159,26 @@ def test_lattice_counterexample_max_integral_is_python_float(lattice_model):
     assert type(rep.max_integral) is float
 
 
+_ZERO_BUDGET = {
+    "reduce_paths": lambda m: reduce_paths(m, 5.0, 0, 1, list),
+    "estimate_potential": lambda m: L.estimate_potential(m, np.arange(11.0) - 0.5, paths=0, seed=1),
+    "lattice_counterexample": lambda m: L.lattice_counterexample(m, paths=0, horizon=5.0, seed=1),
+    "estimate_L_set": lambda m: L.estimate_L_set(L.exp_decay(), m, a=1.0, q=0.5,
+                                                 x_grid=[0.0, 1.0], horizon=5.0, paths=0, seed=1),
+    "batty_inequality_check": lambda m: L.batty_inequality_check(
+        L.indicator(0.0, 1.0), m, 0.0, a=1.0, t=5.0, n_outer=0, seed=1),
+    "transience_probe": lambda m: L.transience_probe(
+        m, L.RegionSpec(intervals=[(0.5, 1.5)]), paths=0, horizon=5.0, seed=1),
+}
+
+
+@pytest.mark.parametrize("routine", sorted(_ZERO_BUDGET))
+def test_zero_path_budget_refused(routine, lattice_model):
+    """No routine returns an estimate, or a pass, from zero paths."""
+    with pytest.raises(ValueError, match="paths must be >= 1"):
+        _ZERO_BUDGET[routine](lattice_model)
+
+
 # -- first passage ----------------------------------------------------------
 
 def test_first_passage_nonpositive_level(ts_model):
