@@ -137,11 +137,12 @@ def resolve_config(args: argparse.Namespace) -> dict:
     if cfg.get("seed") is None:
         raise ConfigError("a master seed is required (config key 'seed' or --seed); "
                           "there is no wall-clock default")
-    cfg["seed"] = int(cfg["seed"])
+    cfg["seed"] = _as(int, cfg["seed"], "seed")
     for key in ("paths", "overshoot_paths"):
-        if key in cfg and not int(cfg[key]) >= 1:
+        if key in cfg and not _as(int, cfg[key], key) >= 1:
             raise ConfigError(f"'{key}' must be a positive path budget, got {cfg[key]}")
-    cfg.setdefault("threads", 1)
+    # threads is outside the config digest, so it may be converted in place
+    cfg["threads"] = _as(int, cfg.get("threads", 1), "threads")
     cfg.setdefault("out", "out")
     return cfg
 
@@ -158,35 +159,51 @@ def _require(cfg: dict, key: str):
     return cfg[key]
 
 
+def _as(kind, value, key: str):
+    """``kind(value)``; a value that does not convert is a config error naming ``key``."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError) as exc:
+        what = "an integer" if kind is int else "a number"
+        raise ConfigError(f"config key '{key}' must be {what}, got {value!r}") from exc
+
+
+def _num(spec: dict, key: str, default=None, kind=float):
+    """``spec[key]`` (``default`` when absent) as ``kind``; None stays None."""
+    value = spec.get(key, default)
+    return None if value is None else _as(kind, value, key)
+
+
 def model_from_config(spec) -> LevyModel:
     """Build a model from a kind or preset name, or a parameter mapping."""
     spec = _expand(spec, _MODEL_PRESETS, "model")
     kind = spec.get("kind")
     try:
         if kind in ("drift", "deterministic"):
-            return build_model(drift=spec.get("drift", 1.0))
+            return build_model(drift=_num(spec, "drift", 1.0))
         if kind in ("bm", "brownian"):
-            return build_model(drift=spec.get("drift", 1.0),
-                               gaussian_var=spec.get("gaussian_var", 1.0))
+            return build_model(drift=_num(spec, "drift", 1.0),
+                               gaussian_var=_num(spec, "gaussian_var", 1.0))
         if kind in ("cpp", "compound_poisson"):
             atoms = spec.get("atoms")
             law = spec.get("law")
             if atoms is not None:
-                jumps = CompoundPoisson(rate=float(spec.get("rate", 1.0)),
-                                        atoms=tuple((float(v), float(p)) for v, p in atoms))
+                jumps = CompoundPoisson(rate=_num(spec, "rate", 1.0),
+                                        atoms=tuple((_as(float, v, "atoms"), _as(float, p, "atoms"))
+                                                    for v, p in atoms))
             elif law is not None:
-                jumps = CompoundPoisson(rate=float(spec.get("rate", 1.0)),
-                                        law=(str(law[0]), *map(float, law[1:])))
+                jumps = CompoundPoisson(rate=_num(spec, "rate", 1.0),
+                                        law=(str(law[0]), *(_as(float, v, "law") for v in law[1:])))
             else:
                 raise ConfigError("compound Poisson spec needs 'atoms' or 'law'")
-            return build_model(drift=spec.get("drift", 0.0),
-                               gaussian_var=spec.get("gaussian_var", 0.0),
-                               jumps=jumps, lattice_span=spec.get("lattice_span"))
+            return build_model(drift=_num(spec, "drift", 0.0),
+                               gaussian_var=_num(spec, "gaussian_var", 0.0),
+                               jumps=jumps, lattice_span=_num(spec, "lattice_span"))
         if kind in ("tstable", "truncated_stable"):
-            jumps = TruncatedStable(activity=float(spec.get("activity", 1.0)),
-                                    index=float(spec.get("index", 0.5)),
-                                    cutoff=float(spec.get("cutoff", 1.0)))
-            return build_model(drift=spec.get("drift", 0.0), jumps=jumps)
+            jumps = TruncatedStable(activity=_num(spec, "activity", 1.0),
+                                    index=_num(spec, "index", 0.5),
+                                    cutoff=_num(spec, "cutoff", 1.0))
+            return build_model(drift=_num(spec, "drift", 0.0), jumps=jumps)
     except (TypeError, KeyError) as exc:
         raise ConfigError(f"bad model spec: {exc}") from exc
     raise ConfigError(f"unknown model kind '{kind}'")
@@ -200,16 +217,16 @@ def function_from_config(spec) -> fn.TestFunction:
         if kind == "exp_decay":
             return fn.exp_decay()
         if kind == "inverse_power":
-            return fn.inverse_power(float(spec.get("power", 1.0)))
+            return fn.inverse_power(_num(spec, "power", 1.0))
         if kind == "indicator":
             return fn.indicator(float(spec["lo"]), float(spec["hi"]))
         if kind == "constant":
-            return fn.constant(float(spec.get("value", 1.0)))
+            return fn.constant(_num(spec, "value", 1.0))
         if kind == "step":
             return fn.step_function([(float(c), float(a), float(b))
                                      for c, a, b in spec["pieces"]])
         if kind == "lattice_sine":
-            return fn.lattice_sine(float(spec.get("span", 1.0)))
+            return fn.lattice_sine(_num(spec, "span", 1.0))
         if kind == "triangle_train":
             return fn.triangle_train([float(v) for v in spec["starts"]],
                                      [float(v) for v in spec["widths"]])
@@ -226,9 +243,10 @@ def region_from_config(spec) -> RegionSpec:
     if not isinstance(spec, dict):
         raise ConfigError("region spec must be a mapping or 'full_line'")
     if "half_line" in spec:
-        return half_line(float(spec["half_line"]))
+        return half_line(_as(float, spec["half_line"], "half_line"))
     if "intervals" in spec:
-        return RegionSpec(intervals=[(float(a), float(b)) for a, b in spec["intervals"]],
+        return RegionSpec(intervals=[(_as(float, a, "intervals"), _as(float, b, "intervals"))
+                                     for a, b in spec["intervals"]],
                           describes_complement=bool(spec.get("complement", False)),
                           name=spec.get("name", "region"))
     raise ConfigError("region spec needs 'half_line' or 'intervals'")
@@ -244,9 +262,9 @@ def grid_from_config(spec, model: LevyModel = None,
         return np.linspace(default_lo, default_hi, default_bins + 1)
     if isinstance(spec, dict):
         if "edges" in spec:
-            return np.asarray([float(v) for v in spec["edges"]])
-        return np.linspace(float(spec.get("lo", default_lo)), float(spec.get("hi", default_hi)),
-                           int(spec.get("bins", default_bins)) + 1)
+            return np.asarray([_as(float, v, "edges") for v in spec["edges"]])
+        return np.linspace(_num(spec, "lo", default_lo), _num(spec, "hi", default_hi),
+                           _num(spec, "bins", default_bins, int) + 1)
     raise ConfigError("grid spec must be a mapping with lo/hi/bins or edges")
 
 
@@ -311,9 +329,9 @@ def _outdir(cfg: dict) -> Path:
 
 def cmd_simulate(cfg: dict, args) -> int:
     model = model_from_config(_require(cfg, "model"))
-    paths = int(cfg.get("paths", 10))
-    horizon = float(cfg.get("horizon", 50.0))
-    step = cfg.get("step")
+    paths = _num(cfg, "paths", 10, int)
+    horizon = _num(cfg, "horizon", 50.0)
+    step = _num(cfg, "step")
     out = _outdir(cfg)
 
     sims = [path for part in reduce_paths(model, horizon, paths, cfg["seed"], list, step=step)
@@ -336,11 +354,11 @@ def cmd_simulate(cfg: dict, args) -> int:
 def cmd_potential(cfg: dict, args) -> int:
     model = model_from_config(_require(cfg, "model"))
     edges = grid_from_config(cfg.get("grid"), model)
-    paths = int(cfg.get("paths", 2000))
+    paths = _num(cfg, "paths", 2000, int)
     out = _outdir(cfg)
     pm = estimate_potential(model, edges, paths=paths, seed=cfg["seed"],
-                            horizon=cfg.get("horizon"), step=cfg.get("step"),
-                            threads=int(cfg["threads"]))
+                            horizon=_num(cfg, "horizon"), step=_num(cfg, "step"),
+                            threads=cfg["threads"])
     pm.meta["config_digest"] = config_digest(cfg)
     pm.to_csv(out / "potential.csv")
 
@@ -361,17 +379,17 @@ def cmd_potential(cfg: dict, args) -> int:
 
 def _pm_for_tests(cfg, model):
     edges = grid_from_config(cfg.get("grid"), model)
-    return estimate_potential(model, edges, paths=int(cfg.get("paths", 2000)),
-                              seed=cfg["seed"], horizon=cfg.get("horizon"),
-                              step=cfg.get("step"), threads=int(cfg["threads"]))
+    return estimate_potential(model, edges, paths=_num(cfg, "paths", 2000, int),
+                              seed=cfg["seed"], horizon=_num(cfg, "horizon"),
+                              step=_num(cfg, "step"), threads=cfg["threads"])
 
 
 def cmd_test(cfg: dict, args) -> int:
     model = model_from_config(_require(cfg, "model"))
     f = function_from_config(_require(cfg, "function"))
     which = cfg.get("tests", ["dk", "potential_integral"])
-    x = float(cfg.get("x", 0.0))
-    cutoff = float(cfg.get("lower_cutoff", 1.0))
+    x = _num(cfg, "x", 0.0)
+    cutoff = _num(cfg, "lower_cutoff", 1.0)
     out = _outdir(cfg)
 
     pm = None
@@ -383,7 +401,7 @@ def cmd_test(cfg: dict, args) -> int:
     model_id, f_id = describe(model), f.name
     for name in which:
         if name == "dk":
-            rep = dk_test(f, float(cfg.get("dk_cutoff", 0.0)))
+            rep = dk_test(f, _num(cfg, "dk_cutoff", 0.0))
             reports[name] = rep.to_dict()
             comparison.append((name, rep.value, rep.verdict))
         elif name == "potential_integral":
@@ -399,20 +417,20 @@ def cmd_test(cfg: dict, args) -> int:
             reports[name] = blackwell_equivalence_check(f, pm, cutoff)
         elif name == "khasminskii_j":
             xg = cfg.get("x_grid")
-            grid = (np.asarray([float(v) for v in xg]) if isinstance(xg, list)
+            grid = (np.asarray([_as(float, v, "x_grid") for v in xg]) if isinstance(xg, list)
                     else np.linspace(-2.0, 2.0, 41))
             reports[name] = khasminskii_J(f, pm, grid)
         elif name == "batty":
             rep = batty_inequality_check(
-                f, model, x, a=float(cfg.get("a", 1.0)), t=float(cfg.get("t", 10.0)),
-                n_outer=int(cfg.get("paths", 400)), seed=cfg["seed"], step=cfg.get("step"))
+                f, model, x, a=_num(cfg, "a", 1.0), t=_num(cfg, "t", 10.0),
+                n_outer=_num(cfg, "paths", 400, int), seed=cfg["seed"], step=_num(cfg, "step"))
             reports[name] = rep.__dict__
         elif name == "mgf":
             rep = khasminskii_exponential_check(
-                f, model, x, theta=float(cfg.get("theta", 1.0)),
-                horizon=float(cfg.get("horizon", 50.0)), paths=int(cfg.get("paths", 2000)),
-                seed=cfg["seed"], j_value=cfg.get("j_value"), step=cfg.get("step"),
-                threads=int(cfg["threads"]))
+                f, model, x, theta=_num(cfg, "theta", 1.0),
+                horizon=_num(cfg, "horizon", 50.0), paths=_num(cfg, "paths", 2000, int),
+                seed=cfg["seed"], j_value=_num(cfg, "j_value"), step=_num(cfg, "step"),
+                threads=cfg["threads"])
             reports[name] = rep.__dict__
         else:
             raise ConfigError(f"unknown test '{name}'")
@@ -429,16 +447,18 @@ def cmd_test(cfg: dict, args) -> int:
 def cmd_diagnose(cfg: dict, args) -> int:
     model = model_from_config(_require(cfg, "model"))
     f = function_from_config(_require(cfg, "function"))
-    horizon = float(cfg.get("horizon", 80.0))
+    horizon = _num(cfg, "horizon", 80.0)
     ladder = cfg.get("ladder")
     if ladder is None:
-        n_rungs = int(cfg.get("rungs", 4))
+        n_rungs = _num(cfg, "rungs", 4, int)
         ladder = [horizon / 2 ** (n_rungs - 1 - i) for i in range(n_rungs)]
+    else:
+        ladder = [_as(float, t, "ladder") for t in ladder]
     out = _outdir(cfg)
-    verdict = finiteness_diagnosis(f, model, x=float(cfg.get("x", 0.0)),
-                                   rungs=ladder, paths=int(cfg.get("paths", 2000)),
-                                   seed=cfg["seed"], step=cfg.get("step"),
-                                   threads=int(cfg["threads"]))
+    verdict = finiteness_diagnosis(f, model, x=_num(cfg, "x", 0.0),
+                                   rungs=ladder, paths=_num(cfg, "paths", 2000, int),
+                                   seed=cfg["seed"], step=_num(cfg, "step"),
+                                   threads=cfg["threads"])
     ev = verdict.evidence
     write_json(out / "diagnosis.json",
                {"outcome": verdict.outcome, "note": verdict.note, "evidence": ev}, cfg)
@@ -454,8 +474,8 @@ def cmd_counterexample(cfg: dict, args) -> int:
     out = _outdir(cfg)
     if mode == "lattice":
         model = model_from_config(cfg.get("model", "lattice_cpp"))
-        report = lattice_counterexample(model, paths=int(cfg.get("paths", 200)),
-                                        horizon=float(cfg.get("horizon", 100.0)),
+        report = lattice_counterexample(model, paths=_num(cfg, "paths", 200, int),
+                                        horizon=_num(cfg, "horizon", 100.0),
                                         seed=cfg["seed"])
         write_json(out / "lattice_counterexample.json", report.to_dict(), cfg)
         print(f"lattice counterexample: tail test {report.dk_verdict}, "
@@ -465,22 +485,23 @@ def cmd_counterexample(cfg: dict, args) -> int:
 
     if mode == "trap":
         model = model_from_config(cfg.get("model", "tstable"))
-        levels = cfg.get("levels", [2, 3, 4, 6, 8, 12, 16, 22, 30])
+        levels = [_as(float, v, "levels")
+                  for v in cfg.get("levels", [2, 3, 4, 6, 8, 12, 16, 22, 30])]
+        n_max, safety = _num(cfg, "n_max", 12, int), _num(cfg, "safety", 2.0)
         table = estimate_overshoot_cdf(model, levels,
-                                       paths=int(cfg.get("overshoot_paths", 4000)),
-                                       seed=cfg["seed"], threads=int(cfg["threads"]))
+                                       paths=_num(cfg, "overshoot_paths", 4000, int),
+                                       seed=cfg["seed"], threads=cfg["threads"])
         write_csv(out / "overshoot_cdfs.csv", ["level", "eps", "cdf"],
                   [(lv, e, c) for li, lv in enumerate(table.levels)
                    for e, c in zip(table.eps_grid, table.cdfs[li])],
                   cfg, {"paths_per_level": table.paths_per_level,
                         "limit_gap": repr(table.limit_gap)})
-        trap = build_transient_trap(table, n_max=int(cfg.get("n_max", 12)),
-                                    safety=float(cfg.get("safety", 2.0)))
+        trap = build_transient_trap(table, n_max=n_max, safety=safety)
         write_json(out / "trap_construction.json", trap.to_dict(), cfg)
         verification = verify_counterexample(model, trap,
-                                             paths=int(cfg.get("paths", 2000)),
+                                             paths=_num(cfg, "paths", 2000, int),
                                              seed=cfg["seed"] + 1,
-                                             threads=int(cfg["threads"]))
+                                             threads=cfg["threads"])
         write_json(out / "trap_verification.json", verification.to_dict(), cfg)
         print(f"trap verification: visits {verification.visit_fraction:.4f} "
               f"<= {verification.visit_bound:.4f} [{verification.visit_ok}], "
@@ -498,15 +519,15 @@ def cmd_scan(cfg: dict, args) -> int:
     f = function_from_config(_require(cfg, "function"))
     scan = cfg.get("scan", {})
     xspec = scan.get("x", {})
-    xs = (np.asarray([float(v) for v in xspec]) if isinstance(xspec, list)
-          else np.linspace(float(xspec.get("lo", -2.0)), float(xspec.get("hi", 6.0)),
-                           int(xspec.get("points", 17))))
+    xs = (np.asarray([_as(float, v, "x") for v in xspec]) if isinstance(xspec, list)
+          else np.linspace(_num(xspec, "lo", -2.0), _num(xspec, "hi", 6.0),
+                           _num(xspec, "points", 17, int)))
     out = _outdir(cfg)
-    approx = estimate_L_set(f, model, a=float(scan.get("a", 1.0)),
-                            q=float(scan.get("q", 0.5)), x_grid=xs,
-                            horizon=float(cfg.get("horizon", 50.0)),
-                            paths=int(cfg.get("paths", 1000)), seed=cfg["seed"],
-                            step=cfg.get("step"), threads=int(cfg["threads"]))
+    approx = estimate_L_set(f, model, a=_num(scan, "a", 1.0),
+                            q=_num(scan, "q", 0.5), x_grid=xs,
+                            horizon=_num(cfg, "horizon", 50.0),
+                            paths=_num(cfg, "paths", 1000, int), seed=cfg["seed"],
+                            step=_num(cfg, "step"), threads=cfg["threads"])
     write_csv(out / "lset.csv", ["x", "g_hat", "stderr", "member"],
               zip(approx.xs, approx.g_hat, approx.stderr, approx.member),
               cfg, {"a": repr(approx.a), "q": repr(approx.q),

@@ -36,13 +36,22 @@ __all__ = [
     "dkw_halfwidth",
 ]
 
-# Overshoot sampling refines the small-jump cutoff near the target level:
-# far from the level a coarse cutoff is cheap; the final approach switches
-# to a fine cutoff so that crossings via the small-jump compensation drift
-# (recorded as mass at 0+, the conservative direction) stay rare.
+# Overshoot sampling folds jumps below a cutoff eps into their mean drift
+# (Asmussen & Rosinski 2001).  By P(O > u) = E int_0^tau tail_eps(level - X_t + u) dt
+# the jump tail that sets the overshoot law is exact while the distance left
+# to the level is at least eps; the approximation then only touches the
+# occupation law below the level.  So the cutoff follows the distance left:
+# a far stage at COARSE_CUTOFF_FRACTION * r up to SWITCH_MARGIN * r below the
+# level, then a ladder of stages, each shrinking the distance left by
+# LADDER_FACTOR with cutoff COARSE_CUTOFF_FRACTION times the distance left at
+# its stop, down to FINE_CUTOFF_FRACTION * r (the sampler's floor) for the
+# final approach, so the overshoot law is exact at and above the floor.
+# Crossings via the drift are recorded as mass at 0+ (the conservative
+# direction) and stay rare at the floor.
 COARSE_CUTOFF_FRACTION = 1e-4
 FINE_CUTOFF_FRACTION = 1e-8
 SWITCH_MARGIN = 1.1          # times the max jump size r
+LADDER_FACTOR = 10.0
 
 DKW_CONFIDENCE = 0.99
 
@@ -98,47 +107,59 @@ class OvershootTable:
         return dkw_halfwidth(self.paths_per_level)
 
 
-def _overshoot_one_path(jumps: TruncatedStable, level: float, rng: np.random.Generator,
-                        block: int = 8192) -> tuple[float, bool]:
+def _cutoff_ladder(r: float, level: float) -> list[tuple[float, float]]:
+    """(cutoff, stop) stages of the overshoot sampler, far stage first.
+
+    Every stage but the last stops below the level by at least its cutoff;
+    the last runs at the floor FINE_CUTOFF_FRACTION * r up to the level.
+    """
+    floor = FINE_CUTOFF_FRACTION * r
+    stages = [(COARSE_CUTOFF_FRACTION * r, level - SWITCH_MARGIN * r)]
+    d = SWITCH_MARGIN * r / LADDER_FACTOR
+    while COARSE_CUTOFF_FRACTION * d > floor:
+        stages.append((COARSE_CUTOFF_FRACTION * d, level - d))
+        d /= LADDER_FACTOR
+    stages.append((floor, level))
+    return stages
+
+
+def _overshoot_one_path(jumps: TruncatedStable, level: float,
+                        rng: np.random.Generator) -> tuple[float, bool]:
     """Overshoot of the compensated-jump skeleton over ``level``.
 
-    Returns (overshoot, crossed_by_drift).  Runs with a coarse cutoff until
-    within SWITCH_MARGIN * r of the level, then restarts with the fine
-    cutoff for the final approach.
+    Returns (overshoot, crossed_by_drift).  Runs the stages of
+    :func:`_cutoff_ladder` in turn, skipping those whose stop a jump has
+    already passed.  Each stage draws blocks sized to the expected jump count
+    to its stop.  A jump may clear the level from any stage; a drift segment
+    is cut at the stage's stop, and is a crossing only when that stop is the
+    level.
     """
-    r = jumps.cutoff
     pos = 0.0
-    t = 0.0
-    switch_at = level - SWITCH_MARGIN * r
-    for eps, stop in ((COARSE_CUTOFF_FRACTION * r, switch_at), (FINE_CUTOFF_FRACTION * r, level)):
+    for eps, stop in _cutoff_ladder(jumps.cutoff, level):
         if pos > stop:
             continue
         rate = jumps.tail_mass(eps)
         drift = jumps.small_jump_drift(eps)
         while True:
+            # expected jump count to the stop, with slack; capped to bound memory
+            block = min(int(1.25 * rate * (stop - pos) / jumps.jump_part_mean) + 16, 1 << 16)
             gaps = rng.exponential(1.0 / rate, size=block)
             sizes = jumps.sample_jumps(rng, block, eps)
-            times = t + np.cumsum(gaps)
-            positions = pos + drift * (times - t) + np.cumsum(sizes)
+            positions = pos + np.cumsum(drift * gaps + sizes)
             crossed = positions > stop
-            if crossed.any():
-                k = int(np.argmax(crossed))
-                before = positions[k] - sizes[k]           # value just before jump k
-                if before > stop:
-                    # the drift segment crossed first; cut exactly at the boundary
-                    if stop == level:
-                        return 0.0, True
-                    pos, t = stop, t  # time bookkeeping is irrelevant past the cut
-                    break
-                if stop == level:
-                    return float(positions[k] - level), False
-                pos, t = float(positions[k]), float(times[k])
-                break
-            pos, t = float(positions[-1]), float(times[-1])
-    # pos is just above switch_at (or exactly at the drift cut); the fine
-    # loop above always terminates by crossing the level, so reaching here
-    # means the coarse stage ended exactly at the cut and the fine stage ran.
-    raise AssertionError("unreachable")
+            if not crossed.any():
+                pos = float(positions[-1])
+                continue
+            k = int(np.argmax(crossed))
+            if positions[k] - sizes[k] > stop:
+                pos = stop           # the drift segment before jump k crossed first
+            elif positions[k] > level:
+                return float(positions[k] - level), False
+            else:
+                pos = float(positions[k])
+            break
+    # only a drift segment cut at the level itself ends the last stage
+    return 0.0, True
 
 
 def estimate_overshoot_cdf(
@@ -164,6 +185,8 @@ def estimate_overshoot_cdf(
         if not allow_degenerate:
             raise ValueError("overshoot tables need a driftless truncated stable subordinator "
                              "(pass allow_degenerate=True to override)")
+    if paths < 1:
+        raise ValueError(f"paths must be >= 1, got {paths}")
     levels = np.asarray(sorted(float(v) for v in levels))
     if np.any(levels <= 0):
         raise ValueError("levels must be positive")
@@ -205,7 +228,11 @@ def estimate_overshoot_cdf(
 
     meta = {"model": describe(model), "paths_per_level": paths, "master_seed": seed,
             "coarse_cutoff_fraction": COARSE_CUTOFF_FRACTION,
-            "fine_cutoff_fraction": FINE_CUTOFF_FRACTION}
+            "fine_cutoff_fraction": FINE_CUTOFF_FRACTION,
+            "ladder_factor": LADDER_FACTOR,
+            # overshoots below the floor are not resolved; exact paths have none
+            "cutoff_floor": (FINE_CUTOFF_FRACTION * jumps.cutoff
+                             if isinstance(jumps, TruncatedStable) else 0.0)}
     return OvershootTable(levels=levels, eps_grid=eps_grid, cdfs=cdfs,
                           paths_per_level=paths, creep_fraction=creep, meta=meta)
 
@@ -268,7 +295,10 @@ def build_transient_trap(table: OvershootTable, n_max: int, safety: float = 2.0)
     design target 1 / (2 n^2) — independent of the safety factor, so a
     larger safety factor can only tighten, never loosen, the certificate.
     Empirical margins and the 99% uniform CDF band are recorded per n so the
-    reader can see where raw statistical confidence runs out.
+    reader can see where raw statistical confidence runs out.  An eps_n below
+    the sampler's resolution floor (``table.meta["cutoff_floor"]``; a table
+    without one counts as exact) is refused; each entry records eps_n over
+    that floor.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
@@ -280,6 +310,7 @@ def build_transient_trap(table: OvershootTable, n_max: int, safety: float = 2.0)
             "limit overshoot CDF has substantial mass at the bottom of the grid "
             f"({limit[0]:.3g}); possible atom at 0, cannot certify small-overshoot bounds")
 
+    floor = table.meta.get("cutoff_floor", 0.0)
     eps_list, x_list, cert = [], [], []
     prev_eps = math.inf
     prev_x = -math.inf
@@ -293,6 +324,10 @@ def build_transient_trap(table: OvershootTable, n_max: int, safety: float = 2.0)
                 f"(threshold {threshold:.3g}); refine the eps grid or add paths")
         gi = int(ok[-1])
         eps_n = float(table.eps_grid[gi])
+        if eps_n < floor:
+            raise TrapConstructionError(
+                f"the certified eps {eps_n:.3g} at depth n={n} is below the overshoot "
+                f"sampler's resolution floor {floor:.3g}")
         lim_val = float(limit[gi])
 
         lvl_ok = np.nonzero((table.cdfs[:, gi] <= safety * lim_val + 1e-15)
@@ -317,6 +352,7 @@ def build_transient_trap(table: OvershootTable, n_max: int, safety: float = 2.0)
             "empirical_margin": float(safety * lim_val),
             "certified_cap": 1.0 / (2.0 * n * n),
             "dkw99_adjusted_level_cdf": float(lvl_val + band),
+            "eps_over_floor": eps_n / floor if floor > 0 else math.inf,
         })
 
     x_arr = np.array(x_list)

@@ -109,14 +109,17 @@ def test_criterion_5_transient_trap(trap20, trap_verification, timings):
     <= sum 2/n^2 + 3 SE, off-trap potential integral exactly 0, simulation
     diagnosis finite, tail test infinite; whole pipeline < 5 min."""
     v = trap_verification
-    runtime = (timings["overshoot_table"] + timings["trap20"]
-               + timings["trap_verification"])
+    table_s, build_s, verify_s = (timings["overshoot_table"], timings["trap20"],
+                                  timings["trap_verification"])
+    runtime = table_s + build_s + verify_s
     ok = (trap20.n_max == 20 and v.passed and runtime < 300.0)
     acceptance_log.record(
         5, "transient trap: all four checks, < 5 min", ok,
         f"visit {v.visit_fraction:.3f} <= {v.visit_bound:.3f} + 3x{v.visit_stderr:.4f}, "
         f"diagnosis {v.diagnosis_outcome}, off-trap integral "
-        f"{v.potential_integral_value}, dk {v.dk_verdict}, {runtime:.0f} s")
+        f"{v.potential_integral_value}, dk {v.dk_verdict}, {runtime:.0f} s = "
+        f"overshoot table {table_s:.1f} s + trap build {build_s:.2f} s + "
+        f"verification {verify_s:.1f} s")
     assert trap20.n_max == 20
     assert v.visit_ok, (v.visit_fraction, v.visit_bound, v.visit_stderr)
     assert v.potential_ok and v.potential_integral_value == 0.0

@@ -133,6 +133,16 @@ def test_nonpositive_overshoot_budget_is_config_error(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key, value", [("paths", "abc"), ("horizon", "x")])
+def test_non_numeric_config_value_is_config_error(tmp_path, capsys, key, value):
+    cfg = tmp_path / "bad.yaml"
+    cfg.write_text(yaml.safe_dump({"seed": 1, "model": "lattice_cpp", key: value}))
+    out = tmp_path / "o"
+    assert run_cli(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+    assert f"'{key}'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_kind_spec_equals_bare_name(tmp_path):
     """model: {kind: lattice_cpp} is the --model lattice_cpp preset."""
     cfg = tmp_path / "kind.yaml"

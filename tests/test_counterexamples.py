@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import levyint as L
-from levyint.counterexamples import TrapConstructionError, dkw_halfwidth
+from levyint.counterexamples import (FINE_CUTOFF_FRACTION, OvershootTable,
+                                     TrapConstructionError, _cutoff_ladder, dkw_halfwidth)
 
 import oracles
 
@@ -45,6 +46,36 @@ def test_overshoot_degenerate_override(lattice_model):
                                  eps_grid=np.array([0.1, 0.5, 0.9]),
                                  allow_degenerate=True)
     assert np.allclose(t.cdfs[0], [0.0, 1.0, 1.0])
+
+
+@pytest.mark.parametrize("r", [1.0, 0.3])
+@pytest.mark.parametrize("level", [0.5, 2.0, 30.0])
+def test_cutoff_ladder_stays_below_distance_left(r, level):
+    """Each stage's cutoff is at most the distance left at its stop and at
+    least the floor; the last stage runs at the floor up to the level."""
+    stages = _cutoff_ladder(r, level)
+    floor = FINE_CUTOFF_FRACTION * r
+    for eps, stop in stages[:-1]:
+        assert floor <= eps <= level - stop
+    assert stages[-1] == (floor, level)
+    stops = [stop for _, stop in stages]
+    assert np.all(np.diff(stops) > 0)
+    assert np.all(np.diff([eps for eps, _ in stages]) <= 0)
+
+
+@pytest.mark.parametrize("level, seed", [(2.0, 101), (22.0, 102)])
+def test_overshoot_ladder_matches_single_cutoff_reference(ts_model, level, seed):
+    """The ladder sampler's overshoot CDF agrees with a brute-force
+    single-cutoff sampler within the 99 % two-sample DKW band (each sample's
+    band at 99.5 %) at every grid point the reference resolves."""
+    n = 4000
+    ref_cutoff = 1e-5
+    table = L.estimate_overshoot_cdf(ts_model, [level], paths=n, seed=seed)
+    ref = oracles.ts_overshoot_single_cutoff(level, n, seed, cutoff=ref_cutoff)
+    keep = table.eps_grid >= ref_cutoff
+    ref_cdf = (ref[:, None] <= table.eps_grid[keep]).mean(axis=0)
+    gap = np.abs(table.cdfs[0, keep] - ref_cdf).max()
+    assert gap <= 2.0 * dkw_halfwidth(n, confidence=0.995)
 
 
 # -- trap construction ------------------------------------------------------
@@ -92,6 +123,33 @@ def test_trap_depth_failure_reports_first_n(overshoot_table):
     with pytest.raises(TrapConstructionError) as err:
         L.build_transient_trap(overshoot_table, n_max=10_000, safety=2.0)
     assert "n=" in str(err.value)
+
+
+def _limit_law_table(floor=None):
+    """Two levels, both at the limit law 2 sqrt(u) - u, with a stated floor."""
+    grid = np.geomspace(1e-9, 1.0, 181)
+    row = 2.0 * np.sqrt(grid) - grid
+    meta = {} if floor is None else {"cutoff_floor": floor}
+    return OvershootTable(levels=np.array([2.0, 30.0]), eps_grid=grid,
+                          cdfs=np.vstack([row, row]), paths_per_level=8000,
+                          creep_fraction=np.zeros(2), meta=meta)
+
+
+def test_trap_refuses_eps_below_cutoff_floor():
+    with pytest.raises(TrapConstructionError, match="floor"):
+        L.build_transient_trap(_limit_law_table(floor=1e-6), n_max=20)
+    trap = L.build_transient_trap(_limit_law_table(floor=1e-6), n_max=5)
+    assert [c["eps_over_floor"] for c in trap.certificate] == pytest.approx(trap.eps / 1e-6)
+    exact = L.build_transient_trap(_limit_law_table(), n_max=20)
+    assert all(c["eps_over_floor"] == math.inf for c in exact.certificate)
+
+
+def test_trap_certificate_records_sampler_floor(overshoot_table, trap20):
+    floor = overshoot_table.meta["cutoff_floor"]
+    assert floor == FINE_CUTOFF_FRACTION * 1.0
+    for c in trap20.certificate:
+        assert c["eps_over_floor"] == pytest.approx(c["eps"] / floor)
+        assert c["eps_over_floor"] >= 1.0
 
 
 def test_trap_function_and_region_align(trap20):

@@ -169,6 +169,9 @@ _ZERO_BUDGET = {
         L.indicator(0.0, 1.0), m, 0.0, a=1.0, t=5.0, n_outer=0, seed=1),
     "transience_probe": lambda m: L.transience_probe(
         m, L.RegionSpec(intervals=[(0.5, 1.5)]), paths=0, horizon=5.0, seed=1),
+    "estimate_overshoot_cdf": lambda m: L.estimate_overshoot_cdf(
+        L.build_model(jumps=L.TruncatedStable(activity=1.0, index=0.5, cutoff=1.0)),
+        [2.0], paths=0, seed=1),
 }
 
 
