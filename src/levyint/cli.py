@@ -38,7 +38,6 @@ from .counterexamples import (
     verify_counterexample,
 )
 from .criteria import (
-    RegionCoverageError,
     RegionSpec,
     blackwell_equivalence_check,
     dk_test,
@@ -138,6 +137,8 @@ def resolve_config(args: argparse.Namespace) -> dict:
         raise ConfigError("a master seed is required (config key 'seed' or --seed); "
                           "there is no wall-clock default")
     cfg["seed"] = _as(int, cfg["seed"], "seed")
+    if cfg["seed"] < 0:
+        raise ConfigError(f"config key 'seed' must be a non-negative integer, got {cfg['seed']}")
     for key in ("paths", "overshoot_paths"):
         if key in cfg and not _as(int, cfg[key], key) >= 1:
             raise ConfigError(f"'{key}' must be a positive path budget, got {cfg[key]}")
@@ -160,12 +161,15 @@ def _require(cfg: dict, key: str):
 
 
 def _as(kind, value, key: str):
-    """``kind(value)``; a value that does not convert is a config error naming ``key``."""
+    """``kind(value)``, or a config error naming ``key``; an integer refuses a fraction."""
+    what = "an integer" if kind is int else "a number"
     try:
-        return kind(value)
-    except (TypeError, ValueError) as exc:
-        what = "an integer" if kind is int else "a number"
+        out = kind(value)
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"config key '{key}' must be {what}, got {value!r}") from exc
+    if kind is int and isinstance(value, float) and out != value:
+        raise ConfigError(f"config key '{key}' must be {what}, got {value!r}")
+    return out
 
 
 def _num(spec: dict, key: str, default=None, kind=float):
@@ -252,20 +256,18 @@ def region_from_config(spec) -> RegionSpec:
     raise ConfigError("region spec needs 'half_line' or 'intervals'")
 
 
-def grid_from_config(spec, model: LevyModel = None,
-                     default_lo=0.0, default_hi=64.0, default_bins=64) -> np.ndarray:
-    if spec is None:
-        if model is not None and model.lattice_span is not None:
-            # one bin per lattice site, edges between sites
-            alpha = model.lattice_span
-            return alpha * (np.arange(default_bins + 1) - 0.5)
-        return np.linspace(default_lo, default_hi, default_bins + 1)
-    if isinstance(spec, dict):
-        if "edges" in spec:
-            return np.asarray([_as(float, v, "edges") for v in spec["edges"]])
-        return np.linspace(_num(spec, "lo", default_lo), _num(spec, "hi", default_hi),
-                           _num(spec, "bins", default_bins, int) + 1)
-    raise ConfigError("grid spec must be a mapping with lo/hi/bins or edges")
+def grid_from_config(spec, model: LevyModel) -> np.ndarray:
+    """Bin edges; by default 64 bins on [0, 64], or one per lattice site 0..63."""
+    if spec is None and model.lattice_span is not None:
+        # one bin per lattice site, edges between sites
+        return model.lattice_span * (np.arange(64 + 1) - 0.5)
+    spec = {} if spec is None else spec
+    if not isinstance(spec, dict):
+        raise ConfigError("grid spec must be a mapping with lo/hi/bins or edges")
+    if "edges" in spec:
+        return np.asarray([_as(float, v, "edges") for v in spec["edges"]])
+    return np.linspace(_num(spec, "lo", 0.0), _num(spec, "hi", 64.0),
+                       _num(spec, "bins", 64, int) + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +329,7 @@ def _outdir(cfg: dict) -> Path:
 # ---------------------------------------------------------------------------
 # subcommands
 
-def cmd_simulate(cfg: dict, args) -> int:
+def cmd_simulate(cfg: dict) -> int:
     model = model_from_config(_require(cfg, "model"))
     paths = _num(cfg, "paths", 10, int)
     horizon = _num(cfg, "horizon", 50.0)
@@ -351,7 +353,7 @@ def cmd_simulate(cfg: dict, args) -> int:
     return EXIT_OK
 
 
-def cmd_potential(cfg: dict, args) -> int:
+def cmd_potential(cfg: dict) -> int:
     model = model_from_config(_require(cfg, "model"))
     edges = grid_from_config(cfg.get("grid"), model)
     paths = _num(cfg, "paths", 2000, int)
@@ -384,7 +386,7 @@ def _pm_for_tests(cfg, model):
                               step=_num(cfg, "step"), threads=cfg["threads"])
 
 
-def cmd_test(cfg: dict, args) -> int:
+def cmd_test(cfg: dict) -> int:
     model = model_from_config(_require(cfg, "model"))
     f = function_from_config(_require(cfg, "function"))
     which = cfg.get("tests", ["dk", "potential_integral"])
@@ -444,7 +446,7 @@ def cmd_test(cfg: dict, args) -> int:
     return EXIT_OK
 
 
-def cmd_diagnose(cfg: dict, args) -> int:
+def cmd_diagnose(cfg: dict) -> int:
     model = model_from_config(_require(cfg, "model"))
     f = function_from_config(_require(cfg, "function"))
     horizon = _num(cfg, "horizon", 80.0)
@@ -469,7 +471,7 @@ def cmd_diagnose(cfg: dict, args) -> int:
     return EXIT_OK
 
 
-def cmd_counterexample(cfg: dict, args) -> int:
+def cmd_counterexample(cfg: dict) -> int:
     mode = cfg.get("mode", "lattice")
     out = _outdir(cfg)
     if mode == "lattice":
@@ -514,7 +516,7 @@ def cmd_counterexample(cfg: dict, args) -> int:
     raise ConfigError(f"unknown counterexample mode '{mode}' (lattice or trap)")
 
 
-def cmd_scan(cfg: dict, args) -> int:
+def cmd_scan(cfg: dict) -> int:
     model = model_from_config(_require(cfg, "model"))
     f = function_from_config(_require(cfg, "function"))
     scan = cfg.get("scan", {})
@@ -575,13 +577,14 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         cfg = resolve_config(args)
-        return _COMMANDS[args.command](cfg, args)
-    except (ConfigError, RegionCoverageError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return _COMMANDS[args.command](cfg)
     except ModelRejectionError as exc:
         print(f"model rejected: {exc}", file=sys.stderr)
         return EXIT_MODEL
+    except (ConfigError, ValueError) as exc:
+        # a value the library refuses, a RegionCoverageError among them
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except TrapConstructionError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return EXIT_VERIFY

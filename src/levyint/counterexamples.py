@@ -21,8 +21,8 @@ import numpy as np
 from . import rng as _rng
 from .criteria import RegionSpec, dk_test, potential_integral
 from .functions import TestFunction, lattice_sine, triangle_train
-from .models import LevyModel, TruncatedStable, describe, first_passage, reduce_paths
-from .perpetual import _censoring_rule, _classify_plateau, integral_at_times
+from .models import LevyModel, TruncatedStable, binomial_stderr, describe, reduce_paths
+from .perpetual import _censoring_rule, _classify_plateau, integral_along_path
 from .potential import estimate_potential
 
 __all__ = [
@@ -54,6 +54,11 @@ SWITCH_MARGIN = 1.1          # times the max jump size r
 LADDER_FACTOR = 10.0
 
 DKW_CONFIDENCE = 0.99
+
+# Lattice sine pass rule: f vanishes on the lattice to LATTICE_ZERO_TOL and
+# no simulated perpetual integral exceeds LATTICE_INTEGRAL_TOL_PER_TIME * horizon.
+LATTICE_ZERO_TOL = 1e-12
+LATTICE_INTEGRAL_TOL_PER_TIME = 1e-9
 
 
 class TrapConstructionError(RuntimeError):
@@ -167,72 +172,49 @@ def estimate_overshoot_cdf(
     levels: Sequence[float],
     paths: int,
     seed: int,
-    eps_grid: Optional[np.ndarray] = None,
     threads: int = 1,
-    allow_degenerate: bool = False,
 ) -> OvershootTable:
     """Tabulate empirical overshoot CDFs of a subordinator at several levels.
 
     The model must be a driftless truncated stable subordinator (infinite
-    activity, jumps bounded by the truncation level) unless
-    ``allow_degenerate=True``; atomic jump laws make the overshoot
-    distribution lattice-degenerate and useless for trap construction.
-    Crossings via the small-jump compensation drift are counted as overshoot
-    mass at 0+ (conservative for small-overshoot bounds) and reported.
+    activity, jumps bounded by the truncation level r); atomic jump laws
+    make the overshoot distribution lattice-degenerate and useless for trap
+    construction.  The CDFs are tabulated on the grid
+    ``geomspace(1e-9, r, 181)``.  Crossings via the small-jump compensation
+    drift are counted as overshoot mass at 0+ (conservative for
+    small-overshoot bounds) and reported.
     """
     jumps = model.jumps
     if not isinstance(jumps, TruncatedStable) or model.drift != 0.0 or model.gaussian_var != 0.0:
-        if not allow_degenerate:
-            raise ValueError("overshoot tables need a driftless truncated stable subordinator "
-                             "(pass allow_degenerate=True to override)")
+        raise ValueError("overshoot tables need a driftless truncated stable subordinator")
     if paths < 1:
         raise ValueError(f"paths must be >= 1, got {paths}")
     levels = np.asarray(sorted(float(v) for v in levels))
     if np.any(levels <= 0):
         raise ValueError("levels must be positive")
-    if eps_grid is None:
-        eps_grid = np.geomspace(1e-9, jumps.cutoff if isinstance(jumps, TruncatedStable) else 1.0, 181)
-    eps_grid = np.asarray(eps_grid, float)
-
-    def tally(passages):
-        counts = np.zeros(len(eps_grid))
-        n_creep = 0
-        for over, by_drift in passages:
-            n_creep += by_drift
-            counts += over <= eps_grid
-        return counts, n_creep
+    eps_grid = np.geomspace(1e-9, jumps.cutoff, 181)
 
     cdfs = np.empty((len(levels), len(eps_grid)))
     creep = np.empty(len(levels))
     for li, level in enumerate(levels):
-        if isinstance(jumps, TruncatedStable):
-            def worker(a, b, _level=level, _li=li):
-                rngs = (_rng.derive_rng(seed, _rng.STREAM_PATH, _li, i) for i in range(a, b))
-                return tally(_overshoot_one_path(jumps, _level, g) for g in rngs)
-            parts = _rng.map_chunks(paths, worker, threads=threads)
-        else:
-            def reducer(chunk, _level=level):
-                recs = (first_passage(path, _level) for path in chunk)
-                return tally((rec.overshoot, rec.hit_exactly and rec.overshoot == 0.0)
-                             for rec in recs if not rec.censored)
-            mean = model.mean if math.isfinite(model.mean) else 1.0
-            parts = reduce_paths(model, max(8.0 * (level + 1.0) / mean, 8.0), paths, seed, reducer,
-                                 key=(_rng.STREAM_PATH, li), threads=threads)
-        counts = np.zeros(len(eps_grid))
-        n_creep = 0
-        for c, nc in parts:
-            counts += c
-            n_creep += nc
-        cdfs[li] = counts / paths
-        creep[li] = n_creep / paths
+        def worker(a, b, _level=level, _li=li):
+            counts, n_creep = np.zeros(len(eps_grid)), 0
+            for i in range(a, b):
+                g = _rng.derive_rng(seed, _rng.STREAM_PATH, _li, i)
+                over, by_drift = _overshoot_one_path(jumps, _level, g)
+                counts += over <= eps_grid
+                n_creep += by_drift
+            return counts, n_creep
+        parts = _rng.map_chunks(paths, worker, threads=threads)   # chunk order
+        cdfs[li] = sum(c for c, _ in parts) / paths
+        creep[li] = sum(nc for _, nc in parts) / paths
 
     meta = {"model": describe(model), "paths_per_level": paths, "master_seed": seed,
             "coarse_cutoff_fraction": COARSE_CUTOFF_FRACTION,
             "fine_cutoff_fraction": FINE_CUTOFF_FRACTION,
             "ladder_factor": LADDER_FACTOR,
-            # overshoots below the floor are not resolved; exact paths have none
-            "cutoff_floor": (FINE_CUTOFF_FRACTION * jumps.cutoff
-                             if isinstance(jumps, TruncatedStable) else 0.0)}
+            # overshoots below the floor are not resolved
+            "cutoff_floor": FINE_CUTOFF_FRACTION * jumps.cutoff}
     return OvershootTable(levels=levels, eps_grid=eps_grid, cdfs=cdfs,
                           paths_per_level=paths, creep_fraction=creep, meta=meta)
 
@@ -400,8 +382,6 @@ def lattice_counterexample(
     paths: int,
     horizon: float,
     seed: int,
-    zero_tol: float = 1e-12,
-    integral_tol_per_time: float = 1e-9,
 ) -> LatticeSineReport:
     """Shifted-sine integrand on a lattice model: the required mismatch.
 
@@ -418,14 +398,13 @@ def lattice_counterexample(
     sites = alpha * np.arange(0, 200)
     max_on_lattice = float(np.abs(f(sites)).max())
     dk = dk_test(f, 0.0)
-    at = np.array([horizon])
     worst = float(max(reduce_paths(
         model, horizon, paths, seed,
-        lambda chunk: max(abs(integral_at_times(f, path, 0.0, at)[0]) for path in chunk)),
+        lambda chunk: max(abs(integral_along_path(f, path)) for path in chunk)),
         default=0.0))
-    passed = (max_on_lattice <= zero_tol
+    passed = (max_on_lattice <= LATTICE_ZERO_TOL
               and dk.verdict == "infinite"
-              and worst <= integral_tol_per_time * horizon)
+              and worst <= LATTICE_INTEGRAL_TOL_PER_TIME * horizon)
     return LatticeSineReport(
         span=alpha, max_abs_on_lattice=max_on_lattice, dk_verdict=dk.verdict,
         dk_value=dk.value, max_integral=worst, horizon=horizon, paths=paths,
@@ -504,7 +483,7 @@ def verify_counterexample(
     at_rungs, censored = split(np.concatenate([vals for _, vals in parts]))
 
     p_visit = visit_count / paths
-    se = math.sqrt(max(p_visit * (1 - p_visit), 1e-12) / paths)
+    se = float(binomial_stderr(p_visit, paths))
     bound = float(sum(2.0 / (n * n) for n in range(1, trap.n_max + 1)))
     visit_ok = p_visit <= bound + 3.0 * se
 

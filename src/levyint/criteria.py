@@ -18,7 +18,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .functions import TestFunction
-from .models import LevyModel, PathSample, describe, reduce_paths
+from .models import LevyModel, PathSample, binomial_stderr, describe, reduce_paths
 from .potential import PotentialMeasure
 
 __all__ = [
@@ -47,6 +47,8 @@ RATIO_CAP = 0.75
 TAIL_FRACTION = 0.05
 GROWTH_FRACTION = 0.2
 _ATOL = 1e-12
+# Rungs of a doubling window ladder (fewer when the grid top closes it).
+LADDER_RUNGS = 10
 
 
 class RegionCoverageError(ValueError):
@@ -258,13 +260,20 @@ def _window_edges(base: float, top: float, rungs: int) -> np.ndarray:
     return np.asarray(edges)
 
 
+def _ladder_report(test: str, ladder, tops, total: float, inputs: dict) -> CriterionReport:
+    """Classify a finished ladder of partial integrals and wrap it as a report."""
+    verdict, diag = classify_ladder(ladder)
+    return CriterionReport(
+        test=test, value=math.inf if verdict == INFINITE else total, verdict=verdict,
+        inputs=inputs, details={"partial_value": total, "window_tops": [float(t) for t in tops],
+                                "ladder": [float(u) for u in ladder], **diag})
+
+
 def potential_integral(
     f: TestFunction,
     pm: PotentialMeasure,
     region: RegionSpec,
     x: float = 0.0,
-    window_base: float = 1.0,
-    rungs: int = 10,
 ) -> CriterionReport:
     """Integral of f(x + y) against the potential measure, restricted to a region.
 
@@ -272,8 +281,8 @@ def potential_integral(
     f at its midpoint weighted by the proportional bin mass.  Lattice point
     masses are handled exactly: a site contributes its full mass iff it lies
     in the closure of the region.  Divergence is decided by
-    :func:`classify_ladder` on partial sums over windows growing to the top
-    of the grid.
+    :func:`classify_ladder` on partial sums over windows doubling from 1 to
+    the top of the grid.
     """
     edges = pm.edges
     sup_lo, sup_hi = f.support
@@ -294,24 +303,15 @@ def potential_integral(
                 mid = 0.5 * (a + b)
                 contrib[i] += float(f(np.array([x + mid]))[0]) * pm.masses[i] * (b - a) / (hi - lo)
 
-    tops = _window_edges(window_base, edges[-1], rungs)
+    tops = _window_edges(1.0, edges[-1], LADDER_RUNGS)
     ladder = [float(contrib[positions <= top].sum()) for top in tops]
-    verdict, diag = classify_ladder(ladder)
-    total = float(contrib.sum())
-    value = math.inf if verdict == INFINITE else total
-    return CriterionReport(
-        test="potential_integral",
-        value=value,
-        verdict=verdict,
-        inputs={"f": f.name, "region": region.name, "x": x,
-                "pm": pm.meta.get("model", "?"),
-                "digest": _digest("potential_integral", f.name, region.name, x, pm.meta)},
-        details={"partial_value": total, "window_tops": [float(t) for t in tops],
-                 "ladder": ladder, **diag},
-    )
+    return _ladder_report(
+        "potential_integral", ladder, tops, float(contrib.sum()),
+        {"f": f.name, "region": region.name, "x": x, "pm": pm.meta.get("model", "?"),
+         "digest": _digest("potential_integral", f.name, region.name, x, pm.meta)})
 
 
-def dk_test(f: TestFunction, lower_cutoff: float = 0.0, rungs: int = 10) -> CriterionReport:
+def dk_test(f: TestFunction, lower_cutoff: float = 0.0) -> CriterionReport:
     """Tail-integral test: does the Lebesgue integral of f over (lower, inf) converge?
 
     Partial integrals are taken over a doubling ladder (or over the
@@ -326,27 +326,18 @@ def dk_test(f: TestFunction, lower_cutoff: float = 0.0, rungs: int = 10) -> Crit
             raise ValueError("declared ladder has fewer than 4 usable windows")
     else:
         base = max(l, 1.0) * 2.0
-        tops = np.array([base * 2.0 ** k for k in range(rungs)])
+        tops = np.array([base * 2.0 ** k for k in range(LADDER_RUNGS)])
     starts = np.concatenate([[l], tops[:-1]])
     increments = np.array([float(f.integral_on(a, b)) for a, b in zip(starts, tops)])
     ladder = np.cumsum(increments)
-    verdict, diag = classify_ladder(ladder)
-    total = float(ladder[-1])
-    return CriterionReport(
-        test="dk_test",
-        value=math.inf if verdict == INFINITE else total,
-        verdict=verdict,
-        inputs={"f": f.name, "lower": l, "digest": _digest("dk", f.name, l, rungs)},
-        details={"partial_value": total, "window_tops": [float(t) for t in tops],
-                 "ladder": [float(u) for u in ladder], **diag},
-    )
+    return _ladder_report("dk_test", ladder, tops, float(ladder[-1]),
+                          {"f": f.name, "lower": l, "digest": _digest("dk", f.name, l, LADDER_RUNGS)})
 
 
 def erickson_maller_test(
     f: TestFunction,
     pm: PotentialMeasure,
     lower_cutoff: float = 1.0,
-    rungs: int = 10,
 ) -> CriterionReport:
     """Stieltjes test integrating the renewal function U([0, y]) against -df.
 
@@ -371,20 +362,13 @@ def erickson_maller_test(
                       "the Stieltjes tail is under-resolved", stacklevel=2)
     renewal = np.array([pm.mass_between(0.0, y) for y in ys[:-1]])
     increments = renewal * (fy[:-1] - fy[1:])           # U([0,y]) * (-df)
-    tops = _window_edges(max(l, 1.0) * 2.0, top, rungs)
+    tops = _window_edges(max(l, 1.0) * 2.0, top, LADDER_RUNGS)
     cum = np.concatenate([[0.0], np.cumsum(increments)])
     ladder = [float(cum[np.searchsorted(ys, t, side="right") - 1]) for t in tops]
-    verdict, diag = classify_ladder(ladder)
-    total = float(cum[-1])
-    return CriterionReport(
-        test="erickson_maller",
-        value=math.inf if verdict == INFINITE else total,
-        verdict=verdict,
-        inputs={"f": f.name, "lower": l, "pm": pm.meta.get("model", "?"),
-                "digest": _digest("em", f.name, l, pm.meta)},
-        details={"partial_value": total, "window_tops": [float(t) for t in tops],
-                 "ladder": ladder, **diag},
-    )
+    return _ladder_report(
+        "erickson_maller", ladder, tops, float(cum[-1]),
+        {"f": f.name, "lower": l, "pm": pm.meta.get("model", "?"),
+         "digest": _digest("em", f.name, l, pm.meta)})
 
 
 def blackwell_equivalence_check(
@@ -476,7 +460,7 @@ def transience_probe(
     qs = np.quantile(np.where(np.isfinite(last_visits), last_visits, 0.0), [0.5, 0.9, 0.99])
     return {
         "p_stay": p_stay,
-        "stderr": float(math.sqrt(max(p_stay * (1 - p_stay), 1e-12) / paths)),
+        "stderr": float(binomial_stderr(p_stay, paths)),
         "clustering_distance": float(min(p_stay, 1.0 - p_stay)),
         "last_visit_quantiles": {"q50": float(qs[0]), "q90": float(qs[1]), "q99": float(qs[2])},
         "horizon": float(horizon),

@@ -100,13 +100,12 @@ class TestFunction:
         )
 
 
-def _check_nonnegative(f: TestFunction, window: Optional[tuple[float, float]] = None) -> TestFunction:
-    if window is None:
-        lo, hi = f.support
-        lo = lo if math.isfinite(lo) else -60.0
-        hi = hi if math.isfinite(hi) else 200.0
-        window = (lo, hi)
-    xs = np.linspace(window[0], window[1], _CHECK_POINTS)
+def _check_nonnegative(f: TestFunction) -> TestFunction:
+    """Spot-check f on its support, an infinite end clipped to -60 or 200."""
+    lo, hi = f.support
+    lo = lo if math.isfinite(lo) else -60.0
+    hi = hi if math.isfinite(hi) else 200.0
+    xs = np.linspace(lo, hi, _CHECK_POINTS)
     w = f(xs)
     if not np.all(np.isfinite(w)):
         raise ValueError(f"{f.name}: non-finite values on the check window")
@@ -121,12 +120,11 @@ def from_callable(
     primitive: Optional[Callable[[np.ndarray], np.ndarray]] = None,
     breakpoints: Sequence[float] = (),
     support: tuple[float, float] = (-math.inf, math.inf),
-    check_window: Optional[tuple[float, float]] = None,
 ) -> TestFunction:
     """Wrap a vectorized callable; nonnegativity is spot-checked on a grid."""
     f = TestFunction(name=name, kind="closed_form", evaluator=fn, primitive=primitive,
                      breakpoints=np.asarray(sorted(breakpoints), float), support=support)
-    return _check_nonnegative(f, check_window)
+    return _check_nonnegative(f)
 
 
 def step_function(pieces: Sequence[tuple[float, float, float]], name: str = "step") -> TestFunction:

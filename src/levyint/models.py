@@ -442,6 +442,11 @@ def reduce_paths(
     return map_chunks(paths, worker, threads=threads)
 
 
+def binomial_stderr(p, n: int):
+    """Binomial standard error of proportion(s) ``p`` over ``n`` trials, floored above 0."""
+    return np.sqrt(np.maximum(p * (1 - p), 1e-12) / n)
+
+
 def _simulate_grid(model, horizon, step, rng):
     n_cells = max(1, int(round(horizon / step)))
     grid = np.linspace(0.0, horizon, n_cells + 1)
@@ -464,13 +469,14 @@ def _simulate_grid(model, horizon, step, rng):
     return PathSample(times, values, exact=False, horizon=horizon, linear_rate=0.0)
 
 
-def first_passage(path: PathSample, level: float, tol: Optional[float] = None) -> PassageRecord:
+def first_passage(path: PathSample, level: float) -> PassageRecord:
     """First time the path reaches ``level``, with overshoot.
 
     Exact (piecewise linear) paths resolve both continuous crossings
-    (overshoot 0, ``hit_exactly=True``) and jump crossings.  Grid skeletons
+    (overshoot 0, ``hit_exactly=True``) and jump crossings, a jump counting
+    as an exact hit when it overshoots by at most 1e-12.  Grid skeletons
     report the first grid point at or above the level; ``hit_exactly`` then
-    uses a step-size dependent tolerance (default ``sqrt(step)``).
+    uses the step-size dependent tolerance ``sqrt(median step)``.
     """
     x = float(level)
     v = path.values
@@ -483,8 +489,7 @@ def first_passage(path: PathSample, level: float, tol: Optional[float] = None) -
             return PassageRecord(x, math.inf, math.nan, False, True)
         i = int(np.argmax(reached))
         over = float(v[i] - x)
-        if tol is None:
-            tol = math.sqrt(float(np.median(np.diff(path.times))))
+        tol = math.sqrt(float(np.median(np.diff(path.times))))
         return PassageRecord(x, float(path.times[i]), over, over <= tol, False)
 
     t0, dt, v0 = path.segments()
@@ -501,6 +506,4 @@ def first_passage(path: PathSample, level: float, tol: Optional[float] = None) -
         t_hit = float(t0[k_seg] + (x - v0[k_seg]) / r)
         return PassageRecord(x, t_hit, 0.0, True, False)
     over = float(v[k_jmp + 1] - x)
-    if tol is None:
-        tol = 1e-12
-    return PassageRecord(x, float(path.times[k_jmp + 1]), over, over <= tol, False)
+    return PassageRecord(x, float(path.times[k_jmp + 1]), over, over <= 1e-12, False)

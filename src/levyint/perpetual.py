@@ -18,7 +18,7 @@ import numpy as np
 
 from . import rng as _rng
 from .functions import TestFunction
-from .models import LevyModel, PathSample, describe, reduce_paths
+from .models import LevyModel, PathSample, binomial_stderr, describe, reduce_paths
 
 __all__ = [
     "TailEstimate",
@@ -47,6 +47,8 @@ CENSOR_REL_ACCRUAL = 1e-3
 PLATEAU_GROWTH = 0.02       # relative median growth between the last two rungs
 PLATEAU_CENSORED = 0.05     # max censored fraction for a finite verdict
 GROWTH_TSTAT = 5.0          # t-statistic of the log-horizon slope for infinite
+
+BATTY_PROBES = 64           # probe points for beta_hat across the support of f
 
 
 def _segment_contributions(f: TestFunction, path: PathSample, x: float) -> np.ndarray:
@@ -122,9 +124,6 @@ class IDistribution:
     def censored_fraction(self) -> float:
         return float(self.censored.mean())
 
-    def quantile(self, q) -> np.ndarray:
-        return np.quantile(self.samples, q)
-
 
 def _censoring_rule(f, x, rungs):
     """The ladder's censoring rule as ``(row, split)`` for sorted ``rungs``.
@@ -183,8 +182,7 @@ def estimate_I_distribution(
     tails = []
     for a in sorted(float(a) for a in a_values):
         g = float((samples > a).mean())
-        tails.append(TailEstimate(a=a, g_hat=g,
-                                  stderr=float(math.sqrt(max(g * (1 - g), 1e-12) / paths)),
+        tails.append(TailEstimate(a=a, g_hat=g, stderr=float(binomial_stderr(g, paths)),
                                   paths=paths))
     meta = {"model": describe(model), "f": f.name, "paths": paths,
             "horizon": float(horizon), "master_seed": seed}
@@ -344,8 +342,7 @@ def estimate_L_set(
 
     parts = reduce_paths(model, horizon, paths, seed, reducer, threads=threads, step=step)
     g = sum(parts, np.zeros(len(xs))) / paths
-    stderr = np.sqrt(np.maximum(g * (1 - g), 1e-12) / paths)
-    return LSetApprox(a=float(a), q=float(q), xs=xs, g_hat=g, stderr=stderr,
+    return LSetApprox(a=float(a), q=float(q), xs=xs, g_hat=g, stderr=binomial_stderr(g, paths),
                       member=g <= q,
                       meta={"model": describe(model), "f": f.name, "paths": paths,
                             "horizon": float(horizon), "master_seed": seed})
@@ -376,32 +373,28 @@ def batty_inequality_check(
     t: float,
     n_outer: int,
     seed: int,
-    n_inner: Optional[int] = None,
-    probe_points: int = 64,
-    probe_window: Optional[tuple[float, float]] = None,
     step: Optional[float] = None,
 ) -> BattyReport:
     """Check beta_hat * mean(I^x_t) <= a + 3 propagated standard errors.
 
-    beta_hat is the minimum over a probe grid on the support of f of the
-    inner-estimated P(I^y_t <= a); inner runs use nested seeds
-    (master, probe index, path index).  The minimum of noisy estimates is
-    biased low, which only makes the check conservative; that caveat and any
-    probe-window truncation are recorded.
+    beta_hat is the minimum over BATTY_PROBES evenly spaced points on the
+    support of f of the inner-estimated P(I^y_t <= a), each from
+    max(8, round(sqrt(n_outer))) inner paths with nested seeds
+    (master, probe index, path index).  An unbounded support is truncated
+    to a window of length 20 starting at min(0, x).  The minimum of noisy
+    estimates is biased low, which only makes the check conservative; that
+    caveat and any window truncation are recorded.
     """
     caveats = ["beta_hat is a minimum of noisy estimates (biased low, conservative)"]
-    if probe_window is None:
-        lo, hi = f.support
-        if not (math.isfinite(lo) and math.isfinite(hi)):
-            lo = min(0.0, x)
-            hi = lo + 20.0
-            caveats.append(f"unbounded support truncated to probe window ({lo:g}, {hi:g})")
-        probe_window = (lo, hi)
-    if n_inner is None:
-        n_inner = max(8, int(round(math.sqrt(n_outer))))
-    probes = np.linspace(probe_window[0], probe_window[1], probe_points)
+    lo, hi = f.support
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        lo = min(0.0, x)
+        hi = lo + 20.0
+        caveats.append(f"unbounded support truncated to probe window ({lo:g}, {hi:g})")
+    n_inner = max(8, int(round(math.sqrt(n_outer))))
+    probes = np.linspace(lo, hi, BATTY_PROBES)
 
-    p_hat = np.empty(probe_points)
+    p_hat = np.empty(BATTY_PROBES)
     for j, y in enumerate(probes):
         below = reduce_paths(model, t, n_inner, seed,
                              lambda chunk: sum(integral_along_path(f, path, float(y)) <= a
@@ -410,7 +403,7 @@ def batty_inequality_check(
         p_hat[j] = sum(below) / n_inner
     j_min = int(np.argmin(p_hat))
     beta = float(p_hat[j_min])
-    se_beta = math.sqrt(max(beta * (1 - beta), 1e-12) / n_inner)
+    se_beta = float(binomial_stderr(beta, n_inner))
 
     outer = np.array(sum(reduce_paths(
         model, t, n_outer, seed, lambda chunk: [integral_along_path(f, path, x) for path in chunk],

@@ -131,11 +131,10 @@ class PotentialMeasure:
         return cls(edges=edges, masses=arr[:, 2], stderr=arr[:, 3], lattice_span=span, meta=meta)
 
 
-def horizon_heuristic(model: LevyModel, grid_lo: float, grid_hi: float,
-                      safety: float = DEFAULT_HORIZON_SAFETY) -> float:
+def horizon_heuristic(model: LevyModel, grid_lo: float, grid_hi: float) -> float:
     if not math.isfinite(model.mean) or model.mean <= 0:
         raise ValueError("horizon heuristic needs a finite positive mean; pass a horizon explicitly")
-    return safety * (grid_hi - grid_lo) / model.mean
+    return DEFAULT_HORIZON_SAFETY * (grid_hi - grid_lo) / model.mean
 
 
 def occupation_histogram(path: PathSample, edges: np.ndarray, out: np.ndarray) -> None:

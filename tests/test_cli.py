@@ -175,3 +175,39 @@ def test_console_entry_point(tmp_path):
     proc = subprocess.run([sys.executable, "-m", "levyint.cli", "definitely-not-a-command"],
                           capture_output=True)
     assert proc.returncode == 2
+
+
+@pytest.mark.parametrize("args, cfg", [
+    (["counterexample", "--mode", "trap", "--model", "bm"], {}),
+    (["counterexample", "--mode", "lattice", "--model", "tstable"], {}),
+    (["diagnose", "--model", "lattice_cpp", "--function", "exp_decay"], {"rungs": 2}),
+    (["test", "--model", "lattice_cpp", "--function", "lattice_sine", "--paths", "20"],
+     {"tests": ["erickson_maller"]}),
+    (["scan", "--model", "lattice_cpp", "--function", "exp_decay"], {"scan": {"q": 1.5}}),
+    (["simulate", "--model", "lattice_cpp", "--seed", "-1"], {}),
+])
+def test_library_refusal_is_config_error(tmp_path, capsys, args, cfg):
+    """A config value the library refuses exits 2 with one line, no traceback."""
+    path = tmp_path / "cfg.yaml"
+    path.write_text(yaml.safe_dump({"seed": 1, **cfg}))
+    assert run_cli([*args, "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+
+
+def test_fractional_integer_value_is_config_error(tmp_path, capsys):
+    cfg = tmp_path / "frac.yaml"
+    cfg.write_text(yaml.safe_dump({"seed": 1, "model": "lattice_cpp", "paths": 2.7}))
+    out = tmp_path / "o"
+    assert run_cli(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "'paths'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("paths", [3, "3", 3.0])
+def test_whole_integer_value_converts(tmp_path, paths):
+    cfg = tmp_path / "whole.yaml"
+    cfg.write_text(yaml.safe_dump({"seed": 1, "model": "lattice_cpp", "paths": paths,
+                                   "horizon": 5}))
+    out = tmp_path / "o"
+    assert run_cli(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+    assert json.loads((out / "simulate_summary.json").read_text())["paths"] == 3

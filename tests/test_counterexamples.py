@@ -40,14 +40,6 @@ def test_overshoot_rejects_wrong_model(lattice_model):
         L.estimate_overshoot_cdf(lattice_model, [2.0], paths=10, seed=0)
 
 
-def test_overshoot_degenerate_override(lattice_model):
-    """Unit-jump lattice overshoot of level 0.5 is always 0.5."""
-    t = L.estimate_overshoot_cdf(lattice_model, [0.5], paths=50, seed=1,
-                                 eps_grid=np.array([0.1, 0.5, 0.9]),
-                                 allow_degenerate=True)
-    assert np.allclose(t.cdfs[0], [0.0, 1.0, 1.0])
-
-
 @pytest.mark.parametrize("r", [1.0, 0.3])
 @pytest.mark.parametrize("level", [0.5, 2.0, 30.0])
 def test_cutoff_ladder_stays_below_distance_left(r, level):
