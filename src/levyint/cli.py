@@ -163,6 +163,8 @@ def _require(cfg: dict, key: str):
 def _as(kind, value, key: str):
     """``kind(value)``, or a config error naming ``key``; an integer refuses a fraction."""
     what = "an integer" if kind is int else "a number"
+    if isinstance(value, bool):   # int(True) == 1: a YAML boolean is not a number
+        raise ConfigError(f"config key '{key}' must be {what}, got {value!r}")
     try:
         out = kind(value)
     except (TypeError, ValueError, OverflowError) as exc:
@@ -473,12 +475,12 @@ def cmd_diagnose(cfg: dict) -> int:
 
 def cmd_counterexample(cfg: dict) -> int:
     mode = cfg.get("mode", "lattice")
-    out = _outdir(cfg)
     if mode == "lattice":
         model = model_from_config(cfg.get("model", "lattice_cpp"))
         report = lattice_counterexample(model, paths=_num(cfg, "paths", 200, int),
                                         horizon=_num(cfg, "horizon", 100.0),
                                         seed=cfg["seed"])
+        out = _outdir(cfg)
         write_json(out / "lattice_counterexample.json", report.to_dict(), cfg)
         print(f"lattice counterexample: tail test {report.dk_verdict}, "
               f"max |I| {report.max_integral:.3g} -> "
@@ -493,6 +495,7 @@ def cmd_counterexample(cfg: dict) -> int:
         table = estimate_overshoot_cdf(model, levels,
                                        paths=_num(cfg, "overshoot_paths", 4000, int),
                                        seed=cfg["seed"], threads=cfg["threads"])
+        out = _outdir(cfg)
         write_csv(out / "overshoot_cdfs.csv", ["level", "eps", "cdf"],
                   [(lv, e, c) for li, lv in enumerate(table.levels)
                    for e, c in zip(table.eps_grid, table.cdfs[li])],
@@ -520,7 +523,12 @@ def cmd_scan(cfg: dict) -> int:
     model = model_from_config(_require(cfg, "model"))
     f = function_from_config(_require(cfg, "function"))
     scan = cfg.get("scan", {})
+    if not isinstance(scan, dict):
+        raise ConfigError(f"config key 'scan' must be a mapping with a, q and x, got {scan!r}")
     xspec = scan.get("x", {})
+    if not isinstance(xspec, (dict, list)):
+        raise ConfigError(f"config key 'x' must be a list or a mapping with lo, hi and points, "
+                          f"got {xspec!r}")
     xs = (np.asarray([_as(float, v, "x") for v in xspec]) if isinstance(xspec, list)
           else np.linspace(_num(xspec, "lo", -2.0), _num(xspec, "hi", 6.0),
                            _num(xspec, "points", 17, int)))

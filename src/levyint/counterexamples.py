@@ -190,8 +190,8 @@ def estimate_overshoot_cdf(
     if paths < 1:
         raise ValueError(f"paths must be >= 1, got {paths}")
     levels = np.asarray(sorted(float(v) for v in levels))
-    if np.any(levels <= 0):
-        raise ValueError("levels must be positive")
+    if not np.all(np.isfinite(levels) & (levels > 0)):
+        raise ValueError(f"levels must be positive and finite, got {levels.tolist()}")
     eps_grid = np.geomspace(1e-9, jumps.cutoff, 181)
 
     cdfs = np.empty((len(levels), len(eps_grid)))
@@ -492,9 +492,10 @@ def verify_counterexample(
     diagnosis_ok = outcome == "finite"
 
     # Far-bin truncation is irrelevant here: f lives on the bumps, all below
-    # beta_top, and the check is an exact zero on the complement region.
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)
+    # beta_top, and the check is an exact zero on the complement region.  The
+    # warnings this raises (the horizon heuristic) are kept in the details.
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         pm = estimate_potential(model, np.linspace(0.0, beta_top + 5.0, 257),
                                 paths=200, seed=seed + 1, horizon=horizon)
     pot = potential_integral(trap.f, pm, trap.complement_region())
@@ -516,6 +517,7 @@ def verify_counterexample(
         "master_seed": seed,
         "small_jump_cutoff": small_jump_cutoff,
         "visit_counting": "conservative (landings plus drift-segment sweeps)",
+        "warnings": [f"{w.category.__name__}: {w.message}" for w in caught],
     }
     return TrapVerification(
         visit_fraction=float(p_visit), visit_bound=bound, visit_stderr=float(se),

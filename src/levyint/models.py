@@ -21,7 +21,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .rng import STREAM_PATH, derive_rng, map_chunks
+from .rng import DEFAULT_CHUNK, STREAM_PATH, derive_rng, map_chunks
 
 __all__ = [
     "ModelRejectionError",
@@ -41,6 +41,10 @@ __all__ = [
 # fraction of the truncation level r: jumps below ``SMALL_JUMP_FRACTION * r``
 # are folded into an equivalent linear drift.
 SMALL_JUMP_FRACTION = 1e-4
+
+# Expected segments per simulated block in ``reduce_paths``: light paths are
+# drawn this many segments at a time and cut into pieces of one horizon.
+BLOCK_SEGMENTS = 2**14
 
 _ATOL = 1e-9
 
@@ -342,6 +346,13 @@ def _finalize_exact(times, values, horizon, rate):
     return times, values
 
 
+def _jump_cutoff(jumps: TruncatedStable, small_jump_cutoff: Optional[float]) -> float:
+    eps = small_jump_cutoff if small_jump_cutoff is not None else SMALL_JUMP_FRACTION * jumps.cutoff
+    if not (0 < eps < jumps.cutoff):
+        raise ValueError("small_jump_cutoff must lie in (0, cutoff)")
+    return eps
+
+
 def _exponential_arrivals(rng, rate, horizon):
     """Arrival times of a Poisson stream on (0, horizon], by exponential spacings."""
     if rate <= 0:
@@ -396,9 +407,7 @@ def simulate_path(
         sizes = jumps.sample(rng, len(jt))
         rate = model.drift
     else:  # truncated stable subordinator
-        eps = small_jump_cutoff if small_jump_cutoff is not None else SMALL_JUMP_FRACTION * jumps.cutoff
-        if not (0 < eps < jumps.cutoff):
-            raise ValueError("small_jump_cutoff must lie in (0, cutoff)")
+        eps = _jump_cutoff(jumps, small_jump_cutoff)
         jt = _exponential_arrivals(rng, jumps.tail_mass(eps), horizon)
         sizes = jumps.sample_jumps(rng, len(jt), eps)
         rate = model.drift + jumps.small_jump_drift(eps)
@@ -423,23 +432,84 @@ def reduce_paths(
 ) -> list:
     """The package's one Monte Carlo path loop.
 
-    Path i is ``simulate_path(model, horizon, rng=derive_rng(seed, *key, i))``
-    (with ``step`` and ``small_jump_cutoff`` passed through).  Each fixed
-    chunk of path indices goes to ``reducer`` as a lazy iterable of its
+    Paths are drawn in blocks of k consecutive indices: the block starting
+    at path index s is one ``simulate_path(model, k * horizon,
+    rng=derive_rng(seed, *key, s))`` (with ``step`` and ``small_jump_cutoff``
+    passed through), cut at multiples of ``horizon`` into k paths that each
+    start at (0, 0).  Increments of a Levy process are stationary and
+    independent, so the pieces are iid paths on [0, horizon].  k comes from
+    :func:`_block_paths`; with k = 1 path i is drawn from
+    ``derive_rng(seed, *key, i)`` uncut.  Each fixed chunk of path indices,
+    tiled by whole blocks, goes to ``reducer`` as a lazy iterable of its
     paths, in index order; the per-chunk results come back in chunk order,
     so the caller's final reduction, and every random stream, is the same
-    for any number of threads.  A budget below one path is refused.
+    for any number of threads.  Only k = 1 paths use the ``threads`` pool:
+    the reducers of block-cut light paths hold the GIL, so two threads
+    would pass it back and forth and run slower, and by a varying amount,
+    than one.  A budget below one path is refused.
     """
     if paths < 1:
         raise ValueError(f"paths must be >= 1, got {paths}")
+    block = _block_paths(model, horizon, small_jump_cutoff)
+    if block > 1:
+        threads = 1
 
-    def worker(a, b):
-        return reducer(simulate_path(model, horizon, step=step,
-                                     rng=derive_rng(seed, *key, i),
-                                     small_jump_cutoff=small_jump_cutoff)
-                       for i in range(a, b))
+    def chunk_paths(a, b):
+        for s in range(a, b, block):
+            k = min(block, b - s)
+            long = simulate_path(model, k * horizon, step=step,
+                                 rng=derive_rng(seed, *key, s),
+                                 small_jump_cutoff=small_jump_cutoff)
+            yield from _cut_path(long, k, horizon)
 
-    return map_chunks(paths, worker, threads=threads)
+    return map_chunks(paths, lambda a, b: reducer(chunk_paths(a, b)), threads=threads)
+
+
+def _block_paths(model: LevyModel, horizon: float, small_jump_cutoff: Optional[float]) -> int:
+    """Paths per block: ``BLOCK_SEGMENTS`` over the expected segments per
+    path, clamped to [1, DEFAULT_CHUNK].  Grid skeletons (a Gaussian part)
+    get 1, since a cut at a multiple of ``horizon`` need not be a grid point."""
+    jumps = model.jumps
+    if model.gaussian_var > 0:
+        return 1
+    if jumps is None:
+        segments = 0.0
+    elif isinstance(jumps, CompoundPoisson):
+        segments = jumps.rate * horizon
+    else:
+        segments = jumps.tail_mass(_jump_cutoff(jumps, small_jump_cutoff)) * horizon
+    if not segments > 0:   # pure drift, or a horizon simulate_path refuses
+        return DEFAULT_CHUNK
+    return max(1, int(min(DEFAULT_CHUNK, BLOCK_SEGMENTS / segments)))
+
+
+def _cut_path(path: PathSample, k: int, horizon: float) -> list[PathSample]:
+    """Cut an exact path on [0, k * horizon] at multiples of ``horizon``
+    into k paths on [0, horizon], each re-based to start at (0, 0).
+
+    The value at a cut extends the linear piece before it, and a jump that
+    lands on a cut goes into the end value of the piece it closes, so the
+    increments of the pieces add up to the long path.  For piece c >= 1 the
+    re-based time ``t - c * horizon`` is exact (Sterbenz), so time order
+    survives; a time that rounds onto the piece's end is likewise folded in.
+    """
+    if k == 1:
+        return [path]
+    t, v, r = path.times, path.values, path.linear_rate
+    cuts = horizon * np.arange(k + 1)
+    at = np.searchsorted(t, cuts, side="right") - 1
+    at_value = v[at] + r * (cuts - t[at])
+    piece = np.searchsorted(cuts, t, side="right") - 1   # cuts[piece] <= t < cuts[piece + 1]
+    local = t - cuts[piece]
+    inner = (local > 0) & (local < horizon)
+    piece, local = piece[inner], local[inner]
+    rise = v[inner] - at_value[piece]
+    bounds = np.searchsorted(piece, np.arange(1, k))
+    ends = np.diff(at_value)
+    return [PathSample(np.concatenate([[0.0], lt, [horizon]]),
+                       np.concatenate([[0.0], lv, [end]]),
+                       exact=True, horizon=horizon, linear_rate=r)
+            for lt, lv, end in zip(np.split(local, bounds), np.split(rise, bounds), ends)]
 
 
 def binomial_stderr(p, n: int):

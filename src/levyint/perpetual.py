@@ -325,9 +325,10 @@ def estimate_L_set(
 ) -> LSetApprox:
     """Mark grid points x where the estimated tail G_a(x) is at most q.
 
-    All starting points share the same simulated paths (seeds depend only on
-    the path index), so for nonincreasing f the estimated I^x are coupled
-    monotonically in x and the member set inherits that stability.
+    All starting points share the same simulated paths (``reduce_paths``
+    draws them once; starting at x only shifts them), so for nonincreasing f
+    the estimated I^x are coupled monotonically in x and the member set
+    inherits that stability.
     """
     xs = np.asarray(sorted(float(v) for v in x_grid))
     if not 0.0 < q < 1.0:

@@ -133,7 +133,8 @@ def test_nonpositive_overshoot_budget_is_config_error(tmp_path):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("key, value", [("paths", "abc"), ("horizon", "x")])
+@pytest.mark.parametrize("key, value", [("paths", "abc"), ("horizon", "x"),
+                                        ("paths", True), ("horizon", True)])
 def test_non_numeric_config_value_is_config_error(tmp_path, capsys, key, value):
     cfg = tmp_path / "bad.yaml"
     cfg.write_text(yaml.safe_dump({"seed": 1, "model": "lattice_cpp", key: value}))
@@ -192,6 +193,26 @@ def test_library_refusal_is_config_error(tmp_path, capsys, args, cfg):
     path.write_text(yaml.safe_dump({"seed": 1, **cfg}))
     assert run_cli([*args, "--config", str(path), "--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err.startswith("config error:")
+
+
+def test_non_finite_overshoot_level_is_config_error(tmp_path, capsys):
+    cfg = tmp_path / "trap.yaml"
+    cfg.write_text("seed: 1\nmode: trap\nlevels: [2, .inf]\n")
+    out = tmp_path / "o"
+    assert run_cli(["counterexample", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("scan, key", [(5, "scan"), ([0.5], "scan"), ({"x": 5}, "x")])
+def test_scan_spec_not_a_mapping_is_config_error(tmp_path, capsys, scan, key):
+    cfg = tmp_path / "scan.yaml"
+    cfg.write_text(yaml.safe_dump({"seed": 1, "scan": scan}))
+    out = tmp_path / "o"
+    assert run_cli(["scan", "--model", "lattice_cpp", "--function", "exp_decay",
+                    "--config", str(cfg), "--out", str(out)]) == 2
+    assert f"'{key}'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_fractional_integer_value_is_config_error(tmp_path, capsys):

@@ -40,6 +40,12 @@ def test_overshoot_rejects_wrong_model(lattice_model):
         L.estimate_overshoot_cdf(lattice_model, [2.0], paths=10, seed=0)
 
 
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_overshoot_rejects_non_finite_levels(ts_model, bad):
+    with pytest.raises(ValueError, match="finite"):
+        L.estimate_overshoot_cdf(ts_model, [2.0, bad], paths=10, seed=0)
+
+
 @pytest.mark.parametrize("r", [1.0, 0.3])
 @pytest.mark.parametrize("level", [0.5, 2.0, 30.0])
 def test_cutoff_ladder_stays_below_distance_left(r, level):
@@ -190,6 +196,18 @@ def test_trap_verification_assertions(trap_verification):
     assert v.potential_ok and v.potential_integral_value == 0.0
     assert v.dk_ok and v.dk_verdict == "infinite"
     assert v.passed
+
+
+def test_trap_verification_records_potential_warnings(ts_model):
+    """The 200-path potential's horizon-heuristic warning lands in the
+    details instead of being dropped, on every call."""
+    table = L.estimate_overshoot_cdf(ts_model, [2, 3, 4, 6, 8, 12], paths=300, seed=5)
+    trap = L.build_transient_trap(table, n_max=4, safety=2.0)
+    for _ in range(2):
+        v = L.verify_counterexample(ts_model, trap, paths=50, seed=6, horizon=40.0,
+                                    small_jump_cutoff=1e-3)
+        assert len(v.details["warnings"]) == 1
+        assert v.details["warnings"][0].startswith("UserWarning: horizon 40 is below")
 
 
 def test_trap_verification_median_plateau(trap_verification):

@@ -1,10 +1,12 @@
 import math
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import levyint as L
+from levyint import models
 from levyint.models import ModelRejectionError, reduce_paths
 
 import oracles
@@ -131,18 +133,122 @@ def test_poisson_jump_counts(lattice_model):
 
 @pytest.mark.parametrize("which", ["lattice", "tstable"])
 def test_reduce_paths_matches_seeded_paths(which, lattice_model, ts_model):
-    """Three chunks, a non-default key: path i is the one derive_rng(seed, *key, i)
-    gives, in index order, whatever the thread count."""
-    m = lattice_model if which == "lattice" else ts_model
+    """Three chunks, a non-default key: the block of k paths starting at index
+    s is the long path derive_rng(seed, *key, s) gives on [0, k*H], cut at
+    multiples of H; blocks tile each chunk, whatever the thread count."""
+    m, block = (lattice_model, 256) if which == "lattice" else (ts_model, 27)
     key = (L.rng.STREAM_INNER, 4)
-    expected = [L.simulate_path(m, 3.0, rng=L.derive_rng(17, *key, i)) for i in range(600)]
+    assert models._block_paths(m, 3.0, None) == block
+    expected = []
+    for a, b in [(0, 256), (256, 512), (512, 600)]:
+        for s in range(a, b, block):
+            k = min(block, b - s)
+            long = L.simulate_path(m, k * 3.0, rng=L.derive_rng(17, *key, s))
+            expected += models._cut_path(long, k, 3.0)
     for threads in (1, 2):
         parts = reduce_paths(m, 3.0, 600, 17, list, key=key, threads=threads)
         assert [len(part) for part in parts] == [256, 256, 88]
         got = [path for part in parts for path in part]
+        assert len(got) == len(expected)
         for a, b in zip(got, expected):
             assert np.array_equal(a.times, b.times) and np.array_equal(a.values, b.values)
-            assert a.linear_rate == b.linear_rate
+            assert a.linear_rate == b.linear_rate and a.horizon == 3.0
+
+
+def test_reduce_paths_single_path_blocks_are_uncut(bm_model, ts_model):
+    """k = 1 (grid skeletons, dense truncated-stable paths) is path i from
+    derive_rng(seed, STREAM_PATH, i), uncut."""
+    for m, kw in ((bm_model, {"step": 0.05}), (ts_model, {"small_jump_cutoff": 1e-6})):
+        assert models._block_paths(m, 10.0, kw.get("small_jump_cutoff")) == 1
+        got = reduce_paths(m, 10.0, 5, 3, list, **kw)[0]
+        for i, path in enumerate(got):
+            ref = L.simulate_path(m, 10.0, rng=L.derive_rng(3, L.rng.STREAM_PATH, i), **kw)
+            assert np.array_equal(path.times, ref.times) and np.array_equal(path.values, ref.values)
+
+
+def test_reduce_paths_threads_only_single_path_blocks(lattice_model, bm_model):
+    """Block-cut light paths run every chunk on the calling thread, whatever
+    ``threads`` asks; k = 1 paths with several chunks go to the pool."""
+    for m, kw, pooled in ((lattice_model, {}, False), (bm_model, {"step": 0.5}, True)):
+        ran_on = reduce_paths(m, 3.0, 600, 5, lambda chunk: (list(chunk), threading.get_ident())[1],
+                              threads=2, **kw)
+        assert len(ran_on) == 3
+        assert (set(ran_on) != {threading.get_ident()}) == pooled
+
+
+def _value_at(path, s):
+    """Value of an exact path at times s: last listed value plus the slope."""
+    i = np.searchsorted(path.times, s, side="right") - 1
+    return path.values[i] + path.linear_rate * (s - path.times[i])
+
+
+@pytest.mark.parametrize("horizon", [1.0, 0.1])
+def test_cut_path_pieces_rebuild_the_long_path(horizon):
+    """A hand-built drifted path with a jump on a cut: every piece starts at
+    (0, 0) and ends at H, and the pieces' increments add back up to the long
+    path, both at the cuts and in between.  H = 0.1 makes the cuts inexact."""
+    r, k = 0.5, 4
+    jt = horizon * np.array([0.3, 1.0, 1.25, 1.5, 2.9, 3.999])   # 1.0: on the first cut
+    sizes = np.array([1.0, -2.0, 0.5, 3.0, -0.25, 1.5])
+    times = np.concatenate([[0.0], jt, [k * horizon]])
+    values = r * times + np.concatenate([[0.0], np.cumsum(sizes), [sizes.sum()]])
+    long = L.PathSample(times, values, exact=True, horizon=k * horizon, linear_rate=r)
+    pieces = models._cut_path(long, k, horizon)
+    assert len(pieces) == k
+    start = 0.0
+    for c, p in enumerate(pieces):
+        assert p.times[0] == 0.0 and p.values[0] == 0.0
+        assert p.times[-1] == horizon and p.horizon == horizon and p.linear_rate == r
+        local = horizon * np.concatenate([[0.0], (np.arange(36) + 0.5) / 36])  # off the jumps
+        assert np.allclose(start + _value_at(p, local),
+                           _value_at(long, c * horizon + local), atol=1e-12)
+        start += p.values[-1]
+    assert math.isclose(start, long.values[-1], abs_tol=1e-12)
+    # the jump on the cut closes piece 0 and is not repeated in piece 1
+    assert [len(p.times) - 2 for p in pieces] == [1, 2, 1, 1]
+    assert math.isclose(pieces[0].values[-1], 1.0 - 2.0 + r * horizon, abs_tol=1e-12)
+
+
+def test_cut_keeps_lattice_values_integer(lattice_model):
+    paths = reduce_paths(lattice_model, 7.5, 256, 2, list)[0]
+    assert models._block_paths(lattice_model, 7.5, None) > 1
+    for p in paths:
+        assert np.array_equal(p.values, np.round(p.values))
+        assert p.values[-1] == p.values[-2]   # no drift: the end holds the last value
+
+
+_LAW_MODELS = {
+    "lattice": (lambda: L.build_model(jumps=L.CompoundPoisson(rate=2.0, atoms=((1.0, 1.0),)),
+                                      lattice_span=1.0), 3.0),
+    "tstable": (lambda: L.build_model(jumps=L.TruncatedStable(activity=1.0, index=0.5,
+                                                              cutoff=1.0)), 3.0),
+    "drifted_cpp": (lambda: L.build_model(drift=1.0, jumps=L.CompoundPoisson(
+        rate=3.0, law=("uniform", -1.0, 0.5))), 2.5),
+}
+
+
+@pytest.mark.parametrize("which", sorted(_LAW_MODELS))
+def test_block_cut_paths_have_the_per_path_law(which):
+    """Two-sample check of block-cut paths against one stream per path:
+    xi_H and the jump count agree within the two-sample DKW band at
+    alpha = 1e-3 (each sample's band at 1 - 5e-4), and consecutive pieces
+    of one block are uncorrelated."""
+    build, horizon = _LAW_MODELS[which]
+    m, n = build(), 4000
+    assert models._block_paths(m, horizon, None) > 1
+    cut = [p for part in reduce_paths(m, horizon, n, 11, list) for p in part]
+    ref = [L.simulate_path(m, horizon, rng=L.derive_rng(12, L.rng.STREAM_PATH, i))
+           for i in range(n)]
+    band = 2.0 * oracles.dkw_band(n, confidence=1.0 - 5e-4)
+    for stat in (lambda p: p.values[-1], lambda p: len(p.times) - 2):
+        a = np.sort([stat(p) for p in cut])
+        b = np.sort([stat(p) for p in ref])
+        grid = np.union1d(a, b)
+        gap = np.abs(np.searchsorted(a, grid, side="right")
+                     - np.searchsorted(b, grid, side="right")).max() / n
+        assert gap <= band, (which, gap, band)
+    ends = np.array([p.values[-1] for p in cut])
+    assert abs(np.corrcoef(ends[:-1], ends[1:])[0, 1]) < 4.0 / math.sqrt(n)
 
 
 def test_verify_counterexample_independent_of_threads(ts_model):
