@@ -13,12 +13,12 @@ import hashlib
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .functions import TestFunction
-from .models import LevyModel, PathSample, binomial_stderr, describe, reduce_paths
+from .models import PathSample
 from .potential import PotentialMeasure
 
 __all__ = [
@@ -31,7 +31,6 @@ __all__ = [
     "erickson_maller_test",
     "blackwell_equivalence_check",
     "khasminskii_J",
-    "transience_probe",
 ]
 
 FINITE, INFINITE, INCONCLUSIVE = "finite", "infinite", "inconclusive"
@@ -57,69 +56,37 @@ class RegionCoverageError(ValueError):
 
 @dataclass
 class RegionSpec:
-    """Union of disjoint open intervals, given explicitly or by generator.
+    """Union of disjoint open intervals, kept sorted as an (n, 2) array.
 
     ``describes_complement=True`` tags the region as listing the complement of
     the region of interest, which is how sparse trap-style sets are written
-    down.  Generated specs materialize intervals on demand up to
-    ``max_depth``; materialization fails loudly when it cannot cover a
-    requested range.
+    down.
     """
 
-    intervals: Optional[Sequence[tuple[float, float]]] = None
-    generator: Optional[Callable[[int], tuple[float, float]]] = None  # 0-based index
-    max_depth: int = 0
+    intervals: Sequence[tuple[float, float]]
     describes_complement: bool = False
     name: str = "region"
 
     def __post_init__(self):
-        if (self.intervals is None) == (self.generator is None):
-            raise ValueError("exactly one of intervals/generator must be given")
-        if self.intervals is not None:
-            ivals = sorted((float(a), float(b)) for a, b in self.intervals)
-            for a, b in ivals:
-                if not a < b:
-                    raise ValueError(f"degenerate interval ({a}, {b})")
-            for (_, b0), (a1, _) in zip(ivals[:-1], ivals[1:]):
-                if a1 < b0:
-                    raise ValueError("intervals must be disjoint")
-            self.intervals = ivals
-
-    def materialize(self, upper: Optional[float] = None) -> np.ndarray:
-        """Disjoint sorted intervals as an (n, 2) array.
-
-        For generated specs, enough intervals are produced that the first
-        unmaterialized one starts above ``upper``; exceeding ``max_depth``
-        before that raises :class:`RegionCoverageError`.
-        """
-        if self.intervals is not None:
-            return np.array(self.intervals, float).reshape(-1, 2)
-        out = []
-        for n in range(self.max_depth):
-            a, b = self.generator(n)
+        ivals = sorted((float(a), float(b)) for a, b in self.intervals)
+        for a, b in ivals:
             if not a < b:
-                raise ValueError(f"generator produced degenerate interval at index {n}")
-            if out and a < out[-1][1]:
-                raise ValueError("generated intervals must be disjoint and increasing")
-            if upper is not None and a > upper:
-                return np.array(out, float).reshape(-1, 2)
-            out.append((float(a), float(b)))
-        if upper is not None and (not out or out[-1][0] <= upper):
-            raise RegionCoverageError(
-                f"{self.name}: materialization to depth {self.max_depth} cannot cover up to {upper}")
-        return np.array(out, float).reshape(-1, 2)
+                raise ValueError(f"degenerate interval ({a}, {b})")
+        for (_, b0), (a1, _) in zip(ivals[:-1], ivals[1:]):
+            if a1 < b0:
+                raise ValueError("intervals must be disjoint")
+        self.intervals = np.array(ivals, float).reshape(-1, 2)
 
     def pieces(self, lo: float, hi: float) -> list[tuple[float, float]]:
         """Connected components of (region intersect (lo, hi))."""
         if hi <= lo:
             return []
-        ivals = self.materialize(upper=hi if self.generator else None)
         if not self.describes_complement:
-            out = [(max(a, lo), min(b, hi)) for a, b in ivals if b > lo and a < hi]
+            out = [(max(a, lo), min(b, hi)) for a, b in self.intervals if b > lo and a < hi]
             return [(a, b) for a, b in out if b > a]
         out = []
         cursor = lo
-        for a, b in ivals:
+        for a, b in self.intervals:
             if b <= lo:
                 continue
             if a >= hi:
@@ -138,8 +105,7 @@ class RegionSpec:
         between v_k and v_k + r * dt_k (r = ``path.linear_rate``), so jump
         landings count as the start of the next sweep; a grid cell (r = 0)
         holds v_k over the whole cell, the cadlag convention of
-        ``occupation_histogram``.  A generated region is materialized up to
-        the top of the shifted path's sweeps.
+        ``occupation_histogram``.
         """
         if self.describes_complement:
             raise ValueError(f"{self.name}: last_visit needs the intervals themselves, "
@@ -149,8 +115,7 @@ class RegionSpec:
         v0 = x + v
         v1 = v0 + r * dt
         u0, u1 = (v0, v1) if r >= 0 else (v1, v0)
-        ivals = self.materialize(upper=float(u1.max()) if self.generator else None)
-        lo, hi = ivals[:, 0], ivals[:, 1]
+        lo, hi = self.intervals[:, 0], self.intervals[:, 1]
         up_to = np.searchsorted(lo, u1, side="right")     # intervals starting at or below the sweep top
         below = np.searchsorted(hi, u0, side="left")      # intervals ending below the sweep bottom
         met = np.nonzero(up_to > below)[0]
@@ -165,12 +130,10 @@ class RegionSpec:
 
     def contains(self, y: float, atol: float = 1e-12) -> bool:
         """Closure membership: points on an interval boundary count as inside."""
-        ivals = self.materialize(upper=y + 1.0 if self.generator else None)
-        inside = bool(((ivals[:, 0] - atol <= y) & (y <= ivals[:, 1] + atol)).any()) if len(ivals) else False
+        lo, hi = self.intervals[:, 0], self.intervals[:, 1]
         if not self.describes_complement:
-            return inside
-        strictly_inside = bool(((ivals[:, 0] + atol < y) & (y < ivals[:, 1] - atol)).any()) if len(ivals) else False
-        return not strictly_inside
+            return bool(((lo - atol <= y) & (y <= hi + atol)).any())
+        return not bool(((lo + atol < y) & (y < hi - atol)).any())
 
 
 def half_line(lo: float) -> RegionSpec:
@@ -421,50 +384,4 @@ def khasminskii_J(
         "x_grid": [float(x) for x in x_grid],
         "argmax_x": float(x_grid[int(np.argmax(values))]),
         "caveat": "supremum over a finite x-grid (lower proxy)",
-    }
-
-
-def transience_probe(
-    model: LevyModel,
-    visited_set: RegionSpec,
-    paths: int,
-    horizon: float,
-    seed: int,
-    x: float = 0.0,
-    step: Optional[float] = None,
-) -> dict:
-    """Empirical check that paths started at ``x`` leave ``visited_set`` for good.
-
-    ``visited_set`` is the candidate transient set (the complement of the
-    region where a potential-integral test was run).  A path "stays away"
-    when its last visit (:meth:`RegionSpec.last_visit`) happens before
-    0.9 * horizon and it ends above the set materialized to one unit past
-    the highest shifted path value.  The estimate of P(eventually stay away)
-    and how close it clusters to {0, 1} are both reported.
-    """
-    def reducer(chunk):
-        return [(visited_set.last_visit(path, x), path.values[-1], path.values.max())
-                for path in chunk]
-
-    last_visits, end_vals, tops = np.array(
-        [row for part in reduce_paths(model, horizon, paths, seed, reducer, step=step)
-         for row in part]).T
-    top = x + float(tops.max())
-    ivals = visited_set.materialize(upper=top + 1.0 if visited_set.generator else None)
-    if len(ivals) == 0:
-        raise RegionCoverageError("visited set materialized to nothing")
-    sup_materialized = float(ivals[:, 1].max())
-
-    stays = (last_visits < 0.9 * horizon) & (x + end_vals > sup_materialized)
-    p_stay = float(stays.mean())
-    qs = np.quantile(np.where(np.isfinite(last_visits), last_visits, 0.0), [0.5, 0.9, 0.99])
-    return {
-        "p_stay": p_stay,
-        "stderr": float(binomial_stderr(p_stay, paths)),
-        "clustering_distance": float(min(p_stay, 1.0 - p_stay)),
-        "last_visit_quantiles": {"q50": float(qs[0]), "q90": float(qs[1]), "q99": float(qs[2])},
-        "horizon": float(horizon),
-        "paths": paths,
-        "sup_materialized": sup_materialized,
-        "inputs": {"model": describe(model), "set": visited_set.name, "x": x, "master_seed": seed},
     }

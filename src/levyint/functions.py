@@ -35,7 +35,7 @@ class TestFunction:
     """Nonnegative, locally bounded integrand on the real line."""
 
     name: str
-    kind: str                                   # "closed_form" | "step" | "sum"
+    kind: str                                   # "closed_form" | "step"
     evaluator: Callable[[np.ndarray], np.ndarray]
     primitive: Optional[Callable[[np.ndarray], np.ndarray]] = None
     breakpoints: np.ndarray = field(default_factory=lambda: np.empty(0))
@@ -75,29 +75,6 @@ class TestFunction:
             h = (hi - lo) / (n - 1)
             total += h / 3.0 * (w[0] + w[-1] + 4.0 * w[1:-1:2].sum() + 2.0 * w[2:-1:2].sum())
         return total
-
-    def local_bound(self, lo: float, hi: float) -> float:
-        """Upper bound for f on [lo, hi] (exact for steps, sampled otherwise)."""
-        xs = np.linspace(lo, hi, 2049)
-        if len(self.breakpoints):
-            inside = self.breakpoints[(self.breakpoints >= lo) & (self.breakpoints <= hi)]
-            xs = np.concatenate([xs, inside, np.clip(inside - 1e-12, lo, hi), np.clip(inside + 1e-12, lo, hi)])
-        return float(self(xs).max()) if len(xs) else 0.0
-
-    def __add__(self, other: "TestFunction") -> "TestFunction":
-        prim = None
-        if self.primitive is not None and other.primitive is not None:
-            sp, op = self.primitive, other.primitive
-            prim = lambda y: sp(y) + op(y)
-        se, oe = self.evaluator, other.evaluator
-        return TestFunction(
-            name=f"{self.name}+{other.name}",
-            kind="sum",
-            evaluator=lambda y: se(y) + oe(y),
-            primitive=prim,
-            breakpoints=np.unique(np.concatenate([self.breakpoints, other.breakpoints])),
-            support=(min(self.support[0], other.support[0]), max(self.support[1], other.support[1])),
-        )
 
 
 def _check_nonnegative(f: TestFunction) -> TestFunction:

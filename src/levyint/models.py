@@ -29,12 +29,10 @@ __all__ = [
     "TruncatedStable",
     "LevyModel",
     "PathSample",
-    "PassageRecord",
     "build_model",
     "describe",
     "simulate_path",
     "reduce_paths",
-    "first_passage",
 ]
 
 # Default internal cutoff for the truncated stable subordinator, as a
@@ -325,17 +323,6 @@ class PathSample:
         return self.times[:-1], np.diff(self.times), self.values[:-1]
 
 
-@dataclass
-class PassageRecord:
-    """First passage of a path over a level."""
-
-    level: float
-    passage_time: float          # +inf when the level was not reached
-    overshoot: float             # nan when censored
-    hit_exactly: bool
-    censored: bool
-
-
 def _finalize_exact(times, values, horizon, rate):
     # append the horizon endpoint, extending the last linear piece
     if len(times) == 0 or times[-1] < horizon:
@@ -537,43 +524,3 @@ def _simulate_grid(model, horizon, step, rng):
         np.add.at(incr, at, sizes)
     values = np.concatenate([[0.0], np.cumsum(incr)])
     return PathSample(times, values, exact=False, horizon=horizon, linear_rate=0.0)
-
-
-def first_passage(path: PathSample, level: float) -> PassageRecord:
-    """First time the path reaches ``level``, with overshoot.
-
-    Exact (piecewise linear) paths resolve both continuous crossings
-    (overshoot 0, ``hit_exactly=True``) and jump crossings, a jump counting
-    as an exact hit when it overshoots by at most 1e-12.  Grid skeletons
-    report the first grid point at or above the level; ``hit_exactly`` then
-    uses the step-size dependent tolerance ``sqrt(median step)``.
-    """
-    x = float(level)
-    v = path.values
-    if x <= 0.0:
-        return PassageRecord(x, 0.0, -x, hit_exactly=(x == 0.0), censored=False)
-
-    if not path.exact:
-        reached = v >= x
-        if not reached.any():
-            return PassageRecord(x, math.inf, math.nan, False, True)
-        i = int(np.argmax(reached))
-        over = float(v[i] - x)
-        tol = math.sqrt(float(np.median(np.diff(path.times))))
-        return PassageRecord(x, float(path.times[i]), over, over <= tol, False)
-
-    t0, dt, v0 = path.segments()
-    r = path.linear_rate
-    v_end = v0 + r * dt
-    seg_cross = (v0 < x) & (v_end >= x) if r > 0 else np.zeros(len(v0), bool)
-    jump_cross = (np.maximum(v0, v_end) < x) & (v[1:] >= x)
-    k_seg = int(np.argmax(seg_cross)) if seg_cross.any() else None
-    k_jmp = int(np.argmax(jump_cross)) if jump_cross.any() else None
-    if k_seg is None and k_jmp is None:
-        return PassageRecord(x, math.inf, math.nan, False, True)
-    if k_jmp is None or (k_seg is not None and k_seg <= k_jmp):
-        # continuous crossing inside segment k_seg
-        t_hit = float(t0[k_seg] + (x - v0[k_seg]) / r)
-        return PassageRecord(x, t_hit, 0.0, True, False)
-    over = float(v[k_jmp + 1] - x)
-    return PassageRecord(x, float(path.times[k_jmp + 1]), over, over <= 1e-12, False)

@@ -21,7 +21,6 @@ from .functions import TestFunction
 from .models import LevyModel, PathSample, binomial_stderr, describe, reduce_paths
 
 __all__ = [
-    "TailEstimate",
     "IDistribution",
     "Verdict",
     "LSetApprox",
@@ -34,7 +33,6 @@ __all__ = [
     "estimate_L_set",
     "batty_inequality_check",
     "khasminskii_exponential_check",
-    "bootstrap_outcome_consistency",
 ]
 
 # A path is "censored" at horizon T when the final 10% window still accrues
@@ -92,20 +90,6 @@ def integral_at_times(f: TestFunction, path: PathSample, x: float, at: np.ndarra
 
 
 @dataclass
-class TailEstimate:
-    """Empirical tail probability G_a = P(I > a) with binomial error."""
-
-    a: float
-    g_hat: float
-    stderr: float
-    paths: int
-
-    def __post_init__(self):
-        if not 0.0 <= self.g_hat <= 1.0:
-            raise ValueError("g_hat must lie in [0, 1]")
-
-
-@dataclass
 class IDistribution:
     """Summary of samples of the truncated integral I^x_T."""
 
@@ -113,7 +97,6 @@ class IDistribution:
     horizon: float
     samples: np.ndarray
     censored: np.ndarray
-    tails: list[TailEstimate]
     meta: dict
 
     @property
@@ -171,23 +154,17 @@ def estimate_I_distribution(
     horizon: float,
     paths: int,
     seed: int,
-    a_values: Sequence[float] = (),
     step: Optional[float] = None,
     threads: int = 1,
 ) -> IDistribution:
-    """Sample I^x_T over independent paths; report tails for each a."""
+    """Sample I^x_T over independent paths."""
     rungs, vals, censored = _ladder_samples(f, model, x, [horizon], paths, seed, step, threads)
     samples = vals[:, 0]
     cens = censored[:, 0]
-    tails = []
-    for a in sorted(float(a) for a in a_values):
-        g = float((samples > a).mean())
-        tails.append(TailEstimate(a=a, g_hat=g, stderr=float(binomial_stderr(g, paths)),
-                                  paths=paths))
     meta = {"model": describe(model), "f": f.name, "paths": paths,
             "horizon": float(horizon), "master_seed": seed}
     return IDistribution(x=float(x), horizon=float(horizon), samples=samples,
-                         censored=cens, tails=tails, meta=meta)
+                         censored=cens, meta=meta)
 
 
 @dataclass
@@ -268,28 +245,6 @@ def finiteness_diagnosis(
         "master_seed": seed,
     }
     return Verdict(outcome=outcome, evidence=evidence)
-
-
-def bootstrap_outcome_consistency(
-    rungs: np.ndarray,
-    ladder_values: np.ndarray,
-    censored: np.ndarray,
-    resamples: int,
-    seed: int,
-) -> float:
-    """Fraction of path-bootstrap resamples reproducing the full-sample verdict."""
-    rungs = np.asarray(rungs, float)
-    outcome, _, _ = _classify_plateau(rungs, np.median(ladder_values, axis=0),
-                                      float(censored[:, -1].mean()))
-    rng = _rng.derive_rng(seed, _rng.STREAM_BOOTSTRAP)
-    n = len(ladder_values)
-    same = 0
-    for _ in range(resamples):
-        pick = rng.integers(0, n, size=n)
-        o, _, _ = _classify_plateau(rungs, np.median(ladder_values[pick], axis=0),
-                                    float(censored[pick, -1].mean()))
-        same += o == outcome
-    return same / resamples
 
 
 @dataclass

@@ -21,7 +21,6 @@ __all__ = [
     "PotentialMeasure",
     "estimate_potential",
     "analytic_potential",
-    "hitting_probability",
     "horizon_heuristic",
     "occupation_histogram",
 ]
@@ -74,16 +73,6 @@ class PotentialMeasure:
             raise ValueError("not a lattice measure")
         return np.round(self.centers / self.lattice_span) * self.lattice_span
 
-    def density_proxy(self, y: float) -> float:
-        """Potential density proxy at y: bin mass / bin width (point mass for
-        lattice bins)."""
-        i = int(np.searchsorted(self.edges, y, side="right")) - 1
-        if i < 0 or i >= len(self.masses):
-            raise ValueError(f"point {y} outside the measure's grid")
-        if self.lattice_span is not None:
-            return float(self.masses[i])
-        return float(self.masses[i] / self.widths[i])
-
     def mass_between(self, lo: float, hi: float) -> float:
         """Mass of [lo, hi], interpolating linearly inside boundary bins
         (lattice sites count when inside within a small tolerance)."""
@@ -108,27 +97,6 @@ class PotentialMeasure:
             fh.write("bin_lo,bin_hi,mass,stderr\n")
             for lo, hi, m, s in zip(self.edges[:-1], self.edges[1:], self.masses, self.stderr):
                 fh.write(f"{float(lo)!r},{float(hi)!r},{float(m)!r},{float(s)!r}\n")
-
-    @classmethod
-    def from_csv(cls, path) -> "PotentialMeasure":
-        meta, rows, span = {}, [], None
-        with open(path) as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                if line.startswith("#"):
-                    key, _, val = line[1:].partition(":")
-                    key, val = key.strip(), val.strip()
-                    if key == "lattice_span":
-                        span = float(val)
-                    else:
-                        meta[key] = val
-                elif not line.startswith("bin_lo"):
-                    rows.append([float(v) for v in line.split(",")])
-        arr = np.array(rows)
-        edges = np.append(arr[:, 0], arr[-1, 1])
-        return cls(edges=edges, masses=arr[:, 2], stderr=arr[:, 3], lattice_span=span, meta=meta)
 
 
 def horizon_heuristic(model: LevyModel, grid_lo: float, grid_hi: float) -> float:
@@ -286,20 +254,3 @@ def analytic_potential(model: LevyModel, edges: np.ndarray) -> Optional[Potentia
                                 meta={"model": describe(model), "estimator": "analytic_drifted_bm"})
 
     return None
-
-
-def hitting_probability(pm: PotentialMeasure, x: float) -> float:
-    """Proxy for the probability of ever hitting a point near x: u(x) / u(0+).
-
-    Exact for lattice models (ratio of point masses); for continuous models
-    the bin-density ratio is a resolution-limited proxy.  Values above 1 are
-    clipped with a warning.
-    """
-    u0 = pm.density_proxy(0.0)
-    if u0 <= 0:
-        raise ValueError("potential density proxy at 0 is not positive")
-    ratio = pm.density_proxy(x) / u0
-    if ratio > 1.0 + 1e-9:
-        warnings.warn(f"hitting ratio {ratio:g} exceeds 1; clipping (estimation noise)", stacklevel=2)
-    return float(min(ratio, 1.0))
-

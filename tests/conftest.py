@@ -1,3 +1,4 @@
+import re
 import time
 import warnings
 
@@ -6,10 +7,25 @@ import pytest
 
 import levyint as L
 
+_CRITERION = re.compile(r"::test_criterion_(\d+)_")
+_CRITERION_SECONDS = {}
+
 
 def pytest_addoption(parser):
     parser.addoption("--quick", action="store_true",
                      help="shrink Monte Carlo budgets (acceptance tolerances not guaranteed)")
+
+
+def pytest_runtest_logreport(report):
+    """Add up the setup and call time of each acceptance criterion.
+
+    A session fixture is timed in the setup of the first test that asks for
+    it, so a shared fixture counts toward the first criterion that uses it.
+    """
+    match = _CRITERION.search(report.nodeid)
+    if match and report.when in ("setup", "call"):
+        num = int(match.group(1))
+        _CRITERION_SECONDS[num] = _CRITERION_SECONDS.get(num, 0.0) + report.duration
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
@@ -21,6 +37,8 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
             line = f"[{status}] criterion {num}: {title}"
             if detail:
                 line += f"  ({detail})"
+            if num in _CRITERION_SECONDS:
+                line += f"  [{_CRITERION_SECONDS[num]:.1f} s]"
             terminalreporter.write_line(line)
 
 

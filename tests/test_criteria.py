@@ -128,16 +128,6 @@ def test_support_past_grid_raises(lattice_pm):
 
 # -- regions ----------------------------------------------------------------
 
-def test_region_generator_materializes_on_demand():
-    r = L.RegionSpec(generator=lambda n: (3.0 * n, 3.0 * n + 1.0), max_depth=50,
-                     name="gen")
-    ivals = r.materialize(upper=10.0)
-    assert len(ivals) == 4            # starts 0, 3, 6, 9
-    with pytest.raises(RegionCoverageError):
-        L.RegionSpec(generator=lambda n: (3.0 * n, 3.0 * n + 1.0), max_depth=2,
-                     name="gen").materialize(upper=10.0)
-
-
 def test_region_complement_pieces():
     r = L.RegionSpec(intervals=[(1.0, 2.0), (4.0, 5.0)], describes_complement=True)
     assert r.pieces(0.0, 6.0) == [(0.0, 1.0), (2.0, 4.0), (5.0, 6.0)]
@@ -219,32 +209,6 @@ def test_khasminskii_J_divergent_raises(bm_pm):
         L.khasminskii_J(L.inverse_power(1.0), bm_pm, np.array([0.0]))
 
 
-# -- transience probe -------------------------------------------------------
-
-def test_transience_probe_trap_like(ts_model):
-    """The region far above the simulated range is left forever: p_stay ~ 1."""
-    visited = L.RegionSpec(intervals=[(0.0, 1e-9)], name="tiny")
-    out = L.transience_probe(ts_model, visited, paths=200, horizon=30.0, seed=3)
-    assert out["p_stay"] > 0.95
-
-
-def test_transience_probe_shifted_start(lattice_model):
-    """Started at x = 20, every path sits in the all-sites set at every time."""
-    visited = L.RegionSpec(generator=lambda n: (float(n) - 0.25, float(n) + 0.25),
-                           max_depth=100_000, name="all_sites")
-    out = L.transience_probe(lattice_model, visited, paths=100, horizon=30.0, seed=4, x=20.0)
-    assert out["p_stay"] == 0.0
-
-
-def test_transience_probe_recurrent_lattice(lattice_model):
-    """Every lattice site keeps being revisited... by a monotone path the
-    staying probability for an unbounded visited set is zero."""
-    visited = L.RegionSpec(generator=lambda n: (float(n) - 0.25, float(n) + 0.25),
-                           max_depth=100_000, name="all_sites")
-    out = L.transience_probe(lattice_model, visited, paths=100, horizon=30.0, seed=4)
-    assert out["p_stay"] < 0.05
-
-
 # -- visit rule -------------------------------------------------------------
 
 def _brute_last_visit(intervals, times, values, rate, x):
@@ -296,11 +260,12 @@ def test_last_visit_matches_brute_force(kind, steps, cuts, x):
         assert got == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
 
-def test_last_visit_generated_region_follows_shift():
-    """A generated region is materialized up to the shifted path's top."""
+def test_last_visit_follows_shift():
+    """The start x shifts the path against the region: a path held at 0 meets
+    the sites' intervals from x = 20, and misses them from x = 20.5."""
     path = L.PathSample(np.array([0.0, 1.0, 2.0]), np.array([0.0, 0.0, 0.0]),
                         exact=True, horizon=2.0, linear_rate=0.0)
-    sites = L.RegionSpec(generator=lambda n: (float(n) - 0.25, float(n) + 0.25), max_depth=100)
+    sites = L.RegionSpec(intervals=[(n - 0.25, n + 0.25) for n in range(100)])
     assert sites.last_visit(path, x=20.0) == 2.0
     assert sites.last_visit(path, x=20.5) == -math.inf
 

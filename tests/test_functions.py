@@ -81,13 +81,6 @@ def test_ladder_windows_exposed():
     assert L.exp_decay().ladder_windows is None
 
 
-def test_sum_of_functions():
-    f = L.exp_decay() + L.indicator(0.0, 1.0)
-    assert float(f(np.array([0.5]))[0]) == pytest.approx(math.exp(-0.5) + 1.0)
-    g, _ = integrate.quad(lambda y: math.exp(-y) + (0 < y < 1), -1.0, 4.0, points=[0.0, 1.0])
-    assert float(f.integral_on(-1.0, 4.0)) == pytest.approx(g, rel=1e-9)
-
-
 @given(st.floats(min_value=-20, max_value=20), st.floats(min_value=0.01, max_value=30))
 @settings(max_examples=50, deadline=None)
 def test_primitive_additivity(a, width):
@@ -107,12 +100,6 @@ def test_step_scaling(c):
     base = L.step_function([(1.0, 0.0, 2.0)])
     scaled = L.step_function([(c, 0.0, 2.0)])
     assert float(scaled.integral_on(-1.0, 3.0)) == c * float(base.integral_on(-1.0, 3.0))
-
-
-def test_local_bound_step():
-    f = L.step_function([(3.0, 0.0, 1.0)])
-    assert f.local_bound(-1.0, 2.0) == 3.0
-    assert f.local_bound(1.5, 2.0) == 0.0
 
 
 def test_simpson_fallback_no_primitive():

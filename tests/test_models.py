@@ -3,7 +3,6 @@ import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 import levyint as L
 from levyint import models
@@ -273,8 +272,6 @@ _ZERO_BUDGET = {
                                                  x_grid=[0.0, 1.0], horizon=5.0, paths=0, seed=1),
     "batty_inequality_check": lambda m: L.batty_inequality_check(
         L.indicator(0.0, 1.0), m, 0.0, a=1.0, t=5.0, n_outer=0, seed=1),
-    "transience_probe": lambda m: L.transience_probe(
-        m, L.RegionSpec(intervals=[(0.5, 1.5)]), paths=0, horizon=5.0, seed=1),
     "estimate_overshoot_cdf": lambda m: L.estimate_overshoot_cdf(
         L.build_model(jumps=L.TruncatedStable(activity=1.0, index=0.5, cutoff=1.0)),
         [2.0], paths=0, seed=1),
@@ -286,48 +283,6 @@ def test_zero_path_budget_refused(routine, lattice_model):
     """No routine returns an estimate, or a pass, from zero paths."""
     with pytest.raises(ValueError, match="paths must be >= 1"):
         _ZERO_BUDGET[routine](lattice_model)
-
-
-# -- first passage ----------------------------------------------------------
-
-def test_first_passage_nonpositive_level(ts_model):
-    p = L.simulate_path(ts_model, 5.0, seed=1)
-    rec = L.first_passage(p, 0.0)
-    assert rec.passage_time == 0.0 and rec.overshoot == 0.0
-
-
-def test_first_passage_drift_hits_exactly():
-    m = L.build_model(drift=1.0)
-    p = L.simulate_path(m, 10.0, seed=0)
-    rec = L.first_passage(p, 3.0)
-    assert rec.hit_exactly and rec.passage_time == pytest.approx(3.0) and rec.overshoot == 0.0
-
-
-def test_first_passage_jump_overshoot(lattice_model):
-    """Unit jumps from integer sites: overshoot of level x is ceil(x) - x."""
-    for x in (0.5, 1.25, 7.75):
-        p = L.simulate_path(lattice_model, 100.0, seed=13)
-        rec = L.first_passage(p, x)
-        assert not rec.censored
-        assert rec.overshoot == pytest.approx(math.ceil(x) - x)
-
-
-def test_first_passage_censored(lattice_model):
-    p = L.simulate_path(lattice_model, 1.0, seed=2)
-    rec = L.first_passage(p, 1e9)
-    assert rec.censored
-
-
-@given(st.floats(min_value=0.1, max_value=40.0))
-@settings(max_examples=25, deadline=None)
-def test_first_passage_time_monotone_in_level(x):
-    m = L.build_model(jumps=L.CompoundPoisson(rate=2.0, atoms=((1.0, 1.0),)),
-                      lattice_span=1.0)
-    p = L.simulate_path(m, 200.0, seed=99)
-    r1 = L.first_passage(p, x)
-    r2 = L.first_passage(p, x + 1.0)
-    if not r2.censored:
-        assert r1.passage_time <= r2.passage_time
 
 
 def test_truncated_stable_jump_bounds(ts_model):

@@ -73,18 +73,17 @@ def test_stderr_shrinks_with_paths(lattice_model):
 
 
 def test_csv_round_trip(tmp_path, lattice_pm):
-    p = tmp_path / "pm.csv"
+    """potential.csv carries every edge, mass and stderr exactly, and the span."""
+    p = tmp_path / "potential.csv"
     lattice_pm.to_csv(p)
-    back = L.PotentialMeasure.from_csv(p)
-    assert np.array_equal(back.edges, lattice_pm.edges)
-    assert np.array_equal(back.masses, lattice_pm.masses)
-    assert np.array_equal(back.stderr, lattice_pm.stderr)
-    assert back.lattice_span == lattice_pm.lattice_span
-    # second write from the parsed object is byte-identical in the table part
-    q = tmp_path / "pm2.csv"
-    back.meta = lattice_pm.meta
-    back.to_csv(q)
-    assert p.read_text().splitlines()[-5:] == q.read_text().splitlines()[-5:]
+    lines = p.read_text().splitlines()
+    assert f"# lattice_span: {lattice_pm.lattice_span!r}" in lines
+    header = lines.index("bin_lo,bin_hi,mass,stderr")
+    rows = np.array([[float(v) for v in line.split(",")] for line in lines[header + 1:]])
+    assert np.array_equal(rows[:, 0], lattice_pm.edges[:-1])
+    assert np.array_equal(rows[:, 1], lattice_pm.edges[1:])
+    assert np.array_equal(rows[:, 2], lattice_pm.masses)
+    assert np.array_equal(rows[:, 3], lattice_pm.stderr)
 
 
 def test_mass_between_interpolates():
@@ -109,14 +108,6 @@ def test_horizon_heuristic_and_warning(lattice_model):
     with pytest.warns(UserWarning):
         L.estimate_potential(lattice_model, np.arange(52.0) - 0.5, paths=5,
                              seed=0, horizon=10.0)
-
-
-def test_hitting_probability(lattice_pm):
-    # ratio of densities: sites are all ~0.5, so hitting ~1 (clipped)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        p = L.hitting_probability(lattice_pm, 10.0)
-    assert 0.9 < p <= 1.0
 
 
 def test_occupation_histogram_linear_sweep_splits_bins():
