@@ -345,6 +345,7 @@ def build_transient_trap(table: OvershootTable, n_max: int, safety: float = 2.0)
         alpha[n] = alpha[n - 1] + 1.0 + x_arr[n]
     beta = alpha + eps_arr
 
+    # f lives exactly on the trap set: both come from (alpha, beta = alpha + eps)
     f = triangle_train(alpha, eps_arr, name=f"trap_bumps_{n_max}")
     trap_set = RegionSpec(intervals=[(a, b) for a, b in zip(alpha, beta)], name="trap")
     # tail beyond the materialized depth, stated with the doubled per-n bound
@@ -473,6 +474,8 @@ def verify_counterexample(
         visits = 0
         vals = []
         for path in chunk:
+            # the bumps' live intervals are the trap set, so the row's segment
+            # index is the one the visit rule reads back (PathSample._sweep_index)
             vals.append(row(path))
             visits += trap.trap_set.last_visit(path) > -math.inf
         return visits, vals

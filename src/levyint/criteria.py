@@ -101,32 +101,40 @@ class RegionSpec:
     def last_visit(self, path: PathSample, x: float = 0.0) -> float:
         """Last time ``x + path`` meets the closure of the intervals; -inf if never.
 
-        The package's one visit rule.  Segment k sweeps the closed range
-        between v_k and v_k + r * dt_k (r = ``path.linear_rate``), so jump
-        landings count as the start of the next sweep; a grid cell (r = 0)
-        holds v_k over the whole cell, the cadlag convention of
-        ``occupation_histogram``.
+        The package's one visit rule, built on the segment index that
+        ``integral_at_times`` also uses (``PathSample._sweep_index``): segment
+        k sweeps the closed range between v_k and v_k + r * dt_k (r =
+        ``path.linear_rate``), so jump landings count as the start of the
+        next sweep.  A grid cell (r = 0) holds v_k over the whole cell, the
+        cadlag convention of ``occupation_histogram``, so of the cells the
+        index finds (it spans v_k to v_{k+1}) only those whose held value
+        meets an interval count.
         """
         if self.describes_complement:
             raise ValueError(f"{self.name}: last_visit needs the intervals themselves, "
                              "not a complement description")
-        t0, dt, v = path.segments()
-        r = path.linear_rate
-        v0 = x + v
-        v1 = v0 + r * dt
-        u0, u1 = (v0, v1) if r >= 0 else (v1, v0)
         lo, hi = self.intervals[:, 0], self.intervals[:, 1]
-        up_to = np.searchsorted(lo, u1, side="right")     # intervals starting at or below the sweep top
-        below = np.searchsorted(hi, u0, side="left")      # intervals ending below the sweep bottom
-        met = np.nonzero(up_to > below)[0]
+        met = path._sweep_index(x, self.intervals)
+        if not path.exact:
+            held = x + path.values[:-1][met]
+            inside = np.searchsorted(lo, held, side="right") > np.searchsorted(hi, held, side="left")
+            met = met[inside]
         if len(met) == 0:
             return -math.inf
         k = met[-1]
+        t0 = path.times[k]
+        dt = path.times[k + 1] - t0
+        r = path.linear_rate
         if r == 0.0:
-            return float(t0[k] + dt[k])
+            return float(t0 + dt)
+        v = x + path.values[k]
+        end = v + r * dt
         # leave the highest interval met going up, the lowest going down
-        leave = min(hi[up_to[k] - 1], u1[k]) if r > 0 else max(lo[below[k]], u0[k])
-        return float(t0[k] + np.clip((leave - v0[k]) / (r * dt[k]), 0.0, 1.0) * dt[k])
+        if r > 0:
+            leave = min(hi[np.searchsorted(lo, end, side="right") - 1], end)
+        else:
+            leave = max(lo[np.searchsorted(hi, end, side="left")], end)
+        return float(t0 + np.clip((leave - v) / (r * dt), 0.0, 1.0) * dt)
 
     def contains(self, y: float, atol: float = 1e-12) -> bool:
         """Closure membership: points on an interval boundary count as inside."""

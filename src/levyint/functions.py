@@ -32,7 +32,15 @@ _CHECK_POINTS = 10_000
 
 @dataclass
 class TestFunction:
-    """Nonnegative, locally bounded integrand on the real line."""
+    """Nonnegative, locally bounded integrand on the real line.
+
+    ``live_intervals`` is a sorted (n, 2) array of intervals, disjoint up to
+    shared endpoints, off whose closure f is exactly 0 and its primitive
+    exactly constant, so an integral over a range that misses them is exactly
+    0.0.  The bump train and the step functions set their pieces (those with a
+    nonzero coefficient); every other function is one piece, the whole line.
+    It is set by the constructors, not passed in.
+    """
 
     name: str
     kind: str                                   # "closed_form" | "step"
@@ -41,6 +49,8 @@ class TestFunction:
     breakpoints: np.ndarray = field(default_factory=lambda: np.empty(0))
     support: tuple[float, float] = (-math.inf, math.inf)
     ladder_windows: Optional[np.ndarray] = None  # preferred partial-integral edges
+    live_intervals: np.ndarray = field(init=False,
+                                       default_factory=lambda: np.array([[-math.inf, math.inf]]))
 
     def __call__(self, y) -> np.ndarray:
         return np.asarray(self.evaluator(np.asarray(y, float)), float)
@@ -136,9 +146,14 @@ def step_function(pieces: Sequence[tuple[float, float, float]], name: str = "ste
 
     lo = float(lowers.min()) if len(lowers) else 0.0
     hi = float(uppers.max()) if len(uppers) else 0.0
-    return TestFunction(name=name, kind="step", evaluator=ev, primitive=prim,
-                        breakpoints=np.unique(np.concatenate([lowers, uppers])),
-                        support=(lo, hi))
+    f = TestFunction(name=name, kind="step", evaluator=ev, primitive=prim,
+                     breakpoints=np.unique(np.concatenate([lowers, uppers])),
+                     support=(lo, hi))
+    live = coeffs > 0
+    # pieces may overlap by the 1e-12 slack above; the running maximum keeps
+    # the upper ends sorted, widening a piece only over its neighbour
+    f.live_intervals = np.column_stack([lowers[live], np.maximum.accumulate(uppers[live])])
+    return f
 
 
 def indicator(lo: float, hi: float) -> TestFunction:
@@ -239,7 +254,9 @@ def triangle_train(starts: Sequence[float], widths: Sequence[float], name: str =
         out[part] += np.where(t <= 0.5, 2.0 * t * t, 1.0 - 2.0 * (1.0 - t) ** 2)
         return out
 
-    return TestFunction(name=name, kind="closed_form", evaluator=ev, primitive=prim,
-                        breakpoints=np.unique(np.concatenate([a, a + 0.5 * w, b])),
-                        support=(float(a[0]), float(b[-1])),
-                        ladder_windows=b.copy())
+    f = TestFunction(name=name, kind="closed_form", evaluator=ev, primitive=prim,
+                     breakpoints=np.unique(np.concatenate([a, a + 0.5 * w, b])),
+                     support=(float(a[0]), float(b[-1])),
+                     ladder_windows=b.copy())
+    f.live_intervals = np.column_stack([a, b])
+    return f

@@ -16,7 +16,7 @@ Gaussian part are sampled on a time grid and flagged ``exact=False``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Union
 
 import numpy as np
@@ -190,7 +190,9 @@ class TruncatedStable:
         a = eps ** -rho
         b = r ** -rho
         u = rng.random(n)
-        return (a - u * (a - b)) ** (-1.0 / rho)
+        u *= a - b                       # (a - u (a - b)) ** (-1 / rho), in place
+        np.subtract(a, u, out=u)
+        return np.power(u, -1.0 / rho, out=u)
 
 
 JumpSpec = Union[CompoundPoisson, TruncatedStable, None]
@@ -304,6 +306,7 @@ class PathSample:
     exact: bool
     horizon: float
     linear_rate: float = 0.0
+    _sweep_memo: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         t, v = np.asarray(self.times, float), np.asarray(self.values, float)
@@ -322,15 +325,36 @@ class PathSample:
         t_{k+1} the value is start_value + linear_rate * elapsed."""
         return self.times[:-1], np.diff(self.times), self.values[:-1]
 
+    def _sweep_index(self, x: float, intervals: np.ndarray) -> np.ndarray:
+        """Sorted indices of the segments of ``x + path`` whose closed sweep
+        range meets the closure of one of ``intervals``, a sorted (n, 2)
+        array of intervals disjoint up to shared endpoints.
 
-def _finalize_exact(times, values, horizon, rate):
-    # append the horizon endpoint, extending the last linear piece
-    if len(times) == 0 or times[-1] < horizon:
-        t_last = times[-1] if len(times) else 0.0
-        v_last = values[-1] if len(values) else 0.0
-        times = np.append(times, horizon)
-        values = np.append(values, v_last + rate * (horizon - t_last))
-    return times, values
+        Segment k sweeps [min(v_k, w_k), max(v_k, w_k)], with w_k = v_k +
+        r * dt_k on an exact path and w_k = v_{k+1} on a grid skeleton.  It
+        meets an interval when some interval starts at or below the top of
+        the range and not every such interval ends below its bottom: one
+        ``searchsorted`` pair over the interval ends.  The last answer is
+        kept, so the visit rule and the running integral asking about the
+        same intervals on one path share one pass.
+        """
+        memo = self._sweep_memo
+        if memo is not None and memo[0] == x and np.array_equal(memo[1], intervals):
+            return memo[2]
+        v0 = x + self.values[:-1]
+        if self.exact:
+            w = np.diff(self.times)
+            w *= self.linear_rate
+            w += v0
+            lo, hi = (v0, w) if self.linear_rate >= 0 else (w, v0)
+        else:
+            w = x + self.values[1:]
+            lo, hi = np.minimum(v0, w), np.maximum(v0, w)
+        up_to = np.searchsorted(intervals[:, 0], hi, side="right")   # starting at or below the top
+        below = np.searchsorted(intervals[:, 1], lo, side="left")    # ending below the bottom
+        met = np.nonzero(up_to > below)[0]
+        self._sweep_memo = (x, intervals, met)
+        return met
 
 
 def _jump_cutoff(jumps: TruncatedStable, small_jump_cutoff: Optional[float]) -> float:
@@ -346,12 +370,15 @@ def _exponential_arrivals(rng, rate, horizon):
         return np.empty(0)
     mean_n = rate * horizon
     n_guess = int(mean_n + 6.0 * math.sqrt(mean_n + 1.0) + 16)
-    gaps = rng.exponential(1.0 / rate, size=n_guess)
-    t = np.cumsum(gaps)
+    t = rng.exponential(1.0 / rate, size=n_guess)
+    np.cumsum(t, out=t)
     while t[-1] <= horizon:  # rare: extend until the horizon is passed
         extra = rng.exponential(1.0 / rate, size=max(16, n_guess // 4))
-        t = np.concatenate([t, t[-1] + np.cumsum(extra)])
-    return t[t <= horizon]
+        np.cumsum(extra, out=extra)
+        extra += t[-1]
+        t = np.concatenate([t, extra])
+    # arrivals are nondecreasing, so those within the horizon are a prefix
+    return t[:np.searchsorted(t, horizon, side="right")]
 
 
 def simulate_path(
@@ -399,10 +426,19 @@ def simulate_path(
         sizes = jumps.sample_jumps(rng, len(jt), eps)
         rate = model.drift + jumps.small_jump_drift(eps)
 
-    times = np.concatenate([[0.0], jt])
-    base = rate * times
-    values = base + np.concatenate([[0.0], np.cumsum(sizes)])
-    times, values = _finalize_exact(times, values, horizon, rate)
+    # (0, 0), then the value rate * t + S at each arrival (S: the summed jumps),
+    # then, unless a jump lands on it, the horizon, where the last piece ends
+    n = len(jt)
+    tail = n == 0 or jt[-1] < horizon
+    times = np.empty(n + 1 + tail)
+    values = np.empty(n + 1 + tail)
+    times[0] = values[0] = 0.0
+    times[1:n + 1] = jt
+    np.cumsum(sizes, out=values[1:n + 1])
+    values[1:n + 1] += np.multiply(jt, rate, out=sizes)   # the jump buffer is free now
+    if tail:
+        times[-1] = horizon
+        values[-1] = values[n] + rate * (horizon - times[n])
     return PathSample(times, values, exact=True, horizon=horizon, linear_rate=rate)
 
 

@@ -49,15 +49,19 @@ GROWTH_TSTAT = 5.0          # t-statistic of the log-horizon slope for infinite
 BATTY_PROBES = 64           # probe points for beta_hat across the support of f
 
 
-def _segment_contributions(f: TestFunction, path: PathSample, x: float) -> np.ndarray:
-    """Integral of f(x + path) over each inter-sample segment."""
-    t0, dt, v0 = path.segments()
+def _segment_contributions(f: TestFunction, path: PathSample, x: float,
+                           seg=slice(None)) -> np.ndarray:
+    """Integral of f(x + path) over each inter-sample segment ``seg`` selects
+    (a slice or sorted indices; every segment by default)."""
+    t, v = path.times, path.values
+    dt = t[1:][seg] - t[:-1][seg]
+    v0 = v[:-1][seg]
     if path.exact:
         r = path.linear_rate
         if r == 0.0:
             return f(x + v0) * dt
         return f.integral_on(x + v0, x + v0 + r * dt) / r
-    v1 = path.values[1:]
+    v1 = v[1:][seg]
     if f.kind == "step":
         return f(x + v0) * dt
     return 0.5 * (f(x + v0) + f(x + v1)) * dt
@@ -69,24 +73,44 @@ def integral_along_path(f: TestFunction, path: PathSample, x: float = 0.0) -> fl
 
 
 def integral_at_times(f: TestFunction, path: PathSample, x: float, at: np.ndarray) -> np.ndarray:
-    """Running integral evaluated at sorted times within [0, horizon]."""
+    """Running integral evaluated at sorted times within [0, horizon].
+
+    Only the segments whose closed sweep range meets ``f.live_intervals``
+    are integrated (``PathSample._sweep_index``, the index the visit rule
+    uses); a whole-line f takes every segment.  The running integral at a
+    time is the cumsum of those segments before it, plus the partial segment
+    it falls in.  This equals the cumsum over every segment bit for bit:
+    every skipped term is an exact zero (f vanishes on its sweep range and
+    the primitive is constant there), and a sequential sum that adds an
+    exact zero returns its running value unchanged, up to the sign of a zero
+    sum.  That sign is kept too: a run of skipped terms sums to 0.0 / r,
+    which is -0.0 on a path that falls between jumps.
+    """
     at = np.asarray(at, float)
     if np.any(at < 0) or np.any(at > path.horizon * (1 + 1e-12)):
         raise ValueError("evaluation times must lie within the path horizon")
-    contrib = _segment_contributions(f, path, x)
-    cum = np.concatenate([[0.0], np.cumsum(contrib)])
-    t0, dt, v0 = path.segments()
-    idx = np.clip(np.searchsorted(path.times, at, side="right") - 1, 0, len(dt) - 1)
-    tau = np.clip(at - t0[idx], 0.0, dt[idx])
-    if path.exact:
-        r = path.linear_rate
-        if r == 0.0:
-            partial = f(x + v0[idx]) * tau
-        else:
-            partial = f.integral_on(x + v0[idx], x + v0[idx] + r * tau) / r
+    t = path.times
+    idx = np.clip(np.searchsorted(t, at, side="right") - 1, 0, len(t) - 2)
+    if f.live_intervals.tolist() == [[-math.inf, math.inf]]:
+        live, before = slice(None), idx
     else:
-        partial = contrib[idx] * tau / dt[idx]   # linear share of the cell
-    return cum[idx] + partial
+        live = path._sweep_index(x, f.live_intervals)
+        before = np.searchsorted(live, idx)          # live segments ahead of each time
+    cum = np.concatenate([[0.0], np.cumsum(_segment_contributions(f, path, x, live))])[before]
+    r = path.linear_rate
+    if path.exact and r < 0:
+        cum[(before == 0) & (idx > 0)] = -0.0
+    t0, dt = t[idx], t[idx + 1] - t[idx]
+    tau = np.clip(at - t0, 0.0, dt)
+    v0 = path.values[idx]
+    if path.exact:
+        if r == 0.0:
+            partial = f(x + v0) * tau
+        else:
+            partial = f.integral_on(x + v0, x + v0 + r * tau) / r
+    else:
+        partial = _segment_contributions(f, path, x, idx) * tau / dt   # linear share of the cell
+    return cum + partial
 
 
 @dataclass
@@ -98,14 +122,6 @@ class IDistribution:
     samples: np.ndarray
     censored: np.ndarray
     meta: dict
-
-    @property
-    def mean(self) -> float:
-        return float(self.samples.mean())
-
-    @property
-    def censored_fraction(self) -> float:
-        return float(self.censored.mean())
 
 
 def _censoring_rule(f, x, rungs):
@@ -439,4 +455,4 @@ def khasminskii_exponential_check(
                      half_sample_change=float(change_half), trimmed_change=float(change_trim),
                      warning=warning,
                      meta={**dist.meta, "theta": float(theta),
-                           "censored_fraction": dist.censored_fraction})
+                           "censored_fraction": float(dist.censored.mean())})

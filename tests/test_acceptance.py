@@ -5,15 +5,10 @@ before asserting, so the final table is complete even when a criterion trips.
 Budgets here are the real ones; run without ``--quick``.
 """
 
-import json
-import math
-import time
-import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-import yaml
 
 import levyint as L
 from levyint.cli import main as cli_main
@@ -119,7 +114,7 @@ def test_criterion_5_transient_trap(trap20, trap_verification, timings):
         f"diagnosis {v.diagnosis_outcome}, off-trap integral "
         f"{v.potential_integral_value}, dk {v.dk_verdict}, {runtime:.0f} s = "
         f"overshoot table {table_s:.1f} s + trap build {build_s:.2f} s + "
-        f"verification {verify_s:.1f} s")
+        f"verification {verify_s:.1f} s = {1e3 * verify_s / v.details['paths']:.1f} ms/path")
     assert trap20.n_max == 20
     assert v.visit_ok, (v.visit_fraction, v.visit_bound, v.visit_stderr)
     assert v.potential_ok and v.potential_integral_value == 0.0

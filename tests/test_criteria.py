@@ -260,6 +260,33 @@ def test_last_visit_matches_brute_force(kind, steps, cuts, x):
         assert got == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
 
+def test_touching_sweeps_meet_closed_intervals():
+    """A segment whose sweep only touches an end of an interval meets it: the
+    segment index behind the visit rule and the running integral uses closed
+    intervals and closed sweep ranges."""
+    region = L.RegionSpec(intervals=[(1.0, 1.5)])
+    # up to 1.0 at t = 2, then a jump over the interval
+    up = L.PathSample(np.array([0.0, 2.0, 4.0]), np.array([0.0, 1.75, 2.75]),
+                      exact=True, horizon=4.0, linear_rate=0.5)
+    assert region.last_visit(up) == 2.0
+    # a jump to 2.0, then down to 1.5 at t = 2
+    down = L.PathSample(np.array([0.0, 1.0, 2.0]), np.array([0.0, 2.0, 1.5]),
+                        exact=True, horizon=2.0, linear_rate=-0.5)
+    assert region.last_visit(down) == 2.0
+    # a flat path held at 0, shifted onto the lower end
+    flat = L.PathSample(np.array([0.0, 3.0]), np.array([0.0, 0.0]),
+                        exact=True, horizon=3.0, linear_rate=0.0)
+    assert region.last_visit(flat, x=1.0) == 3.0
+    # grid cells hold their left value: the cell held at 1.0 meets, the one
+    # ending there does not, nor does a cell that steps across the interval
+    grid = L.PathSample(np.array([0.0, 1.0, 2.0, 3.0]), np.array([0.0, 1.0, 3.0, 3.0]),
+                        exact=False, horizon=3.0)
+    assert region.last_visit(grid) == 2.0
+    across = L.PathSample(np.array([0.0, 1.0, 2.0]), np.array([0.0, 0.5, 3.0]),
+                          exact=False, horizon=2.0)
+    assert region.last_visit(across) == -math.inf
+
+
 def test_last_visit_follows_shift():
     """The start x shifts the path against the region: a path held at 0 meets
     the sites' intervals from x = 20, and misses them from x = 20.5."""

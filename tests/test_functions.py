@@ -75,6 +75,16 @@ def test_triangle_train_overlap_rejected():
         L.triangle_train([0.0, 0.5], [1.0, 1.0])
 
 
+def test_live_intervals_are_the_nonzero_pieces():
+    """The intervals f lives on: the pieces with a nonzero coefficient, the
+    bumps, or the whole line."""
+    step = L.step_function([(1.0, 0.0, 1.0), (0.0, 2.0, 3.0), (2.0, 4.0, 5.0)])
+    assert step.live_intervals.tolist() == [[0.0, 1.0], [4.0, 5.0]]
+    train = L.triangle_train([3.0, 1.0], [0.5, 0.25])
+    assert train.live_intervals.tolist() == [[1.0, 1.25], [3.0, 3.5]]
+    assert L.exp_decay().live_intervals.tolist() == [[-math.inf, math.inf]]
+
+
 def test_ladder_windows_exposed():
     f = L.triangle_train([1.0, 4.0], [0.5, 0.25])
     assert np.allclose(f.ladder_windows, [1.5, 4.25])

@@ -84,6 +84,69 @@ def test_subordinator_path_nondecreasing(ts_model):
     assert p.times[0] == 0.0 and p.times[-1] == pytest.approx(20.0)
 
 
+def _concatenated_path(model, horizon, seed, small_jump_cutoff=None):
+    """A jump path drawn from ``default_rng(seed)`` as simulate_path draws it
+    (spacings, then jump sizes), with temporaries throughout and assembled by
+    concatenation: (0, 0), the
+    arrivals within the horizon with values rate * t + S, and the horizon
+    appended, extending the last piece, unless a jump landed on it."""
+    rng = np.random.default_rng(seed)
+    jumps = model.jumps
+    if isinstance(jumps, L.CompoundPoisson):
+        arrival_rate, rate = jumps.rate, model.drift
+    else:
+        eps = small_jump_cutoff or models.SMALL_JUMP_FRACTION * jumps.cutoff
+        arrival_rate, rate = jumps.tail_mass(eps), model.drift + jumps.small_jump_drift(eps)
+    mean_n = arrival_rate * horizon
+    n_guess = int(mean_n + 6.0 * math.sqrt(mean_n + 1.0) + 16)
+    t = np.cumsum(rng.exponential(1.0 / arrival_rate, size=n_guess))
+    while t[-1] <= horizon:
+        extra = rng.exponential(1.0 / arrival_rate, size=max(16, n_guess // 4))
+        t = np.concatenate([t, t[-1] + np.cumsum(extra)])
+    jt = t[t <= horizon]
+    if isinstance(jumps, L.CompoundPoisson):
+        sizes = jumps.sample(rng, len(jt))
+    else:   # inverse transform on (eps, r]
+        a, b = eps ** -jumps.index, jumps.cutoff ** -jumps.index
+        sizes = (a - rng.random(len(jt)) * (a - b)) ** (-1.0 / jumps.index)
+    times = np.concatenate([[0.0], jt])
+    values = rate * times + np.concatenate([[0.0], np.cumsum(sizes)])
+    if times[-1] < horizon:
+        values = np.append(values, values[-1] + rate * (horizon - times[-1]))
+        times = np.append(times, horizon)
+    return times, values, rate
+
+
+@pytest.mark.parametrize("which, horizon, cutoff", [
+    ("lattice", 50.0, None),
+    ("uniform", 40.0, None),
+    ("uniform_down", 40.0, None),
+    ("tstable", 20.0, None),
+    ("tstable", 5.0, 1e-6),
+    ("no_jump", 1.0, None),
+])
+def test_jump_path_assembly_matches_concatenation(which, horizon, cutoff, lattice_model, ts_model):
+    """simulate_path fills its arrays in place; they equal the concatenated
+    assembly from the same generator, to the bit."""
+    model = {
+        "lattice": lattice_model,
+        "uniform": L.build_model(jumps=L.CompoundPoisson(rate=3.0, law=("uniform", 0.0, 1.0))),
+        "uniform_down": L.build_model(drift=-0.3, jumps=L.CompoundPoisson(rate=3.0,
+                                                                           law=("uniform", 0.0, 1.0))),
+        "tstable": ts_model,
+        "no_jump": L.build_model(drift=0.7, jumps=L.CompoundPoisson(rate=1e-6,
+                                                                     law=("uniform", 0.0, 1.0))),
+    }[which]
+    for seed in range(4):
+        p = L.simulate_path(model, horizon, seed=seed, small_jump_cutoff=cutoff)
+        times, values, rate = _concatenated_path(model, horizon, seed, cutoff)
+        if which == "no_jump":
+            assert len(times) == 2
+        assert p.linear_rate == rate
+        assert p.times.tobytes() == times.tobytes()
+        assert p.values.tobytes() == values.tobytes()
+
+
 def test_gaussian_needs_step(bm_model):
     with pytest.raises(ValueError):
         L.simulate_path(bm_model, 10.0)

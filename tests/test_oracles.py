@@ -6,7 +6,6 @@ of the suite treats as ground truth.
 
 import math
 
-import numpy as np
 import pytest
 
 import oracles

@@ -1,4 +1,3 @@
-import math
 import warnings
 
 import numpy as np
