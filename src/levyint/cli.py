@@ -144,6 +144,8 @@ def resolve_config(args: argparse.Namespace) -> dict:
             raise ConfigError(f"'{key}' must be a positive path budget, got {cfg[key]}")
     # threads is outside the config digest, so it may be converted in place
     cfg["threads"] = _as(int, cfg.get("threads", 1), "threads")
+    if cfg["threads"] < 1:
+        raise ConfigError(f"config key 'threads' must be >= 1, got {cfg['threads']}")
     cfg.setdefault("out", "out")
     return cfg
 
@@ -267,9 +269,17 @@ def grid_from_config(spec, model: LevyModel) -> np.ndarray:
     if not isinstance(spec, dict):
         raise ConfigError("grid spec must be a mapping with lo/hi/bins or edges")
     if "edges" in spec:
-        return np.asarray([_as(float, v, "edges") for v in spec["edges"]])
-    return np.linspace(_num(spec, "lo", 0.0), _num(spec, "hi", 64.0),
-                       _num(spec, "bins", 64, int) + 1)
+        edges = np.asarray([_as(float, v, "edges") for v in spec["edges"]])
+        if len(edges) < 2 or np.any(np.diff(edges) <= 0):
+            raise ConfigError(f"config key 'grid.edges' must be at least 2 strictly increasing "
+                              f"values, got {spec['edges']!r}")
+        return edges
+    lo, hi, bins = _num(spec, "lo", 0.0), _num(spec, "hi", 64.0), _num(spec, "bins", 64, int)
+    if bins < 1:
+        raise ConfigError(f"config key 'grid.bins' must be >= 1, got {bins}")
+    if not hi > lo:
+        raise ConfigError(f"config key 'grid.hi' must exceed grid.lo = {lo!r}, got {hi!r}")
+    return np.linspace(lo, hi, bins + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -338,7 +348,9 @@ def cmd_simulate(cfg: dict) -> int:
     step = _num(cfg, "step")
     out = _outdir(cfg)
 
-    sims = [path for part in reduce_paths(model, horizon, paths, cfg["seed"], list, step=step)
+    sims = [path for part in reduce_paths(model, horizon, paths, cfg["seed"],
+                                          lambda chunk: [p for b in chunk for p in b.pieces()],
+                                          step=step)
             for path in part]
     rows = [(i, t, v) for i, path in enumerate(sims) for t, v in zip(path.times, path.values)]
     write_csv(out / "paths.csv", ["path", "time", "value"], rows, cfg,
@@ -394,11 +406,11 @@ def cmd_test(cfg: dict) -> int:
     which = cfg.get("tests", ["dk", "potential_integral"])
     x = _num(cfg, "x", 0.0)
     cutoff = _num(cfg, "lower_cutoff", 1.0)
-    out = _outdir(cfg)
 
     pm = None
     if set(which) & {"potential_integral", "erickson_maller", "blackwell", "khasminskii_j"}:
         pm = _pm_for_tests(cfg, model)
+    out = _outdir(cfg)
 
     reports = {}
     comparison = []

@@ -401,7 +401,7 @@ def lattice_counterexample(
     dk = dk_test(f, 0.0)
     worst = float(max(reduce_paths(
         model, horizon, paths, seed,
-        lambda chunk: max(abs(integral_along_path(f, path)) for path in chunk)),
+        lambda chunk: max(np.abs(integral_along_path(f, block)).max() for block in chunk)),
         default=0.0))
     passed = (max_on_lattice <= LATTICE_ZERO_TOL
               and dk.verdict == "infinite"
@@ -473,12 +473,12 @@ def verify_counterexample(
     def reducer(chunk):
         visits = 0
         vals = []
-        for path in chunk:
+        for block in chunk:
             # the bumps' live intervals are the trap set, so the row's segment
-            # index is the one the visit rule reads back (PathSample._sweep_index)
-            vals.append(row(path))
-            visits += trap.trap_set.last_visit(path) > -math.inf
-        return visits, vals
+            # index is the one the visit rule reads back (PathBlock._sweep_index)
+            vals.append(row(block))
+            visits += np.count_nonzero(trap.trap_set.last_visit(block) > -math.inf)
+        return visits, np.concatenate(vals)
 
     parts = reduce_paths(model, horizon, paths, seed, reducer, threads=threads,
                          small_jump_cutoff=small_jump_cutoff)

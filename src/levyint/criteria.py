@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .functions import TestFunction
-from .models import PathSample
+from .models import PathBlock, PathSample, _as_block
 from .potential import PotentialMeasure
 
 __all__ = [
@@ -98,43 +98,51 @@ class RegionSpec:
             out.append((cursor, hi))
         return out
 
-    def last_visit(self, path: PathSample, x: float = 0.0) -> float:
-        """Last time ``x + path`` meets the closure of the intervals; -inf if never.
+    def last_visit(self, path: PathSample | PathBlock, x: float = 0.0) -> float | np.ndarray:
+        """Last time ``x + path`` meets the closure of the intervals, -inf if
+        never: one value per piece of a path block (a float for a
+        :class:`PathSample`).
 
         The package's one visit rule, built on the segment index that
-        ``integral_at_times`` also uses (``PathSample._sweep_index``): segment
-        k sweeps the closed range between v_k and v_k + r * dt_k (r =
-        ``path.linear_rate``), so jump landings count as the start of the
-        next sweep.  A grid cell (r = 0) holds v_k over the whole cell, the
+        ``integral_at_times`` also uses (``PathBlock._sweep_index``): segment
+        s sweeps the closed range between v_s and v_s + r * dt_s (r =
+        ``linear_rate``), so jump landings count as the start of the next
+        sweep.  A grid cell (r = 0) holds v_s over the whole cell, the
         cadlag convention of ``occupation_histogram``, so of the cells the
-        index finds (it spans v_k to v_{k+1}) only those whose held value
-        meets an interval count.
+        index finds (it spans v_s to v1_s) only those whose held value meets
+        an interval count.
         """
         if self.describes_complement:
             raise ValueError(f"{self.name}: last_visit needs the intervals themselves, "
                              "not a complement description")
+        block = _as_block(path)
         lo, hi = self.intervals[:, 0], self.intervals[:, 1]
-        met = path._sweep_index(x, self.intervals)
-        if not path.exact:
-            held = x + path.values[:-1][met]
+        met = block._sweep_index(x, self.intervals)
+        if not block.exact:
+            held = x + block.v0[met]
             inside = np.searchsorted(lo, held, side="right") > np.searchsorted(hi, held, side="left")
             met = met[inside]
-        if len(met) == 0:
-            return -math.inf
-        k = met[-1]
-        t0 = path.times[k]
-        dt = path.times[k + 1] - t0
-        r = path.linear_rate
+        # the last segment met in each piece, if the piece meets any
+        j = np.searchsorted(met, block.starts[1:]) - 1
+        has = j >= 0
+        has[has] = met[j[has]] >= block.starts[:-1][has]
+        out = np.full(len(block), -math.inf)
+        s = met[j[has]]
+        t0 = block.t0[s]
+        dt = block.t1[s] - t0
+        r = block.linear_rate
         if r == 0.0:
-            return float(t0 + dt)
-        v = x + path.values[k]
-        end = v + r * dt
-        # leave the highest interval met going up, the lowest going down
-        if r > 0:
-            leave = min(hi[np.searchsorted(lo, end, side="right") - 1], end)
+            out[has] = t0 + dt
         else:
-            leave = max(lo[np.searchsorted(hi, end, side="left")], end)
-        return float(t0 + np.clip((leave - v) / (r * dt), 0.0, 1.0) * dt)
+            v = x + block.v0[s]
+            end = v + r * dt
+            # leave the highest interval met going up, the lowest going down
+            if r > 0:
+                leave = np.minimum(hi[np.searchsorted(lo, end, side="right") - 1], end)
+            else:
+                leave = np.maximum(lo[np.searchsorted(hi, end, side="left")], end)
+            out[has] = t0 + np.clip((leave - v) / (r * dt), 0.0, 1.0) * dt
+        return float(out[0]) if block is not path else out
 
     def contains(self, y: float, atol: float = 1e-12) -> bool:
         """Closure membership: points on an interval boundary count as inside."""

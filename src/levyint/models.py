@@ -28,6 +28,7 @@ __all__ = [
     "CompoundPoisson",
     "TruncatedStable",
     "LevyModel",
+    "PathBlock",
     "PathSample",
     "build_model",
     "describe",
@@ -291,6 +292,135 @@ def describe(model: LevyModel) -> str:
 
 
 @dataclass
+class PathBlock:
+    """k paths on [0, horizon], each started at (0, 0), as flat per-segment arrays.
+
+    The segments of piece c are ``starts[c]:starts[c + 1]``, in time order.
+    Segment s runs from the piece-local time ``t0[s]`` to ``t1[s]`` and
+    starts at the piece-local value ``v0[s]``.  On an exact path the value
+    then moves at ``linear_rate``; on a grid skeleton it is ``v1[s]`` at the
+    end of the cell.  ``end[c]`` is the value of piece c at the horizon.
+    Durations are ``t1 - t0``, taken where they are needed, so a path's
+    one-piece block is views of its own arrays.
+
+    This is the unit every layer function works on (``occupation_histogram``,
+    ``integral_at_times``, ``integral_along_path``, ``RegionSpec.last_visit``):
+    one vectorised pass over the flat arrays gives one row per piece.  A
+    :class:`PathSample` is the one-piece case.  The checks a path gets run
+    here, once per block: every piece starts at (0, 0), its times strictly
+    increase, and it ends at the horizon.
+    """
+
+    starts: np.ndarray
+    t0: np.ndarray
+    t1: np.ndarray
+    v0: np.ndarray
+    end: np.ndarray
+    exact: bool
+    horizon: float
+    linear_rate: float = 0.0
+    v1: Optional[np.ndarray] = None
+    _sweep_memo: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
+    _groups: Optional[list] = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        first, last = self.starts[:-1], self.starts[1:] - 1
+        if self.t0[first].any() or self.v0[first].any():
+            raise ValueError("paths start at (t, x) = (0, 0)")
+        if (self.t1 <= self.t0).any():
+            raise ValueError("times must be strictly increasing")
+        if (abs(self.t1[last] - self.horizon) > 1e-9 * max(1.0, self.horizon)).any():
+            raise ValueError("last sample time must equal the horizon")
+
+    def __len__(self) -> int:
+        return len(self.starts) - 1
+
+    @property
+    def piece(self) -> np.ndarray:
+        """Piece id of every segment."""
+        return np.repeat(np.arange(len(self)), np.diff(self.starts))
+
+    def pieces(self) -> list["PathSample"]:
+        """Each piece as a :class:`PathSample`, read from the block's arrays."""
+        return [PathSample(np.append(self.t0[a:b], self.t1[b - 1]), np.append(self.v0[a:b], end),
+                           exact=self.exact, horizon=self.horizon, linear_rate=self.linear_rate)
+                for a, b, end in zip(self.starts[:-1], self.starts[1:], self.end)]
+
+    def _segments_at(self, at: np.ndarray) -> np.ndarray:
+        """(k, len(at)) index of the segment each time falls in, per piece
+        (the last segment for a time at the horizon).
+
+        One ``searchsorted`` over the keys ``t0 + c * W``, with W a power of
+        two above twice the horizon, so piece c's keys lie in [c W, (c + 1) W).
+        Adding c W rounds monotonically, so a key can only tie its query, never
+        pass it: the first guess is at or after the answer, and a step back
+        while the segment starts after the time makes it exact.
+        """
+        k = len(self)
+        if k == 1:     # c = 0: the keys are t0 itself, with no O(segments) copy
+            keys, queries = self.t0, at[None, :]
+        else:
+            span = 2.0 ** (math.frexp(self.horizon)[1] + 1)
+            keys = self.t0 + self.piece * span
+            queries = at[None, :] + (span * np.arange(k))[:, None]
+        idx = np.searchsorted(keys, queries, side="right") - 1
+        while True:
+            late = self.t0[idx] > at
+            if not late.any():
+                return idx
+            idx -= late
+
+    def _piece_sums(self, values: np.ndarray) -> np.ndarray:
+        """``values[starts[c]:starts[c + 1]].sum()`` for every piece c.
+
+        numpy sums a contiguous run pairwise, in an order set by its length,
+        and sums each row of a 2-D array the same way.  So the pieces are
+        grouped by segment count and each group is summed as the rows of one
+        gathered array; a sequential ``add.reduceat`` would round differently.
+        """
+        if self._groups is None:
+            counts = np.diff(self.starts)
+            self._groups = [(rows, self.starts[rows][:, None] + np.arange(n))
+                            for n in np.unique(counts)
+                            for rows in [np.nonzero(counts == n)[0]]]
+        out = np.empty(len(self))
+        for rows, idx in self._groups:
+            out[rows] = values[idx].sum(axis=1)
+        return out
+
+    def _sweep_index(self, x: float, intervals: np.ndarray) -> np.ndarray:
+        """Sorted indices of the segments of ``x + path`` whose closed sweep
+        range meets the closure of one of ``intervals``, a sorted (n, 2)
+        array of intervals disjoint up to shared endpoints.
+
+        Segment s sweeps [min(v_s, w_s), max(v_s, w_s)], with w_s = v_s +
+        r * dt_s on an exact path and w_s = v1_s on a grid skeleton.  It
+        meets an interval when some interval starts at or below the top of
+        the range and not every such interval ends below its bottom: one
+        ``searchsorted`` pair over the interval ends.  The last answer is
+        kept, so the visit rule and the running integral asking about the
+        same intervals on one block share one pass.
+        """
+        memo = self._sweep_memo
+        if memo is not None and memo[0] == x and np.array_equal(memo[1], intervals):
+            return memo[2]
+        v0 = x + self.v0
+        if self.exact:
+            w = self.t1 - self.t0
+            w *= self.linear_rate
+            w += v0
+            lo, hi = (v0, w) if self.linear_rate >= 0 else (w, v0)
+        else:
+            w = x + self.v1
+            lo, hi = np.minimum(v0, w), np.maximum(v0, w)
+        up_to = np.searchsorted(intervals[:, 0], hi, side="right")   # starting at or below the top
+        below = np.searchsorted(intervals[:, 1], lo, side="left")    # ending below the bottom
+        met = np.nonzero(up_to > below)[0]
+        self._sweep_memo = (x, intervals, met)
+        return met
+
+
+@dataclass
 class PathSample:
     """Skeleton of one simulated path started at 0.
 
@@ -298,7 +428,9 @@ class PathSample:
     times the value moves at ``linear_rate`` and jumps land exactly at the
     listed times, so value changes other than the deterministic slope occur
     only at listed times.  For ``exact=False`` the values are a grid
-    skeleton of a diffusion component and ``linear_rate`` is 0.
+    skeleton of a diffusion component and ``linear_rate`` is 0.  The path is
+    checked, and read by the layer functions, as its one-piece
+    :class:`PathBlock`.
     """
 
     times: np.ndarray
@@ -306,55 +438,22 @@ class PathSample:
     exact: bool
     horizon: float
     linear_rate: float = 0.0
-    _sweep_memo: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
+    _block: Optional[PathBlock] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         t, v = np.asarray(self.times, float), np.asarray(self.values, float)
         if t.shape != v.shape or t.ndim != 1 or len(t) < 2:
             raise ValueError("times/values must be equal-length 1-d arrays with >= 2 entries")
-        if t[0] != 0.0 or v[0] != 0.0:
-            raise ValueError("paths start at (t, x) = (0, 0)")
-        if np.any(np.diff(t) <= 0):
-            raise ValueError("times must be strictly increasing")
-        if abs(t[-1] - self.horizon) > 1e-9 * max(1.0, self.horizon):
-            raise ValueError("last sample time must equal the horizon")
         self.times, self.values = t, v
+        self._block = PathBlock(np.array([0, len(t) - 1]), t[:-1], t[1:], v[:-1], v[-1:],
+                                exact=self.exact, horizon=self.horizon,
+                                linear_rate=self.linear_rate,
+                                v1=None if self.exact else v[1:])
 
-    def segments(self):
-        """(start_time, duration, start_value) triples; between t_k and
-        t_{k+1} the value is start_value + linear_rate * elapsed."""
-        return self.times[:-1], np.diff(self.times), self.values[:-1]
 
-    def _sweep_index(self, x: float, intervals: np.ndarray) -> np.ndarray:
-        """Sorted indices of the segments of ``x + path`` whose closed sweep
-        range meets the closure of one of ``intervals``, a sorted (n, 2)
-        array of intervals disjoint up to shared endpoints.
-
-        Segment k sweeps [min(v_k, w_k), max(v_k, w_k)], with w_k = v_k +
-        r * dt_k on an exact path and w_k = v_{k+1} on a grid skeleton.  It
-        meets an interval when some interval starts at or below the top of
-        the range and not every such interval ends below its bottom: one
-        ``searchsorted`` pair over the interval ends.  The last answer is
-        kept, so the visit rule and the running integral asking about the
-        same intervals on one path share one pass.
-        """
-        memo = self._sweep_memo
-        if memo is not None and memo[0] == x and np.array_equal(memo[1], intervals):
-            return memo[2]
-        v0 = x + self.values[:-1]
-        if self.exact:
-            w = np.diff(self.times)
-            w *= self.linear_rate
-            w += v0
-            lo, hi = (v0, w) if self.linear_rate >= 0 else (w, v0)
-        else:
-            w = x + self.values[1:]
-            lo, hi = np.minimum(v0, w), np.maximum(v0, w)
-        up_to = np.searchsorted(intervals[:, 0], hi, side="right")   # starting at or below the top
-        below = np.searchsorted(intervals[:, 1], lo, side="left")    # ending below the bottom
-        met = np.nonzero(up_to > below)[0]
-        self._sweep_memo = (x, intervals, met)
-        return met
+def _as_block(path: PathSample | PathBlock) -> PathBlock:
+    """The block a layer function reads: a :class:`PathSample` is its one-piece block."""
+    return path._block if isinstance(path, PathSample) else path
 
 
 def _jump_cutoff(jumps: TruncatedStable, small_jump_cutoff: Optional[float]) -> float:
@@ -463,29 +562,31 @@ def reduce_paths(
     independent, so the pieces are iid paths on [0, horizon].  k comes from
     :func:`_block_paths`; with k = 1 path i is drawn from
     ``derive_rng(seed, *key, i)`` uncut.  Each fixed chunk of path indices,
-    tiled by whole blocks, goes to ``reducer`` as a lazy iterable of its
-    paths, in index order; the per-chunk results come back in chunk order,
-    so the caller's final reduction, and every random stream, is the same
-    for any number of threads.  Only k = 1 paths use the ``threads`` pool:
-    the reducers of block-cut light paths hold the GIL, so two threads
-    would pass it back and forth and run slower, and by a varying amount,
-    than one.  A budget below one path is refused.
+    tiled by whole blocks, goes to ``reducer`` as a lazy iterable of
+    :class:`PathBlock` s, in index order; a reducer passes each block to the
+    layer functions, which return one row per piece, and reads
+    ``block.pieces()`` only when it needs whole paths.  The per-chunk results
+    come back in chunk order, so the caller's final reduction, and every
+    random stream, is the same for any number of threads.  Only k = 1 paths
+    use the ``threads`` pool: the reducers of block-cut light paths hold the
+    GIL, so two threads would pass it back and forth and run slower, and by
+    a varying amount, than one.  A budget below one path is refused, and so
+    is ``threads`` below 1 (by :func:`map_chunks`).
     """
     if paths < 1:
         raise ValueError(f"paths must be >= 1, got {paths}")
     block = _block_paths(model, horizon, small_jump_cutoff)
-    if block > 1:
-        threads = 1
 
-    def chunk_paths(a, b):
+    def chunk_blocks(a, b):
         for s in range(a, b, block):
             k = min(block, b - s)
             long = simulate_path(model, k * horizon, step=step,
                                  rng=derive_rng(seed, *key, s),
                                  small_jump_cutoff=small_jump_cutoff)
-            yield from _cut_path(long, k, horizon)
+            yield _cut_path(long, k, horizon)
 
-    return map_chunks(paths, lambda a, b: reducer(chunk_paths(a, b)), threads=threads)
+    return map_chunks(paths, lambda a, b: reducer(chunk_blocks(a, b)),
+                      threads=threads if block == 1 else min(threads, 1))
 
 
 def _block_paths(model: LevyModel, horizon: float, small_jump_cutoff: Optional[float]) -> int:
@@ -506,33 +607,44 @@ def _block_paths(model: LevyModel, horizon: float, small_jump_cutoff: Optional[f
     return max(1, int(min(DEFAULT_CHUNK, BLOCK_SEGMENTS / segments)))
 
 
-def _cut_path(path: PathSample, k: int, horizon: float) -> list[PathSample]:
+def _cut_path(path: PathSample, k: int, horizon: float) -> PathBlock:
     """Cut an exact path on [0, k * horizon] at multiples of ``horizon``
-    into k paths on [0, horizon], each re-based to start at (0, 0).
+    into a block of k paths on [0, horizon], each re-based to start at (0, 0).
 
     The value at a cut extends the linear piece before it, and a jump that
     lands on a cut goes into the end value of the piece it closes, so the
     increments of the pieces add up to the long path.  For piece c >= 1 the
     re-based time ``t - c * horizon`` is exact (Sterbenz), so time order
     survives; a time that rounds onto the piece's end is likewise folded in.
+    With k = 1 the block is the path's own.
     """
     if k == 1:
-        return [path]
+        return path._block
     t, v, r = path.times, path.values, path.linear_rate
     cuts = horizon * np.arange(k + 1)
     at = np.searchsorted(t, cuts, side="right") - 1
     at_value = v[at] + r * (cuts - t[at])
-    piece = np.searchsorted(cuts, t, side="right") - 1   # cuts[piece] <= t < cuts[piece + 1]
-    local = t - cuts[piece]
+    # cuts[piece] <= t < cuts[piece + 1], counted off the increasing times
+    piece = np.repeat(np.arange(k + 1), np.diff(np.searchsorted(t, cuts), append=len(t)))
+    local = cuts[piece]
+    np.subtract(t, local, out=local)
     inner = (local > 0) & (local < horizon)
-    piece, local = piece[inner], local[inner]
-    rise = v[inner] - at_value[piece]
-    bounds = np.searchsorted(piece, np.arange(1, k))
-    ends = np.diff(at_value)
-    return [PathSample(np.concatenate([[0.0], lt, [horizon]]),
-                       np.concatenate([[0.0], lv, [end]]),
-                       exact=True, horizon=horizon, linear_rate=r)
-            for lt, lv, end in zip(np.split(local, bounds), np.split(rise, bounds), ends)]
+    piece, local, rise = piece[inner], local[inner], v[inner]
+    rise -= at_value[piece]
+    # piece c samples (0, 0), its inner times, then (horizon, end); its
+    # segments start at starts[c], and inner sample j starts segment j + c + 1
+    starts = np.searchsorted(piece, np.arange(k + 1)) + np.arange(k + 1)
+    first, last = starts[:-1], starts[1:] - 1
+    opens = piece
+    opens += np.arange(1, len(local) + 1)
+    t0, t1, v0 = np.empty(starts[-1]), np.empty(starts[-1]), np.empty(starts[-1])
+    t0[first] = v0[first] = 0.0
+    t0[opens] = local
+    v0[opens] = rise
+    t1[:-1] = t0[1:]
+    t1[last] = horizon
+    return PathBlock(starts, t0, t1, v0, np.diff(at_value), exact=True, horizon=horizon,
+                     linear_rate=r)
 
 
 def binomial_stderr(p, n: int):

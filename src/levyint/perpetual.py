@@ -18,7 +18,8 @@ import numpy as np
 
 from . import rng as _rng
 from .functions import TestFunction
-from .models import LevyModel, PathSample, binomial_stderr, describe, reduce_paths
+from .models import (LevyModel, PathBlock, PathSample, _as_block, binomial_stderr, describe,
+                     reduce_paths)
 
 __all__ = [
     "IDistribution",
@@ -49,68 +50,93 @@ GROWTH_TSTAT = 5.0          # t-statistic of the log-horizon slope for infinite
 BATTY_PROBES = 64           # probe points for beta_hat across the support of f
 
 
-def _segment_contributions(f: TestFunction, path: PathSample, x: float,
+def _segment_contributions(f: TestFunction, block: PathBlock, x: float,
                            seg=slice(None)) -> np.ndarray:
-    """Integral of f(x + path) over each inter-sample segment ``seg`` selects
-    (a slice or sorted indices; every segment by default)."""
-    t, v = path.times, path.values
-    dt = t[1:][seg] - t[:-1][seg]
-    v0 = v[:-1][seg]
-    if path.exact:
-        r = path.linear_rate
+    """Integral of f(x + path) over each segment ``seg`` selects (a slice or
+    sorted indices; every segment by default)."""
+    dt, v0 = block.t1[seg] - block.t0[seg], block.v0[seg]
+    if block.exact:
+        r = block.linear_rate
         if r == 0.0:
             return f(x + v0) * dt
         return f.integral_on(x + v0, x + v0 + r * dt) / r
-    v1 = v[1:][seg]
     if f.kind == "step":
         return f(x + v0) * dt
-    return 0.5 * (f(x + v0) + f(x + v1)) * dt
+    return 0.5 * (f(x + v0) + f(x + block.v1[seg])) * dt
 
 
-def integral_along_path(f: TestFunction, path: PathSample, x: float = 0.0) -> float:
-    """Truncated perpetual integral of f(x + xi) over the whole path."""
-    return float(_segment_contributions(f, path, x).sum())
+def integral_along_path(f: TestFunction, path: PathSample | PathBlock,
+                        x: float = 0.0) -> float | np.ndarray:
+    """Truncated perpetual integral of f(x + xi) over each whole piece of a
+    path block, one value per piece (a float for a :class:`PathSample`).
+    Each is the ``.sum()`` of that piece's segment integrals."""
+    block = _as_block(path)
+    totals = block._piece_sums(_segment_contributions(f, block, x))
+    return float(totals[0]) if block is not path else totals
 
 
-def integral_at_times(f: TestFunction, path: PathSample, x: float, at: np.ndarray) -> np.ndarray:
-    """Running integral evaluated at sorted times within [0, horizon].
+def integral_at_times(f: TestFunction, path: PathSample | PathBlock, x: float,
+                      at: np.ndarray) -> np.ndarray:
+    """Running integral of each piece of a path block at times within [0,
+    horizon]: a (k, len(at)) array, or one row for a :class:`PathSample`.
 
     Only the segments whose closed sweep range meets ``f.live_intervals``
-    are integrated (``PathSample._sweep_index``, the index the visit rule
+    are integrated (``PathBlock._sweep_index``, the index the visit rule
     uses); a whole-line f takes every segment.  The running integral at a
-    time is the cumsum of those segments before it, plus the partial segment
-    it falls in.  This equals the cumsum over every segment bit for bit:
-    every skipped term is an exact zero (f vanishes on its sweep range and
-    the primitive is constant there), and a sequential sum that adds an
-    exact zero returns its running value unchanged, up to the sign of a zero
-    sum.  That sign is kept too: a run of skipped terms sums to 0.0 / r,
-    which is -0.0 on a path that falls between jumps.
+    time is the cumsum of those segments of its piece before it, plus the
+    partial segment it falls in.  The cumsums run along the rows of a
+    (k, w) array holding each piece's live terms after a leading -0.0 (the
+    exact identity of addition), so each restarts at its piece.  This
+    equals the cumsum over every segment of the piece bit for bit: every
+    skipped term is an exact zero (f vanishes on its sweep range and the
+    primitive is constant there), and a sequential sum that adds an exact
+    zero returns its running value unchanged, up to the sign of a zero sum.
+    That sign is kept too: a run of skipped terms sums to 0.0 / r, which is
+    -0.0 on a path that falls between jumps.
     """
+    block = _as_block(path)
     at = np.asarray(at, float)
-    if np.any(at < 0) or np.any(at > path.horizon * (1 + 1e-12)):
+    if np.any(at < 0) or np.any(at > block.horizon * (1 + 1e-12)):
         raise ValueError("evaluation times must lie within the path horizon")
-    t = path.times
-    idx = np.clip(np.searchsorted(t, at, side="right") - 1, 0, len(t) - 2)
+    k, starts = len(block), block.starts
+    idx = block._segments_at(at)
     if f.live_intervals.tolist() == [[-math.inf, math.inf]]:
-        live, before = slice(None), idx
+        live, offsets = slice(None), starts
+        before = idx - starts[:-1, None]
     else:
-        live = path._sweep_index(x, f.live_intervals)
-        before = np.searchsorted(live, idx)          # live segments ahead of each time
-    cum = np.concatenate([[0.0], np.cumsum(_segment_contributions(f, path, x, live))])[before]
-    r = path.linear_rate
-    if path.exact and r < 0:
-        cum[(before == 0) & (idx > 0)] = -0.0
-    t0, dt = t[idx], t[idx + 1] - t[idx]
-    tau = np.clip(at - t0, 0.0, dt)
-    v0 = path.values[idx]
-    if path.exact:
+        live = block._sweep_index(x, f.live_intervals)
+        offsets = np.searchsorted(live, starts)       # live segments ahead of each piece
+        before = np.searchsorted(live, idx) - offsets[:-1, None]
+    terms = _segment_contributions(f, block, x, live)
+    counts = np.diff(offsets)
+    width = int(counts.max()) + 1
+    sums = np.zeros((k, width))
+    sums[:, 0] = -0.0
+    # term p of the live list is piece c's term p - offsets[c], one column
+    # after the leading -0.0: flat position p + c * width + 1 - offsets[c]
+    shift = np.arange(k) * width + 1 - offsets[:-1]
+    sums.ravel()[np.arange(len(terms)) + np.repeat(shift, counts)] = terms
+    np.cumsum(sums, axis=1, out=sums)
+    sums[:, 0] = 0.0
+    cum = sums[np.arange(k)[:, None], before]
+    r = block.linear_rate
+    if block.exact and r < 0:
+        cum[(before == 0) & (idx > starts[:-1, None])] = -0.0
+    # the partial segment, elementwise over the (k, len(at)) times
+    idx, times = idx.ravel(), np.broadcast_to(at, idx.shape).ravel()
+    t0 = block.t0[idx]
+    dt = block.t1[idx] - t0
+    tau = np.clip(times - t0, 0.0, dt)
+    v0 = block.v0[idx]
+    if block.exact:
         if r == 0.0:
             partial = f(x + v0) * tau
         else:
             partial = f.integral_on(x + v0, x + v0 + r * tau) / r
     else:
-        partial = _segment_contributions(f, path, x, idx) * tau / dt   # linear share of the cell
-    return cum + partial
+        partial = _segment_contributions(f, block, x, idx) * tau / dt   # linear share of the cell
+    rows = cum + partial.reshape(cum.shape)
+    return rows[0] if block is not path else rows
 
 
 @dataclass
@@ -127,9 +153,10 @@ class IDistribution:
 def _censoring_rule(f, x, rungs):
     """The ladder's censoring rule as ``(row, split)`` for sorted ``rungs``.
 
-    ``row(path)`` is the running integral at each rung, then at the start of
-    each rung's final CENSOR_WINDOW share.  ``split(rows)`` turns stacked
-    rows into (integrals at the rungs, censored flags): a path is censored
+    ``row(block)`` is, for each piece of a path block, the running integral
+    at each rung, then at the start of each rung's final CENSOR_WINDOW share.
+    ``split(rows)`` turns stacked rows into (integrals at the rungs, censored
+    flags): a path is censored
     at a rung when that final window still accrues more than
     CENSOR_REL_ACCRUAL of the running integral.
     """
@@ -138,8 +165,10 @@ def _censoring_rule(f, x, rungs):
     order = np.argsort(eval_times)
     eval_sorted, inv = eval_times[order], np.argsort(order)
 
-    def row(path):
-        return integral_at_times(f, path, x, eval_sorted)[inv]
+    def row(block):
+        # take keeps the rows C-ordered (``[..., inv]`` gives a Fortran-ordered
+        # copy), so a mean over paths sums each column sequentially, as before
+        return np.take(integral_at_times(f, block, x, eval_sorted), inv, axis=-1)
 
     def split(rows):
         at_rungs, at_early = rows[:, :k], rows[:, k:]
@@ -158,7 +187,8 @@ def _ladder_samples(f, model, x, rungs, paths, seed, step, threads):
     rungs = np.asarray(sorted(rungs), float)
     row, split = _censoring_rule(f, x, rungs)
     parts = reduce_paths(model, float(rungs[-1]), paths, seed,
-                         lambda chunk: [row(path) for path in chunk], threads=threads, step=step)
+                         lambda chunk: np.concatenate([row(block) for block in chunk]),
+                         threads=threads, step=step)
     at_rungs, censored = split(np.concatenate(parts))
     return rungs, at_rungs, censored
 
@@ -307,9 +337,9 @@ def estimate_L_set(
 
     def reducer(chunk):
         counts = np.zeros(len(xs))
-        for path in chunk:
+        for block in chunk:
             for j, x in enumerate(xs):
-                counts[j] += integral_along_path(f, path, x) > a
+                counts[j] += np.count_nonzero(integral_along_path(f, block, x) > a)
         return counts
 
     parts = reduce_paths(model, horizon, paths, seed, reducer, threads=threads, step=step)
@@ -369,17 +399,18 @@ def batty_inequality_check(
     p_hat = np.empty(BATTY_PROBES)
     for j, y in enumerate(probes):
         below = reduce_paths(model, t, n_inner, seed,
-                             lambda chunk: sum(integral_along_path(f, path, float(y)) <= a
-                                               for path in chunk),
+                             lambda chunk: sum(np.count_nonzero(
+                                 integral_along_path(f, block, float(y)) <= a) for block in chunk),
                              key=(_rng.STREAM_INNER, j), step=step)
         p_hat[j] = sum(below) / n_inner
     j_min = int(np.argmin(p_hat))
     beta = float(p_hat[j_min])
     se_beta = float(binomial_stderr(beta, n_inner))
 
-    outer = np.array(sum(reduce_paths(
-        model, t, n_outer, seed, lambda chunk: [integral_along_path(f, path, x) for path in chunk],
-        step=step), []))
+    outer = np.concatenate(reduce_paths(
+        model, t, n_outer, seed,
+        lambda chunk: np.concatenate([integral_along_path(f, block, x) for block in chunk]),
+        step=step))
     mean_i = float(outer.mean())
     se_mean = float(outer.std(ddof=1) / math.sqrt(n_outer)) if n_outer > 1 else 0.0
 

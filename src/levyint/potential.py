@@ -15,7 +15,8 @@ from typing import Optional
 
 import numpy as np
 
-from .models import LevyModel, CompoundPoisson, PathSample, describe, reduce_paths
+from .models import (LevyModel, CompoundPoisson, PathBlock, PathSample, _as_block, describe,
+                     reduce_paths)
 
 __all__ = [
     "PotentialMeasure",
@@ -105,37 +106,45 @@ def horizon_heuristic(model: LevyModel, grid_lo: float, grid_hi: float) -> float
     return DEFAULT_HORIZON_SAFETY * (grid_hi - grid_lo) / model.mean
 
 
-def occupation_histogram(path: PathSample, edges: np.ndarray, out: np.ndarray) -> None:
-    """Add the occupation time of one path (per bin) into ``out``.
+def occupation_histogram(path: PathSample | PathBlock, edges: np.ndarray,
+                         out: np.ndarray) -> None:
+    """Add the occupation time (per bin) of each piece of a path block into
+    its row of ``out``, a (k, bins) array; a :class:`PathSample` is one
+    piece and takes a (bins,) ``out``.
 
     Exact piecewise-linear paths split linear sweeps across bin edges
     exactly; grid skeletons attribute each cell to the bin of its left
     endpoint (cadlag convention).  Time spent outside the grid is dropped.
+    Each piece's row is summed from 0.0 in segment order, the sweeps that
+    stay in one bin first, then the crossing sweeps, and added to ``out``.
     """
-    nbins = len(edges) - 1
-    if path.exact and path.linear_rate != 0.0:
-        t0, dt, v0 = path.segments()
-        r = path.linear_rate
+    block = _as_block(path)
+    k, nbins = len(block), len(edges) - 1
+    dt, v0, r = block.t1 - block.t0, block.v0, block.linear_rate
+    crossing = ()
+    if block.exact and r != 0.0:
         u0 = v0 if r > 0 else v0 + r * dt
         u1 = v0 + r * dt if r > 0 else v0
         i0 = np.searchsorted(edges, u0, side="right") - 1
         i1 = np.searchsorted(edges, u1, side="right") - 1
         same = i0 == i1
         ok = same & (i0 >= 0) & (i0 < nbins)
-        np.add.at(out, i0[ok], dt[ok])
-        for k in np.nonzero(~same)[0]:      # sweeps crossing bin edges: exact split
-            a, b = u0[k], u1[k]
-            lo = max(i0[k], 0)
-            hi = min(i1[k], nbins - 1)
-            for i in range(lo, hi + 1):
+        crossing = np.nonzero(~same)[0]
+    else:
+        i0 = np.searchsorted(edges, v0, side="right") - 1
+        ok = (i0 >= 0) & (i0 < nbins)
+    bins = i0[ok] if k == 1 else block.piece[ok] * nbins + i0[ok]
+    rows = np.bincount(bins, weights=dt[ok], minlength=k * nbins)
+    rows = rows.astype(float, copy=False).reshape(k, nbins)   # int when nothing is binned
+    if len(crossing):
+        piece = np.searchsorted(block.starts, crossing, side="right") - 1
+        for s, c in zip(crossing, piece):    # sweeps crossing bin edges: exact split
+            a, b, row = u0[s], u1[s], rows[c]
+            for i in range(max(i0[s], 0), min(i1[s], nbins - 1) + 1):
                 overlap = min(b, edges[i + 1]) - max(a, edges[i])
                 if overlap > 0:
-                    out[i] += overlap / abs(r)
-        return
-    dt = np.diff(path.times)
-    idx = np.searchsorted(edges, path.values[:-1], side="right") - 1
-    ok = (idx >= 0) & (idx < nbins)
-    np.add.at(out, idx[ok], dt[ok])
+                    row[i] += overlap / abs(r)
+    out += rows.reshape(out.shape)
 
 
 def estimate_potential(
@@ -183,15 +192,14 @@ def estimate_potential(
     nbins = len(edges) - 1
 
     def reducer(chunk):
-        acc = np.zeros(nbins)
-        acc2 = np.zeros(nbins)
-        buf = np.zeros(nbins)
-        for path in chunk:
-            buf[:] = 0.0
-            occupation_histogram(path, edges, buf)
-            acc += buf
-            acc2 += buf * buf
-        return acc, acc2
+        rows = [np.zeros((1, nbins))]
+        for block in chunk:
+            rows.append(np.zeros((len(block), nbins)))
+            occupation_histogram(block, edges, rows[-1])
+        # 0.0 plus each path's row in index order: an axis-0 cumsum is
+        # sequential (an axis-0 add.reduce sums a one-bin grid pairwise)
+        rows = np.concatenate(rows)
+        return np.cumsum(rows, axis=0)[-1], np.cumsum(rows * rows, axis=0)[-1]
 
     parts = reduce_paths(model, horizon, paths, seed, reducer, threads=threads, step=step)
     total = sum(acc for acc, _ in parts)        # chunk order: fixed reduction order

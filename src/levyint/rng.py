@@ -45,7 +45,10 @@ def map_chunks(n: int, worker, threads: int = 1, chunk: int = DEFAULT_CHUNK) -> 
     Thread scheduling may finish chunks out of order; the returned list is
     always ordered by chunk index so downstream reductions are deterministic.
     A single chunk runs on the calling thread: a pool would only add a thread.
+    ``threads`` below 1 is refused.
     """
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
     ranges = chunk_ranges(n, chunk)
     if threads <= 1 or len(ranges) <= 1:
         return [worker(a, b) for a, b in ranges]

@@ -231,3 +231,39 @@ def test_whole_integer_value_converts(tmp_path, paths):
     out = tmp_path / "o"
     assert run_cli(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
     assert json.loads((out / "simulate_summary.json").read_text())["paths"] == 3
+
+
+@pytest.mark.parametrize("args, cfg", [
+    (["simulate", "--threads", "-3"], {}),
+    (["potential"], {"threads": -2}),
+    (["diagnose", "--function", "exp_decay", "--threads", "0"], {}),
+])
+def test_threads_below_one_is_config_error(tmp_path, capsys, args, cfg):
+    """Every command refuses a worker count below 1 before it runs or writes."""
+    path = tmp_path / "cfg.yaml"
+    path.write_text(yaml.safe_dump({"seed": 1, "model": "lattice_cpp", "paths": 5, **cfg}))
+    out = tmp_path / "o"
+    assert run_cli([*args, "--config", str(path), "--out", str(out)]) == 2
+    assert "'threads'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("grid, key", [
+    ({"bins": 0}, "grid.bins"),
+    ({"bins": -4}, "grid.bins"),
+    ({"lo": 5.0, "hi": 5.0}, "grid.hi"),
+    ({"lo": 5.0, "hi": 1.0}, "grid.hi"),
+    ({"edges": [3.0, 1.0]}, "grid.edges"),
+    ({"edges": [1.0]}, "grid.edges"),
+])
+@pytest.mark.parametrize("command", ["potential", "test"])
+def test_empty_or_reversed_grid_is_config_error(tmp_path, capsys, grid, key, command):
+    """A grid with no bins, or running backwards, is refused by name before
+    any path is drawn, and nothing is written."""
+    path = tmp_path / "cfg.yaml"
+    path.write_text(yaml.safe_dump({"seed": 1, "model": {"kind": "drift"}, "paths": 5,
+                                    "function": "exp_decay", "grid": grid}))
+    out = tmp_path / "o"
+    assert run_cli([command, "--config", str(path), "--out", str(out)]) == 2
+    assert f"'{key}'" in capsys.readouterr().err
+    assert not out.exists()

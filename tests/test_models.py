@@ -193,6 +193,11 @@ def test_poisson_jump_counts(lattice_model):
 
 # -- path engine ------------------------------------------------------------
 
+def _pieces(chunk):
+    """A reducer that collects whole paths: every piece of every block."""
+    return [path for block in chunk for path in block.pieces()]
+
+
 @pytest.mark.parametrize("which", ["lattice", "tstable"])
 def test_reduce_paths_matches_seeded_paths(which, lattice_model, ts_model):
     """Three chunks, a non-default key: the block of k paths starting at index
@@ -206,9 +211,9 @@ def test_reduce_paths_matches_seeded_paths(which, lattice_model, ts_model):
         for s in range(a, b, block):
             k = min(block, b - s)
             long = L.simulate_path(m, k * 3.0, rng=L.derive_rng(17, *key, s))
-            expected += models._cut_path(long, k, 3.0)
+            expected += models._cut_path(long, k, 3.0).pieces()
     for threads in (1, 2):
-        parts = reduce_paths(m, 3.0, 600, 17, list, key=key, threads=threads)
+        parts = reduce_paths(m, 3.0, 600, 17, _pieces, key=key, threads=threads)
         assert [len(part) for part in parts] == [256, 256, 88]
         got = [path for part in parts for path in part]
         assert len(got) == len(expected)
@@ -222,7 +227,7 @@ def test_reduce_paths_single_path_blocks_are_uncut(bm_model, ts_model):
     derive_rng(seed, STREAM_PATH, i), uncut."""
     for m, kw in ((bm_model, {"step": 0.05}), (ts_model, {"small_jump_cutoff": 1e-6})):
         assert models._block_paths(m, 10.0, kw.get("small_jump_cutoff")) == 1
-        got = reduce_paths(m, 10.0, 5, 3, list, **kw)[0]
+        got = reduce_paths(m, 10.0, 5, 3, _pieces, **kw)[0]
         for i, path in enumerate(got):
             ref = L.simulate_path(m, 10.0, rng=L.derive_rng(3, L.rng.STREAM_PATH, i), **kw)
             assert np.array_equal(path.times, ref.times) and np.array_equal(path.values, ref.values)
@@ -255,7 +260,7 @@ def test_cut_path_pieces_rebuild_the_long_path(horizon):
     times = np.concatenate([[0.0], jt, [k * horizon]])
     values = r * times + np.concatenate([[0.0], np.cumsum(sizes), [sizes.sum()]])
     long = L.PathSample(times, values, exact=True, horizon=k * horizon, linear_rate=r)
-    pieces = models._cut_path(long, k, horizon)
+    pieces = models._cut_path(long, k, horizon).pieces()
     assert len(pieces) == k
     start = 0.0
     for c, p in enumerate(pieces):
@@ -272,7 +277,7 @@ def test_cut_path_pieces_rebuild_the_long_path(horizon):
 
 
 def test_cut_keeps_lattice_values_integer(lattice_model):
-    paths = reduce_paths(lattice_model, 7.5, 256, 2, list)[0]
+    paths = reduce_paths(lattice_model, 7.5, 256, 2, _pieces)[0]
     assert models._block_paths(lattice_model, 7.5, None) > 1
     for p in paths:
         assert np.array_equal(p.values, np.round(p.values))
@@ -298,7 +303,7 @@ def test_block_cut_paths_have_the_per_path_law(which):
     build, horizon = _LAW_MODELS[which]
     m, n = build(), 4000
     assert models._block_paths(m, horizon, None) > 1
-    cut = [p for part in reduce_paths(m, horizon, n, 11, list) for p in part]
+    cut = [p for part in reduce_paths(m, horizon, n, 11, _pieces) for p in part]
     ref = [L.simulate_path(m, horizon, rng=L.derive_rng(12, L.rng.STREAM_PATH, i))
            for i in range(n)]
     band = 2.0 * oracles.dkw_band(n, confidence=1.0 - 5e-4)

@@ -1,8 +1,10 @@
 import threading
 
 import numpy as np
+import pytest
 
 from levyint import rng
+from levyint.models import reduce_paths
 
 
 def test_same_indices_same_stream():
@@ -53,3 +55,13 @@ def test_map_chunks_single_chunk_runs_on_calling_thread():
 
     assert rng.map_chunks(rng.DEFAULT_CHUNK, worker, threads=4) == [(0, rng.DEFAULT_CHUNK)]
     assert ran_on == [threading.get_ident()]
+
+
+def test_map_chunks_refuses_threads_below_one(lattice_model):
+    """Both engines meet here: a worker count below 1 is refused, also for
+    block-cut paths, which would otherwise run serially and hide it."""
+    for threads in (0, -3):
+        with pytest.raises(ValueError, match="threads must be >= 1"):
+            rng.map_chunks(10, lambda a, b: b - a, threads=threads)
+        with pytest.raises(ValueError, match="threads must be >= 1"):
+            reduce_paths(lattice_model, 5.0, 10, 1, list, threads=threads)
