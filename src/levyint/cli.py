@@ -270,13 +270,16 @@ def grid_from_config(spec, model: LevyModel) -> np.ndarray:
         raise ConfigError("grid spec must be a mapping with lo/hi/bins or edges")
     if "edges" in spec:
         edges = np.asarray([_as(float, v, "edges") for v in spec["edges"]])
-        if len(edges) < 2 or np.any(np.diff(edges) <= 0):
-            raise ConfigError(f"config key 'grid.edges' must be at least 2 strictly increasing "
-                              f"values, got {spec['edges']!r}")
+        if len(edges) < 2 or not (np.all(np.isfinite(edges)) and np.all(np.diff(edges) > 0)):
+            raise ConfigError(f"config key 'grid.edges' must be at least 2 finite, strictly "
+                              f"increasing values, got {spec['edges']!r}")
         return edges
     lo, hi, bins = _num(spec, "lo", 0.0), _num(spec, "hi", 64.0), _num(spec, "bins", 64, int)
     if bins < 1:
         raise ConfigError(f"config key 'grid.bins' must be >= 1, got {bins}")
+    for key, value in (("lo", lo), ("hi", hi)):
+        if not math.isfinite(value):
+            raise ConfigError(f"config key 'grid.{key}' must be finite, got {value!r}")
     if not hi > lo:
         raise ConfigError(f"config key 'grid.hi' must exceed grid.lo = {lo!r}, got {hi!r}")
     return np.linspace(lo, hi, bins + 1)

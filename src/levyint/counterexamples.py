@@ -22,7 +22,7 @@ from . import rng as _rng
 from .criteria import RegionSpec, dk_test, potential_integral
 from .functions import TestFunction, lattice_sine, triangle_train
 from .models import LevyModel, TruncatedStable, binomial_stderr, describe, reduce_paths
-from .perpetual import _censoring_rule, _classify_plateau, integral_along_path
+from .perpetual import _censoring_rule, _classify_plateau, _live_ceiling, integral_along_path
 from .potential import estimate_potential
 
 __all__ = [
@@ -480,8 +480,11 @@ def verify_counterexample(
             visits += np.count_nonzero(trap.trap_set.last_visit(block) > -math.inf)
         return visits, np.concatenate(vals)
 
+    # the bumps, and so the trap set, end at beta_top: the row and the visit
+    # rule read nothing above it
     parts = reduce_paths(model, horizon, paths, seed, reducer, threads=threads,
-                         small_jump_cutoff=small_jump_cutoff)
+                         small_jump_cutoff=small_jump_cutoff,
+                         ceiling=_live_ceiling(trap.f, 0.0))
     visit_count = sum(c for c, _ in parts)
     at_rungs, censored = split(np.concatenate([vals for _, vals in parts]))
 

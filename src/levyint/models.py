@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional, Union
 
 import numpy as np
@@ -44,6 +45,9 @@ SMALL_JUMP_FRACTION = 1e-4
 # Expected segments per simulated block in ``reduce_paths``: light paths are
 # drawn this many segments at a time and cut into pieces of one horizon.
 BLOCK_SEGMENTS = 2**14
+
+# Jump sizes drawn at a time by ``simulate_path`` when a ceiling may stop it.
+CEILING_BLOCK = 2**12
 
 _ATOL = 1e-9
 
@@ -487,6 +491,7 @@ def simulate_path(
     seed: Optional[int] = None,
     rng: Optional[np.random.Generator] = None,
     small_jump_cutoff: Optional[float] = None,
+    ceiling: Optional[float] = None,
 ) -> PathSample:
     """Simulate one path of ``model`` on [0, horizon].
 
@@ -498,9 +503,22 @@ def simulate_path(
         For the truncated stable subordinator, jumps below this threshold are
         replaced by their expected linear drift.  Defaults to
         ``SMALL_JUMP_FRACTION * cutoff``.
+    ceiling : float, optional
+        Subordinators only: a level above which the caller reads nothing.
+        All arrival times are drawn as without it, then the jump sizes in
+        blocks of ``CEILING_BLOCK``, and drawing stops at the first jump that
+        lands strictly above ``ceiling``.  The path is then the process only
+        up to that sample, and goes on from it at ``linear_rate`` to the
+        horizon.  A subordinator never comes back down, so every segment
+        this leaves out starts above the ceiling, and the samples that are
+        kept are the unstopped path's, bit for bit: numpy fills jump sizes
+        one element at a time in stream order, and the running sum carries
+        across blocks.
     """
     if not (horizon > 0 and math.isfinite(horizon)):
         raise ValueError("horizon must be finite and > 0")
+    if ceiling is not None and (math.isnan(ceiling) or not model.is_subordinator):
+        raise ValueError("a ceiling needs a subordinator and a level that is not NaN")
     if rng is None:
         rng = np.random.default_rng(seed)
 
@@ -517,28 +535,43 @@ def simulate_path(
 
     if isinstance(jumps, CompoundPoisson):
         jt = _exponential_arrivals(rng, jumps.rate, horizon)
-        sizes = jumps.sample(rng, len(jt))
+        draw = partial(jumps.sample, rng)
         rate = model.drift
     else:  # truncated stable subordinator
         eps = _jump_cutoff(jumps, small_jump_cutoff)
         jt = _exponential_arrivals(rng, jumps.tail_mass(eps), horizon)
-        sizes = jumps.sample_jumps(rng, len(jt), eps)
+        draw = partial(jumps.sample_jumps, rng, eps=eps)
         rate = model.drift + jumps.small_jump_drift(eps)
 
-    # (0, 0), then the value rate * t + S at each arrival (S: the summed jumps),
-    # then, unless a jump lands on it, the horizon, where the last piece ends
+    # (0, 0), then the value rate * t + S at each arrival (S: the summed
+    # jumps), up to the first above the ceiling; then, unless a jump lands on
+    # it, the horizon, where the last piece ends
     n = len(jt)
-    tail = n == 0 or jt[-1] < horizon
-    times = np.empty(n + 1 + tail)
-    values = np.empty(n + 1 + tail)
+    times = np.empty(n + 2)
+    values = np.empty(n + 2)
     times[0] = values[0] = 0.0
-    times[1:n + 1] = jt
-    np.cumsum(sizes, out=values[1:n + 1])
-    values[1:n + 1] += np.multiply(jt, rate, out=sizes)   # the jump buffer is free now
+    stop = ceiling is not None and ceiling < math.inf
+    size = CEILING_BLOCK if stop else max(n, 1)
+    m, carry = n, 0.0
+    for a in range(0, n, size):
+        b = min(n, a + size)
+        sizes = draw(b - a)
+        if a:
+            sizes[0] += carry
+        out = values[a + 1:b + 1]
+        np.cumsum(sizes, out=out)
+        carry = out[-1]
+        out += np.multiply(jt[a:b], rate, out=sizes)   # the jump buffer is free now
+        if stop and out[-1] > ceiling:   # the values never fall: search them
+            m = a + int(np.searchsorted(out, ceiling, side="right")) + 1
+            break
+    times[1:m + 1] = jt[:m]
+    tail = times[m] < horizon
     if tail:
-        times[-1] = horizon
-        values[-1] = values[n] + rate * (horizon - times[n])
-    return PathSample(times, values, exact=True, horizon=horizon, linear_rate=rate)
+        times[m + 1] = horizon
+        values[m + 1] = values[m] + rate * (horizon - times[m])
+    end = m + 1 + tail
+    return PathSample(times[:end], values[:end], exact=True, horizon=horizon, linear_rate=rate)
 
 
 def reduce_paths(
@@ -551,6 +584,7 @@ def reduce_paths(
     threads: int = 1,
     step: Optional[float] = None,
     small_jump_cutoff: Optional[float] = None,
+    ceiling: Optional[float] = None,
 ) -> list:
     """The package's one Monte Carlo path loop.
 
@@ -572,17 +606,29 @@ def reduce_paths(
     GIL, so two threads would pass it back and forth and run slower, and by
     a varying amount, than one.  A budget below one path is refused, and so
     is ``threads`` below 1 (by :func:`map_chunks`).
+
+    A reducer that reads nothing of ``x + path`` above some level (a
+    potential grid's top edge, the top of ``f.live_intervals``) passes that
+    level, less x, as ``ceiling``.  Uncut paths of a subordinator are then
+    drawn with it by :func:`simulate_path`: each is the process only up to
+    its first sample above the ceiling, then one linear segment to the
+    horizon, which starts above the ceiling and so adds nothing to what the
+    reducer reads.  Cut paths (k > 1) and other models ignore it: a long
+    path must reach every cut, and a path that can come back down must be
+    drawn whole.
     """
     if paths < 1:
         raise ValueError(f"paths must be >= 1, got {paths}")
     block = _block_paths(model, horizon, small_jump_cutoff)
+    if block > 1 or not model.is_subordinator:
+        ceiling = None
 
     def chunk_blocks(a, b):
         for s in range(a, b, block):
             k = min(block, b - s)
             long = simulate_path(model, k * horizon, step=step,
                                  rng=derive_rng(seed, *key, s),
-                                 small_jump_cutoff=small_jump_cutoff)
+                                 small_jump_cutoff=small_jump_cutoff, ceiling=ceiling)
             yield _cut_path(long, k, horizon)
 
     return map_chunks(paths, lambda a, b: reducer(chunk_blocks(a, b)),

@@ -177,18 +177,31 @@ def _censoring_rule(f, x, rungs):
     return row, split
 
 
+def _live_ceiling(f: TestFunction, x: float) -> float:
+    """A level c such that ``x + v`` lies above every live interval of f for
+    every path value v > c, rounding included: ``top - x``, stepped up until
+    ``x + c`` itself is above the top (+inf for a whole-line f)."""
+    top = float(f.live_intervals[-1, 1])
+    c = top - x
+    while x + c <= top < math.inf:
+        c += math.ulp(max(abs(x), abs(top), abs(c)))
+    return c
+
+
 def _ladder_samples(f, model, x, rungs, paths, seed, step, threads):
     """Per-path running integrals at each rung, and censored flags.
 
     One path per index serves every rung (the running integral is
     nondecreasing in the horizon along a fixed path), which couples the
-    ladder and keeps the cost of k rungs equal to one long horizon.
+    ladder and keeps the cost of k rungs equal to one long horizon.  The
+    rows read only segments that meet f's live intervals, so paths may stop
+    once past their top.
     """
     rungs = np.asarray(sorted(rungs), float)
     row, split = _censoring_rule(f, x, rungs)
     parts = reduce_paths(model, float(rungs[-1]), paths, seed,
                          lambda chunk: np.concatenate([row(block) for block in chunk]),
-                         threads=threads, step=step)
+                         threads=threads, step=step, ceiling=_live_ceiling(f, x))
     at_rungs, censored = split(np.concatenate(parts))
     return rungs, at_rungs, censored
 

@@ -47,11 +47,9 @@ class PotentialMeasure:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        e = np.asarray(self.edges, float)
+        e = _checked_edges(self.edges)
         m = np.asarray(self.masses, float)
         s = np.asarray(self.stderr, float)
-        if e.ndim != 1 or len(e) < 2 or np.any(np.diff(e) <= 0):
-            raise ValueError("edges must be strictly increasing with >= 2 entries")
         if m.shape != (len(e) - 1,) or s.shape != m.shape:
             raise ValueError("masses/stderr must have one entry per bin")
         if m.min() < 0 or s.min() < 0:
@@ -98,6 +96,15 @@ class PotentialMeasure:
             fh.write("bin_lo,bin_hi,mass,stderr\n")
             for lo, hi, m, s in zip(self.edges[:-1], self.edges[1:], self.masses, self.stderr):
                 fh.write(f"{float(lo)!r},{float(hi)!r},{float(m)!r},{float(s)!r}\n")
+
+
+def _checked_edges(edges) -> np.ndarray:
+    """``edges`` as a float array, refused unless 1-d, finite and strictly
+    increasing with at least 2 entries (a NaN passes a ``diff <= 0`` test)."""
+    e = np.asarray(edges, float)
+    if e.ndim != 1 or len(e) < 2 or not np.all(np.isfinite(e)) or not np.all(np.diff(e) > 0):
+        raise ValueError("edges must be finite and strictly increasing with >= 2 entries")
+    return e
 
 
 def horizon_heuristic(model: LevyModel, grid_lo: float, grid_hi: float) -> float:
@@ -161,14 +168,15 @@ def estimate_potential(
     Parameters
     ----------
     edges : array
-        Bin edges.  For lattice models they must align so that each bin
-        contains exactly one lattice site.
+        Bin edges, finite and strictly increasing; others are refused
+        before any path is drawn.  For lattice models they must align so
+        that each bin contains exactly one lattice site.
     horizon : float, optional
         Truncation horizon; defaults to :func:`horizon_heuristic`.  A warning
         (not a failure) is issued when an explicit horizon undercuts the
         heuristic, since far-field bins are then biased low.
     """
-    edges = np.asarray(edges, float)
+    edges = _checked_edges(edges)
     heuristic = None
     try:
         heuristic = horizon_heuristic(model, edges[0], edges[-1])
@@ -201,7 +209,9 @@ def estimate_potential(
         rows = np.concatenate(rows)
         return np.cumsum(rows, axis=0)[-1], np.cumsum(rows * rows, axis=0)[-1]
 
-    parts = reduce_paths(model, horizon, paths, seed, reducer, threads=threads, step=step)
+    # time above the top edge is dropped, so paths may stop once past it
+    parts = reduce_paths(model, horizon, paths, seed, reducer, threads=threads, step=step,
+                         ceiling=float(edges[-1]))
     total = sum(acc for acc, _ in parts)        # chunk order: fixed reduction order
     total2 = sum(acc2 for _, acc2 in parts)
     masses = total / paths

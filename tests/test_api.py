@@ -68,7 +68,7 @@ OPTIONAL_PARAMETERS = {
     "lattice_sine": ("span",),
     "map_chunks": ("threads", "chunk"),
     "potential_integral": ("x",),
-    "simulate_path": ("step", "seed", "rng", "small_jump_cutoff"),
+    "simulate_path": ("step", "seed", "rng", "small_jump_cutoff", "ceiling"),
     "step_function": ("name",),
     "triangle_train": ("name",),
     "verify_counterexample": ("horizon", "threads", "small_jump_cutoff"),

@@ -255,11 +255,18 @@ def test_threads_below_one_is_config_error(tmp_path, capsys, args, cfg):
     ({"lo": 5.0, "hi": 1.0}, "grid.hi"),
     ({"edges": [3.0, 1.0]}, "grid.edges"),
     ({"edges": [1.0]}, "grid.edges"),
+    # not finite: the top edge is also where subordinator paths may stop
+    ({"lo": 0.0, "hi": float("inf"), "bins": 4}, "grid.hi"),
+    ({"lo": float("-inf"), "hi": 1.0}, "grid.lo"),
+    ({"lo": float("nan"), "hi": 1.0}, "grid.lo"),
+    ({"edges": [0.0, float("nan"), 2.0]}, "grid.edges"),
+    ({"edges": [0.0, 1.0, float("inf")]}, "grid.edges"),
 ])
 @pytest.mark.parametrize("command", ["potential", "test"])
 def test_empty_or_reversed_grid_is_config_error(tmp_path, capsys, grid, key, command):
-    """A grid with no bins, or running backwards, is refused by name before
-    any path is drawn, and nothing is written."""
+    """A grid with no bins, running backwards or with an edge that is not
+    finite is refused by name before any path is drawn, and nothing is
+    written."""
     path = tmp_path / "cfg.yaml"
     path.write_text(yaml.safe_dump({"seed": 1, "model": {"kind": "drift"}, "paths": 5,
                                     "function": "exp_decay", "grid": grid}))

@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -117,3 +118,17 @@ def test_occupation_histogram_linear_sweep_splits_bins():
         warnings.simplefilter("ignore", UserWarning)   # short horizon is the point
         pm = L.estimate_potential(m, edges, paths=1, seed=0, horizon=1.0)
     assert np.allclose(pm.masses, np.diff(edges) / 4.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("edges", [[0.0, math.nan, 2.0], [0.0, 1.0, math.inf],
+                                   [-math.inf, 0.0, 1.0], [3.0, 1.0, 2.0]])
+def test_bad_edges_refused_before_any_path(monkeypatch, lattice_model, edges):
+    """Non-finite or non-increasing edges are refused by the measure itself
+    and by the estimator before it draws a path (a NaN passes a diff <= 0 test)."""
+    drawn = []
+    monkeypatch.setattr(L.models, "simulate_path", lambda *a, **kw: drawn.append(1))
+    with pytest.raises(ValueError, match="edges"):
+        L.estimate_potential(lattice_model, np.array(edges), paths=5, seed=0, horizon=10.0)
+    assert not drawn
+    with pytest.raises(ValueError, match="edges"):
+        L.PotentialMeasure(edges=np.array(edges), masses=np.zeros(2), stderr=np.zeros(2))
