@@ -227,17 +227,17 @@ def function_from_config(spec) -> fn.TestFunction:
         if kind == "inverse_power":
             return fn.inverse_power(_num(spec, "power", 1.0))
         if kind == "indicator":
-            return fn.indicator(float(spec["lo"]), float(spec["hi"]))
+            return fn.indicator(_as(float, spec["lo"], "lo"), _as(float, spec["hi"], "hi"))
         if kind == "constant":
             return fn.constant(_num(spec, "value", 1.0))
         if kind == "step":
-            return fn.step_function([(float(c), float(a), float(b))
-                                     for c, a, b in spec["pieces"]])
+            return fn.step_function([tuple(_as(float, v, "pieces") for v in piece)
+                                     for piece in spec["pieces"]])
         if kind == "lattice_sine":
             return fn.lattice_sine(_num(spec, "span", 1.0))
         if kind == "triangle_train":
-            return fn.triangle_train([float(v) for v in spec["starts"]],
-                                     [float(v) for v in spec["widths"]])
+            return fn.triangle_train([_as(float, v, "starts") for v in spec["starts"]],
+                                     [_as(float, v, "widths") for v in spec["widths"]])
     except (TypeError, KeyError, ValueError) as exc:
         raise ConfigError(f"bad function spec: {exc}") from exc
     raise ConfigError(f"unknown function kind '{kind}'")
@@ -370,20 +370,23 @@ def cmd_simulate(cfg: dict) -> int:
     return EXIT_OK
 
 
+def _potential_from_config(cfg, model):
+    edges = grid_from_config(cfg.get("grid"), model)
+    return estimate_potential(model, edges, paths=_num(cfg, "paths", 2000, int),
+                              seed=cfg["seed"], horizon=_num(cfg, "horizon"),
+                              step=_num(cfg, "step"), threads=cfg["threads"])
+
+
 def cmd_potential(cfg: dict) -> int:
     model = model_from_config(_require(cfg, "model"))
-    edges = grid_from_config(cfg.get("grid"), model)
-    paths = _num(cfg, "paths", 2000, int)
+    pm = _potential_from_config(cfg, model)
     out = _outdir(cfg)
-    pm = estimate_potential(model, edges, paths=paths, seed=cfg["seed"],
-                            horizon=_num(cfg, "horizon"), step=_num(cfg, "step"),
-                            threads=cfg["threads"])
     pm.meta["config_digest"] = config_digest(cfg)
     pm.to_csv(out / "potential.csv")
 
-    report = {"model": describe(model), "paths": paths, "bins": len(pm.masses),
-              "total_mass": float(pm.masses.sum())}
-    closed = analytic_potential(model, edges)
+    report = {"model": describe(model), "paths": _num(cfg, "paths", 2000, int),
+              "bins": len(pm.masses), "total_mass": float(pm.masses.sum())}
+    closed = analytic_potential(model, pm.edges)
     if closed is not None:
         z = np.abs(pm.masses - closed.masses) / np.maximum(pm.stderr, 1e-300)
         report["closed_form_available"] = True
@@ -396,13 +399,6 @@ def cmd_potential(cfg: dict) -> int:
     return EXIT_OK
 
 
-def _pm_for_tests(cfg, model):
-    edges = grid_from_config(cfg.get("grid"), model)
-    return estimate_potential(model, edges, paths=_num(cfg, "paths", 2000, int),
-                              seed=cfg["seed"], horizon=_num(cfg, "horizon"),
-                              step=_num(cfg, "step"), threads=cfg["threads"])
-
-
 def cmd_test(cfg: dict) -> int:
     model = model_from_config(_require(cfg, "model"))
     f = function_from_config(_require(cfg, "function"))
@@ -412,7 +408,7 @@ def cmd_test(cfg: dict) -> int:
 
     pm = None
     if set(which) & {"potential_integral", "erickson_maller", "blackwell", "khasminskii_j"}:
-        pm = _pm_for_tests(cfg, model)
+        pm = _potential_from_config(cfg, model)
     out = _outdir(cfg)
 
     reports = {}

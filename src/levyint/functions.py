@@ -106,11 +106,11 @@ def from_callable(
     name: str = "f",
     primitive: Optional[Callable[[np.ndarray], np.ndarray]] = None,
     breakpoints: Sequence[float] = (),
-    support: tuple[float, float] = (-math.inf, math.inf),
 ) -> TestFunction:
-    """Wrap a vectorized callable; nonnegativity is spot-checked on a grid."""
+    """Wrap a vectorized callable, supported on the whole line;
+    nonnegativity is spot-checked on a grid."""
     f = TestFunction(name=name, kind="closed_form", evaluator=fn, primitive=primitive,
-                     breakpoints=np.asarray(sorted(breakpoints), float), support=support)
+                     breakpoints=np.asarray(sorted(breakpoints), float))
     return _check_nonnegative(f)
 
 

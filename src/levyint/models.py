@@ -46,8 +46,9 @@ SMALL_JUMP_FRACTION = 1e-4
 # drawn this many segments at a time and cut into pieces of one horizon.
 BLOCK_SEGMENTS = 2**14
 
-# Jump sizes drawn at a time by ``simulate_path`` when a ceiling may stop it.
-CEILING_BLOCK = 2**12
+# Arrival gaps drawn at a time by ``_jump_blocks``, each block followed by
+# the jump sizes of its arrivals.
+JUMP_BLOCK = 2**12
 
 _ATOL = 1e-9
 
@@ -139,6 +140,8 @@ class CompoundPoisson:
         if n == 0:
             return np.empty(0)
         if self.atoms is not None:
+            if len(self.atoms) == 1:   # one value: nothing to draw
+                return np.full(n, self.atoms[0][0])
             vals = np.array([v for v, _ in self.atoms])
             probs = np.array([p for _, p in self.atoms])
             return rng.choice(vals, size=n, p=probs)
@@ -467,21 +470,26 @@ def _jump_cutoff(jumps: TruncatedStable, small_jump_cutoff: Optional[float]) -> 
     return eps
 
 
-def _exponential_arrivals(rng, rate, horizon):
-    """Arrival times of a Poisson stream on (0, horizon], by exponential spacings."""
-    if rate <= 0:
-        return np.empty(0)
-    mean_n = rate * horizon
-    n_guess = int(mean_n + 6.0 * math.sqrt(mean_n + 1.0) + 16)
-    t = rng.exponential(1.0 / rate, size=n_guess)
-    np.cumsum(t, out=t)
-    while t[-1] <= horizon:  # rare: extend until the horizon is passed
-        extra = rng.exponential(1.0 / rate, size=max(16, n_guess // 4))
-        np.cumsum(extra, out=extra)
-        extra += t[-1]
-        t = np.concatenate([t, extra])
-    # arrivals are nondecreasing, so those within the horizon are a prefix
-    return t[:np.searchsorted(t, horizon, side="right")]
+def _jump_blocks(rng, lam, draw, horizon):
+    """Arrival times on (0, horizon] of a Poisson stream of rate ``lam``, and
+    ``draw(n)`` jump sizes for them, as a generator of (times, sizes) blocks.
+
+    Each block draws ``JUMP_BLOCK`` exponential gaps, carrying the running
+    time in, then one size per arrival of the block up to the horizon.  The
+    block that holds the first arrival past the horizon is the last.  A
+    reader that stops after some block has drawn a prefix of the full
+    stream, so whatever it kept is the full path's, bit for bit.
+    """
+    t = 0.0
+    while True:
+        gaps = rng.exponential(1.0 / lam, size=JUMP_BLOCK)
+        gaps[0] += t
+        times = np.cumsum(gaps, out=gaps)
+        n = int(np.searchsorted(times, horizon, side="right"))
+        yield times[:n], draw(n)
+        if n < JUMP_BLOCK:
+            return
+        t = times[-1]
 
 
 def simulate_path(
@@ -505,15 +513,13 @@ def simulate_path(
         ``SMALL_JUMP_FRACTION * cutoff``.
     ceiling : float, optional
         Subordinators only: a level above which the caller reads nothing.
-        All arrival times are drawn as without it, then the jump sizes in
-        blocks of ``CEILING_BLOCK``, and drawing stops at the first jump that
-        lands strictly above ``ceiling``.  The path is then the process only
-        up to that sample, and goes on from it at ``linear_rate`` to the
-        horizon.  A subordinator never comes back down, so every segment
-        this leaves out starts above the ceiling, and the samples that are
-        kept are the unstopped path's, bit for bit: numpy fills jump sizes
-        one element at a time in stream order, and the running sum carries
-        across blocks.
+        The path reads no block of :func:`_jump_blocks` past the one that
+        holds its first sample strictly above ``ceiling``.  It is then the
+        process only up to that sample, and goes on from it at
+        ``linear_rate`` to the horizon.  A subordinator never comes back
+        down, so every segment this leaves out starts above the ceiling, and
+        the samples that are kept are the unstopped path's, bit for bit: both
+        read the same blocks, and the running sum carries across them.
     """
     if not (horizon > 0 and math.isfinite(horizon)):
         raise ValueError("horizon must be finite and > 0")
@@ -534,44 +540,37 @@ def simulate_path(
         return PathSample(times, values, exact=True, horizon=horizon, linear_rate=model.drift)
 
     if isinstance(jumps, CompoundPoisson):
-        jt = _exponential_arrivals(rng, jumps.rate, horizon)
-        draw = partial(jumps.sample, rng)
-        rate = model.drift
+        lam, draw, rate = jumps.rate, partial(jumps.sample, rng), model.drift
     else:  # truncated stable subordinator
         eps = _jump_cutoff(jumps, small_jump_cutoff)
-        jt = _exponential_arrivals(rng, jumps.tail_mass(eps), horizon)
-        draw = partial(jumps.sample_jumps, rng, eps=eps)
+        lam, draw = jumps.tail_mass(eps), partial(jumps.sample_jumps, rng, eps=eps)
         rate = model.drift + jumps.small_jump_drift(eps)
 
     # (0, 0), then the value rate * t + S at each arrival (S: the summed
     # jumps), up to the first above the ceiling; then, unless a jump lands on
     # it, the horizon, where the last piece ends
-    n = len(jt)
-    times = np.empty(n + 2)
-    values = np.empty(n + 2)
-    times[0] = values[0] = 0.0
-    stop = ceiling is not None and ceiling < math.inf
-    size = CEILING_BLOCK if stop else max(n, 1)
-    m, carry = n, 0.0
-    for a in range(0, n, size):
-        b = min(n, a + size)
-        sizes = draw(b - a)
-        if a:
-            sizes[0] += carry
-        out = values[a + 1:b + 1]
-        np.cumsum(sizes, out=out)
-        carry = out[-1]
-        out += np.multiply(jt[a:b], rate, out=sizes)   # the jump buffer is free now
-        if stop and out[-1] > ceiling:   # the values never fall: search them
-            m = a + int(np.searchsorted(out, ceiling, side="right")) + 1
+    times, values, total = [[0.0]], [[0.0]], 0.0
+    for jt, sizes in _jump_blocks(rng, lam, draw, horizon):
+        if not len(jt):   # an empty block is the last
             break
-    times[1:m + 1] = jt[:m]
-    tail = times[m] < horizon
-    if tail:
-        times[m + 1] = horizon
-        values[m + 1] = values[m] + rate * (horizon - times[m])
-    end = m + 1 + tail
-    return PathSample(times[:end], values[:end], exact=True, horizon=horizon, linear_rate=rate)
+        sizes[0] += total
+        np.cumsum(sizes, out=sizes)
+        total = sizes[-1]
+        v = np.multiply(jt, rate)
+        v += sizes
+        if ceiling is not None and v[-1] > ceiling:   # the values never fall: search them
+            m = int(np.searchsorted(v, ceiling, side="right")) + 1
+            times.append(jt[:m])
+            values.append(v[:m])
+            break
+        times.append(jt)
+        values.append(v)
+    last_t, last_v = times[-1][-1], values[-1][-1]
+    if last_t < horizon:
+        times.append([horizon])
+        values.append([last_v + rate * (horizon - last_t)])
+    return PathSample(np.concatenate(times), np.concatenate(values), exact=True, horizon=horizon,
+                      linear_rate=rate)
 
 
 def reduce_paths(
@@ -613,7 +612,9 @@ def reduce_paths(
     drawn with it by :func:`simulate_path`: each is the process only up to
     its first sample above the ceiling, then one linear segment to the
     horizon, which starts above the ceiling and so adds nothing to what the
-    reducer reads.  Cut paths (k > 1) and other models ignore it: a long
+    reducer reads.  Such a path draws no arrival gap or jump size past the
+    block that holds that sample, and what it keeps is the unstopped
+    path's, bit for bit.  Cut paths (k > 1) and other models ignore it: a long
     path must reach every cut, and a path that can come back down must be
     drawn whole.
     """
@@ -703,8 +704,8 @@ def _simulate_grid(model, horizon, step, rng):
     grid = np.linspace(0.0, horizon, n_cells + 1)
     jumps = model.jumps
     if isinstance(jumps, CompoundPoisson):
-        jt = _exponential_arrivals(rng, jumps.rate, horizon)
-        sizes = jumps.sample(rng, len(jt))
+        jt, sizes = map(np.concatenate,
+                        zip(*_jump_blocks(rng, jumps.rate, partial(jumps.sample, rng), horizon)))
         times = np.unique(np.concatenate([grid, jt]))
     elif isinstance(jumps, TruncatedStable):
         raise ModelRejectionError("Gaussian part combined with a truncated stable subordinator is not supported")

@@ -54,7 +54,7 @@ OPTIONAL_PARAMETERS = {
     "estimate_potential": ("horizon", "step", "threads"),
     "exp_decay": (),
     "finiteness_diagnosis": ("step", "threads"),
-    "from_callable": ("name", "primitive", "breakpoints", "support"),
+    "from_callable": ("name", "primitive", "breakpoints"),
     "full_line": (),
     "half_line": (),
     "horizon_heuristic": (),

@@ -2,12 +2,14 @@
 
 A subordinator never comes back down, so once its path is above the top of
 what a reducer reads, nothing it does later changes the answer.
-``simulate_path(..., ceiling=y)`` draws every arrival time as usual, then
-the jump sizes in blocks, and stops at the first jump that lands above y.
-These tests pin what makes that exact: the jump draws of one call equal
-those of several smaller calls on the same stream, and a stopped path is
-the unstopped one up to its first sample above y, then one linear segment
-to the horizon.  Every caller that passes a ceiling is then compared with
+Every jump path draws its stream in blocks of arrival gaps, each followed
+by the jump sizes of its arrivals, and ``simulate_path(..., ceiling=y)``
+reads no block past the one that holds its first sample above y, so the
+samples it keeps are drawn from the same numbers as the unstopped path's.
+These tests pin that a stopped path is the unstopped one up to its first
+sample above y, then one linear segment to the horizon, and that each jump
+law fills a draw in stream order, so n sizes drawn in several calls are
+those of one call.  Every caller that passes a ceiling is then compared with
 the same call on unstopped paths.
 """
 
@@ -36,7 +38,7 @@ _LAWS = {
 @pytest.mark.parametrize("law", sorted(_LAWS))
 def test_jump_draws_in_blocks_equal_one_draw(law):
     """n jump sizes drawn in several calls are the bytes of one call of n."""
-    draw, block = _LAWS[law], models.CEILING_BLOCK
+    draw, block = _LAWS[law], models.JUMP_BLOCK
     n = 3 * block + 17
     cuts = [0, 1, 2, 1000, block + 1, 2 * block, 3 * block, n]
     rng = L.derive_rng(7, 3, 1)

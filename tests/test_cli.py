@@ -132,13 +132,24 @@ def test_nonpositive_overshoot_budget_is_config_error(tmp_path):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("key, value", [("paths", "abc"), ("horizon", "x"),
-                                        ("paths", True), ("horizon", True)])
+@pytest.mark.parametrize("key, value", [
+    ("paths", "abc"), ("horizon", "x"), ("paths", True), ("horizon", True),
+    # a function spec: a YAML boolean where a number goes
+    ("lo", {"kind": "indicator", "lo": True, "hi": 2}),
+    ("hi", {"kind": "indicator", "lo": 0, "hi": False}),
+    ("pieces", {"kind": "step", "pieces": [[1.0, 0.0, True]]}),
+    ("starts", {"kind": "triangle_train", "starts": [1.0, True], "widths": [0.5, 0.5]}),
+    ("widths", {"kind": "triangle_train", "starts": [1.0], "widths": [True]}),
+])
 def test_non_numeric_config_value_is_config_error(tmp_path, capsys, key, value):
+    """A value that is not a number, a YAML boolean among them, exits 2 by
+    name; a function spec's values are read by ``diagnose``."""
+    command, entry = (("diagnose", {"function": value}) if isinstance(value, dict)
+                      else ("simulate", {key: value}))
     cfg = tmp_path / "bad.yaml"
-    cfg.write_text(yaml.safe_dump({"seed": 1, "model": "lattice_cpp", key: value}))
+    cfg.write_text(yaml.safe_dump({"seed": 1, "model": "lattice_cpp", **entry}))
     out = tmp_path / "o"
-    assert run_cli(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+    assert run_cli([command, "--config", str(cfg), "--out", str(out)]) == 2
     assert f"'{key}'" in capsys.readouterr().err
     assert not out.exists()
 

@@ -84,33 +84,52 @@ def test_subordinator_path_nondecreasing(ts_model):
     assert p.times[0] == 0.0 and p.times[-1] == pytest.approx(20.0)
 
 
-def _concatenated_path(model, horizon, seed, small_jump_cutoff=None):
-    """A jump path drawn from ``default_rng(seed)`` as simulate_path draws it
-    (spacings, then jump sizes), with temporaries throughout and assembled by
-    concatenation: (0, 0), the
-    arrivals within the horizon with values rate * t + S, and the horizon
-    appended, extending the last piece, unless a jump landed on it."""
-    rng = np.random.default_rng(seed)
-    jumps = model.jumps
+def _reference_sizes(jumps, rng, n, eps):
+    """n jump sizes in plain numpy; a law with one atom draws nothing."""
+    if isinstance(jumps, L.TruncatedStable):   # inverse transform on (eps, r]
+        a, b = eps ** -jumps.index, jumps.cutoff ** -jumps.index
+        return (a - rng.random(n) * (a - b)) ** (-1.0 / jumps.index)
+    if jumps.atoms is not None:
+        values = [v for v, _ in jumps.atoms]
+        if len(values) == 1:
+            return np.full(n, values[0])
+        return rng.choice(values, size=n, p=[p for _, p in jumps.atoms])
+    name, *args = jumps.law
+    assert name == "uniform"
+    return rng.uniform(*args, size=n)
+
+
+def _concatenated_path(model, horizon, rng, small_jump_cutoff=None, ceiling=None):
+    """A jump path drawn from ``rng`` as simulate_path draws it, with
+    temporaries throughout and assembled by concatenation.
+
+    Blocks of ``models.JUMP_BLOCK`` exponential spacings, each followed by
+    the sizes of its arrivals within the horizon, until a block passes the
+    horizon or, with a ceiling, holds a value above it.  The path is (0, 0),
+    the arrivals with values rate * t + S (S: the summed jumps) up to the
+    first above the ceiling, and the horizon appended, extending the last
+    piece, unless a jump landed on it."""
+    jumps, block = model.jumps, models.JUMP_BLOCK
+    eps = None
     if isinstance(jumps, L.CompoundPoisson):
         arrival_rate, rate = jumps.rate, model.drift
     else:
         eps = small_jump_cutoff or models.SMALL_JUMP_FRACTION * jumps.cutoff
         arrival_rate, rate = jumps.tail_mass(eps), model.drift + jumps.small_jump_drift(eps)
-    mean_n = arrival_rate * horizon
-    n_guess = int(mean_n + 6.0 * math.sqrt(mean_n + 1.0) + 16)
-    t = np.cumsum(rng.exponential(1.0 / arrival_rate, size=n_guess))
-    while t[-1] <= horizon:
-        extra = rng.exponential(1.0 / arrival_rate, size=max(16, n_guess // 4))
-        t = np.concatenate([t, t[-1] + np.cumsum(extra)])
-    jt = t[t <= horizon]
-    if isinstance(jumps, L.CompoundPoisson):
-        sizes = jumps.sample(rng, len(jt))
-    else:   # inverse transform on (eps, r]
-        a, b = eps ** -jumps.index, jumps.cutoff ** -jumps.index
-        sizes = (a - rng.random(len(jt)) * (a - b)) ** (-1.0 / jumps.index)
-    times = np.concatenate([[0.0], jt])
-    values = rate * times + np.concatenate([[0.0], np.cumsum(sizes)])
+    gaps, sizes = np.empty(0), np.empty(0)
+    while True:
+        gaps = np.concatenate([gaps, rng.exponential(1.0 / arrival_rate, size=block)])
+        n = np.count_nonzero(np.cumsum(gaps) <= horizon) - len(sizes)
+        sizes = np.concatenate([sizes, _reference_sizes(jumps, rng, n, eps)])
+        values = rate * np.cumsum(gaps)[:len(sizes)] + np.cumsum(sizes)
+        if n < block or (ceiling is not None and (values > ceiling).any()):
+            break
+    times = np.cumsum(gaps)[:len(sizes)]
+    if ceiling is not None and (values > ceiling).any():
+        m = np.argmax(values > ceiling) + 1
+        times, values = times[:m], values[:m]
+    times = np.concatenate([[0.0], times])
+    values = np.concatenate([[0.0], values])
     if times[-1] < horizon:
         values = np.append(values, values[-1] + rate * (horizon - times[-1]))
         times = np.append(times, horizon)
@@ -126,8 +145,9 @@ def _concatenated_path(model, horizon, seed, small_jump_cutoff=None):
     ("no_jump", 1.0, None),
 ])
 def test_jump_path_assembly_matches_concatenation(which, horizon, cutoff, lattice_model, ts_model):
-    """simulate_path fills its arrays in place; they equal the concatenated
-    assembly from the same generator, to the bit."""
+    """simulate_path fills its arrays block by block; they equal the
+    concatenated assembly from the same generator, to the bit, and both
+    leave the generator in the same state."""
     model = {
         "lattice": lattice_model,
         "uniform": L.build_model(jumps=L.CompoundPoisson(rate=3.0, law=("uniform", 0.0, 1.0))),
@@ -138,13 +158,72 @@ def test_jump_path_assembly_matches_concatenation(which, horizon, cutoff, lattic
                                                                      law=("uniform", 0.0, 1.0))),
     }[which]
     for seed in range(4):
-        p = L.simulate_path(model, horizon, seed=seed, small_jump_cutoff=cutoff)
-        times, values, rate = _concatenated_path(model, horizon, seed, cutoff)
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        p = L.simulate_path(model, horizon, rng=rng, small_jump_cutoff=cutoff)
+        times, values, rate = _concatenated_path(model, horizon, ref_rng, cutoff)
         if which == "no_jump":
             assert len(times) == 2
         assert p.linear_rate == rate
         assert p.times.tobytes() == times.tobytes()
         assert p.values.tobytes() == values.tobytes()
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+_SMALL_BLOCK_MODELS = {
+    # model, horizon, cutoff, ceilings; each horizon leaves some paths no arrival
+    "atoms": (L.build_model(drift=0.2, jumps=L.CompoundPoisson(rate=1.0, atoms=((0.5, 0.3), (1.0, 0.7)))),
+              3.0, None, [0.4, 1.2, 2.0, 3.5]),
+    "lattice": (L.build_model(jumps=L.CompoundPoisson(rate=2.0, atoms=((1.0, 1.0),)), lattice_span=1.0),
+                1.5, None, [0.0, 1.0, 2.5, 4.0]),
+    "tstable": (L.build_model(jumps=L.TruncatedStable(activity=1.0, index=0.5, cutoff=1.0)),
+                0.5, 0.05, [0.1, 0.4, 0.9, 1.5]),
+}
+
+
+@pytest.mark.parametrize("which", sorted(_SMALL_BLOCK_MODELS))
+def test_paths_in_blocks_of_three(monkeypatch, which):
+    """With three arrivals a block, over 200 seeds: every path, stopped or
+    not, is the reference to the bit and leaves the generator where the
+    reference does, and a stopped path is the unstopped one up to its first
+    sample above the ceiling.  The seeds meet a ceiling on the first and on
+    the last draw of a block, arrivals that exactly fill their blocks, and
+    paths with no arrival in (0, H]."""
+    monkeypatch.setattr(models, "JUMP_BLOCK", 3)
+    model, horizon, cutoff, ceilings = _SMALL_BLOCK_MODELS[which]
+    seen = {"first_of_block": 0, "last_of_block": 0, "full_blocks": 0, "no_arrival": 0}
+    for seed in range(200):
+        for ceiling in [None, *ceilings]:
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            p = L.simulate_path(model, horizon, rng=rng, small_jump_cutoff=cutoff, ceiling=ceiling)
+            times, values, rate = _concatenated_path(model, horizon, ref_rng, cutoff, ceiling)
+            assert p.linear_rate == rate
+            assert p.times.tobytes() == times.tobytes()
+            assert p.values.tobytes() == values.tobytes()
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+            if ceiling is None:   # no spacing lands a jump on the horizon here
+                full, arrivals = p, len(p.times) - 2
+                seen["no_arrival"] += arrivals == 0
+                seen["full_blocks"] += arrivals > 0 and arrivals % 3 == 0
+                continue
+            kept = len(p.times) - 1   # all but the horizon sample
+            assert p.times[:kept].tobytes() == full.times[:kept].tobytes()
+            assert p.values[:kept].tobytes() == full.values[:kept].tobytes()
+            above = np.flatnonzero(full.values[1:] > ceiling)
+            if len(above) and full.times[above[0] + 1] < horizon:
+                j = above[0] + 1           # the arrival that stops the path, counted from 1
+                assert len(p.times) == j + 2 and p.values[j] > ceiling >= p.values[j - 1]
+                seen["first_of_block"] += j % 3 == 1
+                seen["last_of_block"] += j % 3 == 0
+    assert min(seen.values()) > 0, seen
+
+
+def test_one_atom_law_draws_nothing():
+    """Every jump of a one-atom law is its value; the generator is not touched."""
+    rng = np.random.default_rng(11)
+    state = rng.bit_generator.state
+    sizes = L.CompoundPoisson(rate=2.0, atoms=((1.5, 1.0),)).sample(rng, 7)
+    assert sizes.tobytes() == np.full(7, 1.5).tobytes()
+    assert rng.bit_generator.state == state
 
 
 def test_gaussian_needs_step(bm_model):
