@@ -47,11 +47,13 @@ __all__ = [
 # its stop, down to FINE_CUTOFF_FRACTION * r (the sampler's floor) for the
 # final approach, so the overshoot law is exact at and above the floor.
 # Crossings via the drift are recorded as mass at 0+ (the conservative
-# direction) and stay rare at the floor.
+# direction) and stay rare at the floor.  Each stage advances a whole chunk
+# of paths as the rows of 2-D draws; paths drop out as they cross.
 COARSE_CUTOFF_FRACTION = 1e-4
 FINE_CUTOFF_FRACTION = 1e-8
 SWITCH_MARGIN = 1.1          # times the max jump size r
 LADDER_FACTOR = 10.0
+OVERSHOOT_CELLS = 1 << 16    # (gap, size) pairs per stage draw of a chunk
 
 DKW_CONFIDENCE = 0.99
 
@@ -128,43 +130,38 @@ def _cutoff_ladder(r: float, level: float) -> list[tuple[float, float]]:
     return stages
 
 
-def _overshoot_one_path(jumps: TruncatedStable, level: float,
-                        rng: np.random.Generator) -> tuple[float, bool]:
-    """Overshoot of the compensated-jump skeleton over ``level``.
+def _overshoot_chunk(jumps: TruncatedStable, level: float, n: int,
+                     rng: np.random.Generator) -> np.ndarray:
+    """Overshoots over ``level`` of ``n`` compensated-jump skeletons.
 
-    Returns (overshoot, crossed_by_drift).  Runs the stages of
-    :func:`_cutoff_ladder` in turn, skipping those whose stop a jump has
-    already passed.  Each stage draws blocks sized to the expected jump count
-    to its stop.  A jump may clear the level from any stage; a drift segment
-    is cut at the stage's stop, and is a crossing only when that stop is the
-    level.
+    0.0 marks a crossing via the drift.  At each stage of :func:`_cutoff_ladder`
+    the paths at or below its stop draw rows of (gap, size) pairs, sized to the
+    expected jump count to the stop.  A row's first position past the stop
+    decides it: the path goes to the stop if the drift segment before that
+    jump crossed first (a crossing only when the stop is the level), else to
+    where the jump lands.  Rows not yet past the stop draw again.
     """
-    pos = 0.0
+    pos = np.zeros(n)
     for eps, stop in _cutoff_ladder(jumps.cutoff, level):
-        if pos > stop:
-            continue
-        rate = jumps.tail_mass(eps)
-        drift = jumps.small_jump_drift(eps)
-        while True:
-            # expected jump count to the stop, with slack; capped to bound memory
-            block = min(int(1.25 * rate * (stop - pos) / jumps.jump_part_mean) + 16, 1 << 16)
-            gaps = rng.exponential(1.0 / rate, size=block)
-            sizes = jumps.sample_jumps(rng, block, eps)
-            positions = pos + np.cumsum(drift * gaps + sizes)
+        rate, drift = jumps.tail_mass(eps), jumps.small_jump_drift(eps)
+        live = np.flatnonzero(pos <= stop)
+        while len(live):
+            need = int(1.25 * rate * (stop - pos[live].min()) / jumps.jump_part_mean) + 16
+            shape = (len(live), min(need, OVERSHOOT_CELLS // len(live)))
+            gaps = rng.exponential(1.0 / rate, size=shape)
+            sizes = jumps.sample_jumps(rng, gaps.size, eps).reshape(shape)
+            positions = pos[live, None] + np.cumsum(drift * gaps + sizes, axis=1)
             crossed = positions > stop
-            if not crossed.any():
-                pos = float(positions[-1])
-                continue
-            k = int(np.argmax(crossed))
-            if positions[k] - sizes[k] > stop:
-                pos = stop           # the drift segment before jump k crossed first
-            elif positions[k] > level:
-                return float(positions[k] - level), False
-            else:
-                pos = float(positions[k])
-            break
-    # only a drift segment cut at the level itself ends the last stage
-    return 0.0, True
+            k = crossed.argmax(axis=1)
+            rows = np.arange(len(live))
+            hit = crossed[rows, k]
+            rows, k = rows[hit], k[hit]
+            landed = positions[rows, k]
+            pos[live[hit]] = np.where(landed - sizes[rows, k] > stop, stop, landed)
+            live = live[~hit]
+            pos[live] = positions[~hit, -1]
+    # a path above the level cleared it by a jump; one at the level crept over
+    return pos - level
 
 
 def estimate_overshoot_cdf(
@@ -183,6 +180,11 @@ def estimate_overshoot_cdf(
     ``geomspace(1e-9, r, 181)``.  Crossings via the small-jump compensation
     drift are counted as overshoot mass at 0+ (conservative for
     small-overshoot bounds) and reported.
+
+    Each (level, chunk of ``rng.DEFAULT_CHUNK`` paths) draws from one stream,
+    ``derive_rng(seed, STREAM_PATH, level_index, chunk_start)``, so the table
+    is the same bytes for any ``threads``.  Repeated levels are refused
+    before any draw.
     """
     jumps = model.jumps
     if not isinstance(jumps, TruncatedStable) or model.drift != 0.0 or model.gaussian_var != 0.0:
@@ -192,19 +194,17 @@ def estimate_overshoot_cdf(
     levels = np.asarray(sorted(float(v) for v in levels))
     if not np.all(np.isfinite(levels) & (levels > 0)):
         raise ValueError(f"levels must be positive and finite, got {levels.tolist()}")
+    if np.any(np.diff(levels) == 0):
+        raise ValueError(f"levels must be distinct, got {levels.tolist()}")
     eps_grid = np.geomspace(1e-9, jumps.cutoff, 181)
 
     cdfs = np.empty((len(levels), len(eps_grid)))
     creep = np.empty(len(levels))
     for li, level in enumerate(levels):
         def worker(a, b, _level=level, _li=li):
-            counts, n_creep = np.zeros(len(eps_grid)), 0
-            for i in range(a, b):
-                g = _rng.derive_rng(seed, _rng.STREAM_PATH, _li, i)
-                over, by_drift = _overshoot_one_path(jumps, _level, g)
-                counts += over <= eps_grid
-                n_creep += by_drift
-            return counts, n_creep
+            over = _overshoot_chunk(jumps, _level, b - a,
+                                    _rng.derive_rng(seed, _rng.STREAM_PATH, _li, a))
+            return np.count_nonzero(over[:, None] <= eps_grid, axis=0), np.sum(over == 0.0)
         parts = _rng.map_chunks(paths, worker, threads=threads)   # chunk order
         cdfs[li] = sum(c for c, _ in parts) / paths
         creep[li] = sum(nc for _, nc in parts) / paths

@@ -3,11 +3,11 @@
 Every stochastic routine in the package draws from a Generator obtained via
 :func:`derive_rng`.  Philox is counter based, so the tuple
 ``(master_seed, stream, index, ...)`` pins down an entire stream with no
-shared mutable state.  In ``models.reduce_paths`` the index is the first path
-of a block of paths simulated as one long path and cut; other loops use one
-index per path or per stage.  Results are bit-identical for any number of
-worker threads because work is split into fixed-size chunks, tiled by whole
-blocks, that are reduced in chunk order.
+shared mutable state.  In ``models.reduce_paths`` the index is a path, or the
+first path of a block of paths simulated as one long path and cut; the
+overshoot table keys a stream by (level, first path of a chunk).  Results are
+bit-identical for any number of worker threads because work is split into
+fixed-size chunks, tiled by whole blocks, that are reduced in chunk order.
 """
 
 from __future__ import annotations

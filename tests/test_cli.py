@@ -5,6 +5,7 @@ import sys
 import pytest
 import yaml
 
+from levyint import counterexamples
 from levyint.cli import main
 
 
@@ -211,6 +212,19 @@ def test_non_finite_overshoot_level_is_config_error(tmp_path, capsys):
     out = tmp_path / "o"
     assert run_cli(["counterexample", "--config", str(cfg), "--out", str(out)]) == 2
     assert "finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_repeated_overshoot_level_is_config_error_before_any_draw(tmp_path, capsys,
+                                                                  monkeypatch):
+    def no_draws(*args):
+        raise AssertionError("the overshoot sampler ran")
+    monkeypatch.setattr(counterexamples, "_overshoot_chunk", no_draws)
+    cfg = tmp_path / "trap.yaml"
+    cfg.write_text("seed: 1\nmode: trap\nlevels: [2, 2, 30]\n")
+    out = tmp_path / "o"
+    assert run_cli(["counterexample", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "distinct" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import levyint as L
+from levyint import counterexamples
 from levyint.counterexamples import (FINE_CUTOFF_FRACTION, OvershootTable,
                                      TrapConstructionError, _cutoff_ladder, dkw_halfwidth)
 
@@ -44,6 +45,44 @@ def test_overshoot_rejects_wrong_model(lattice_model):
 def test_overshoot_rejects_non_finite_levels(ts_model, bad):
     with pytest.raises(ValueError, match="finite"):
         L.estimate_overshoot_cdf(ts_model, [2.0, bad], paths=10, seed=0)
+
+
+def _no_draws(*args):
+    raise AssertionError("the overshoot sampler ran")
+
+
+def test_overshoot_refuses_repeated_levels_before_any_draw(ts_model, monkeypatch):
+    monkeypatch.setattr(counterexamples, "_overshoot_chunk", _no_draws)
+    with pytest.raises(ValueError, match="distinct"):
+        L.estimate_overshoot_cdf(ts_model, [2, 2, 30], paths=400, seed=1)
+
+
+@pytest.mark.parametrize("paths", [600, 257])     # 257: a one-path last chunk
+def test_overshoot_table_is_the_same_bytes_for_any_threads(ts_model, paths):
+    tables = [L.estimate_overshoot_cdf(ts_model, [2, 6], paths=paths, seed=12, threads=t)
+              for t in (1, 2, 8)]
+    for t in tables[1:]:
+        assert t.cdfs.tobytes() == tables[0].cdfs.tobytes()
+        assert t.creep_fraction.tobytes() == tables[0].creep_fraction.tobytes()
+
+
+def test_overshoot_creep_matches_single_cutoff_reference(ts_model, monkeypatch):
+    """With both cutoff fractions at 1e-2 the ladder is one 1e-2 cutoff, where
+    about a tenth of the paths cross the level by drift: the creep fraction
+    matches the reference's share of zero overshoots (two-sample binomial,
+    |z| <= 4), and the CDF above the cutoff lies in the two-sample DKW band."""
+    cutoff, level, n = 1e-2, 4.0, 4000
+    monkeypatch.setattr(counterexamples, "COARSE_CUTOFF_FRACTION", cutoff)
+    monkeypatch.setattr(counterexamples, "FINE_CUTOFF_FRACTION", cutoff)
+    table = L.estimate_overshoot_cdf(ts_model, [level], paths=n, seed=103)
+    ref = oracles.ts_overshoot_single_cutoff(level, n, 103, cutoff=cutoff)
+    p_table, p_ref = float(table.creep_fraction[0]), float(np.mean(ref == 0.0))
+    pooled = 0.5 * (p_table + p_ref)
+    z = (p_table - p_ref) / math.sqrt(pooled * (1.0 - pooled) * 2.0 / n)
+    assert abs(z) <= 4.0, (p_table, p_ref)
+    keep = table.eps_grid >= cutoff
+    ref_cdf = (ref[:, None] <= table.eps_grid[keep]).mean(axis=0)
+    assert np.abs(table.cdfs[0, keep] - ref_cdf).max() <= 2.0 * dkw_halfwidth(n, confidence=0.995)
 
 
 @pytest.mark.parametrize("r", [1.0, 0.3])
