@@ -308,14 +308,20 @@ class PathBlock:
     then moves at ``linear_rate``; on a grid skeleton it is ``v1[s]`` at the
     end of the cell.  ``end[c]`` is the value of piece c at the horizon.
     Durations are ``t1 - t0``, taken where they are needed, so a path's
-    one-piece block is views of its own arrays.
+    one-piece block is views of its own arrays.  ``nondecreasing`` is carried
+    from where the paths are drawn (a subordinator's, in
+    :func:`simulate_path`), never guessed from the values: such a block is
+    exact, with ``linear_rate >= 0`` and values that never fall within a
+    piece.
 
     This is the unit every layer function works on (``occupation_histogram``,
     ``integral_at_times``, ``integral_along_path``, ``RegionSpec.last_visit``):
     one vectorised pass over the flat arrays gives one row per piece.  A
-    :class:`PathSample` is the one-piece case.  The checks a path gets run
-    here, once per block: every piece starts at (0, 0), its times strictly
-    increase, and it ends at the horizon.
+    :class:`PathSample` is the one-piece case.  A block of light jump paths
+    is cut from one long path (:func:`_cut_path`); a block of grid skeletons
+    holds k paths drawn from k streams (:func:`_simulate_grid`).  The checks a
+    path gets run here, once per block: every piece starts at (0, 0), its
+    times strictly increase, and it ends at the horizon.
     """
 
     starts: np.ndarray
@@ -327,6 +333,7 @@ class PathBlock:
     horizon: float
     linear_rate: float = 0.0
     v1: Optional[np.ndarray] = None
+    nondecreasing: bool = False
     _sweep_memo: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
     _groups: Optional[list] = field(default=None, init=False, repr=False, compare=False)
 
@@ -338,6 +345,8 @@ class PathBlock:
             raise ValueError("times must be strictly increasing")
         if (abs(self.t1[last] - self.horizon) > 1e-9 * max(1.0, self.horizon)).any():
             raise ValueError("last sample time must equal the horizon")
+        if self.nondecreasing and not (self.exact and self.linear_rate >= 0):
+            raise ValueError("a nondecreasing path is exact with linear_rate >= 0")
 
     def __len__(self) -> int:
         return len(self.starts) - 1
@@ -350,32 +359,81 @@ class PathBlock:
     def pieces(self) -> list["PathSample"]:
         """Each piece as a :class:`PathSample`, read from the block's arrays."""
         return [PathSample(np.append(self.t0[a:b], self.t1[b - 1]), np.append(self.v0[a:b], end),
-                           exact=self.exact, horizon=self.horizon, linear_rate=self.linear_rate)
+                           exact=self.exact, horizon=self.horizon, linear_rate=self.linear_rate,
+                           nondecreasing=self.nondecreasing)
                 for a, b, end in zip(self.starts[:-1], self.starts[1:], self.end)]
+
+    def _search_pieces(self, keys: np.ndarray, queries: np.ndarray, span: float,
+                       side: str) -> np.ndarray:
+        """(k, len(queries)) ``searchsorted`` of ``queries`` into each piece's
+        own run of the per-segment ``keys`` (sorted within each piece), as
+        flat indices.
+
+        One search over the keys ``keys + c * W`` for the queries ``queries +
+        c * W``, with W = ``span`` a power of two above twice the spread of all
+        keys and queries, so each piece's keys and queries lie clear of every
+        other piece's.  Adding c W rounds monotonically, so a key can only tie
+        its query, never pass it; the caller steps the ties off.
+        """
+        k = len(self)
+        if k == 1:     # c = 0: the keys themselves, with no O(segments) copy
+            return np.searchsorted(keys, queries[None, :], side=side)
+        offsets = span * np.arange(k)
+        return np.searchsorted(keys + offsets[self.piece], queries[None, :] + offsets[:, None],
+                               side=side)
 
     def _segments_at(self, at: np.ndarray) -> np.ndarray:
         """(k, len(at)) index of the segment each time falls in, per piece
         (the last segment for a time at the horizon).
 
-        One ``searchsorted`` over the keys ``t0 + c * W``, with W a power of
-        two above twice the horizon, so piece c's keys lie in [c W, (c + 1) W).
-        Adding c W rounds monotonically, so a key can only tie its query, never
-        pass it: the first guess is at or after the answer, and a step back
-        while the segment starts after the time makes it exact.
+        A search of the times into the segment starts ``t0``: the first guess
+        is at or after the answer, and a step back while the segment starts
+        after the time makes it exact.
         """
-        k = len(self)
-        if k == 1:     # c = 0: the keys are t0 itself, with no O(segments) copy
-            keys, queries = self.t0, at[None, :]
-        else:
-            span = 2.0 ** (math.frexp(self.horizon)[1] + 1)
-            keys = self.t0 + self.piece * span
-            queries = at[None, :] + (span * np.arange(k))[:, None]
-        idx = np.searchsorted(keys, queries, side="right") - 1
+        span = 2.0 ** (math.frexp(self.horizon)[1] + 1)
+        idx = self._search_pieces(self.t0, at, span, "right") - 1
         while True:
             late = self.t0[idx] > at
             if not late.any():
                 return idx
             idx -= late
+
+    def _passage_times(self, levels: np.ndarray) -> np.ndarray:
+        """(k, len(levels)) first time each piece of a nondecreasing block is
+        at or above each of the increasing ``levels``, or its end time if it
+        never is: min(tau_y, horizon).
+
+        The segment starts ``v0`` never fall within a piece, so one search of
+        the levels into them finds j, the first segment that starts at or
+        above y (side "left": a value on a level is at it, the cadlag
+        convention).  With r = 0 the path sits at v0 over each segment, so
+        tau_y is where segment j starts, ``t1[j - 1]``.  With r > 0 the path
+        may reach y sweeping up through segment j - 1, so tau_y is the time
+        it meets y there, capped at that segment's end.  The keys are clipped
+        to a band around the levels, which keeps every comparison with a
+        level, before they are offset per piece; a key that rounds onto its
+        level lies below it, and is stepped past.
+        """
+        lo, hi = float(levels[0]), float(levels[-1])
+        pad = max(hi - lo, 1.0)
+        span = 2.0 ** (math.frexp(4.0 * pad)[1] + 1)
+        keys = self.v0 if len(self) == 1 else np.clip(self.v0, lo - pad, hi + pad)
+        j = self._search_pieces(keys, levels, span, "left")
+        first, ends = self.starts[:-1, None], self.starts[1:, None]
+        while True:
+            tied = j < ends
+            tied[tied] = self.v0[j[tied]] < np.broadcast_to(levels, j.shape)[tied]
+            if not tied.any():
+                break
+            j += tied
+        r = self.linear_rate
+        if r == 0.0:
+            return np.where(j > first, self.t1[j - 1], 0.0)
+        p = np.maximum(j - 1, first)       # j == first: v0 = 0 is at or above y
+        tau = np.maximum(levels - self.v0[p], 0.0)
+        tau /= r
+        tau += self.t0[p]
+        return np.minimum(tau, self.t1[p], out=tau)
 
     def _piece_sums(self, values: np.ndarray) -> np.ndarray:
         """``values[starts[c]:starts[c + 1]].sum()`` for every piece c.
@@ -437,7 +495,8 @@ class PathSample:
     only at listed times.  For ``exact=False`` the values are a grid
     skeleton of a diffusion component and ``linear_rate`` is 0.  The path is
     checked, and read by the layer functions, as its one-piece
-    :class:`PathBlock`.
+    :class:`PathBlock`; ``nondecreasing`` marks a subordinator's path, as
+    there.
     """
 
     times: np.ndarray
@@ -445,6 +504,7 @@ class PathSample:
     exact: bool
     horizon: float
     linear_rate: float = 0.0
+    nondecreasing: bool = False
     _block: Optional[PathBlock] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -455,7 +515,8 @@ class PathSample:
         self._block = PathBlock(np.array([0, len(t) - 1]), t[:-1], t[1:], v[:-1], v[-1:],
                                 exact=self.exact, horizon=self.horizon,
                                 linear_rate=self.linear_rate,
-                                v1=None if self.exact else v[1:])
+                                v1=None if self.exact else v[1:],
+                                nondecreasing=self.nondecreasing)
 
 
 def _as_block(path: PathSample | PathBlock) -> PathBlock:
@@ -530,14 +591,13 @@ def simulate_path(
 
     jumps = model.jumps
     if model.gaussian_var > 0:
-        if step is None or step <= 0:
-            raise ValueError("a positive step is required for models with a Gaussian part")
-        return _simulate_grid(model, horizon, step, rng)
+        return _simulate_grid(model, horizon, step, [rng])
 
     if jumps is None:
         times = np.array([0.0, horizon])
         values = np.array([0.0, model.drift * horizon])
-        return PathSample(times, values, exact=True, horizon=horizon, linear_rate=model.drift)
+        return PathSample(times, values, exact=True, horizon=horizon, linear_rate=model.drift,
+                          nondecreasing=True)
 
     if isinstance(jumps, CompoundPoisson):
         lam, draw, rate = jumps.rate, partial(jumps.sample, rng), model.drift
@@ -570,7 +630,7 @@ def simulate_path(
         times.append([horizon])
         values.append([last_v + rate * (horizon - last_t)])
     return PathSample(np.concatenate(times), np.concatenate(values), exact=True, horizon=horizon,
-                      linear_rate=rate)
+                      linear_rate=rate, nondecreasing=model.is_subordinator)
 
 
 def reduce_paths(
@@ -587,12 +647,16 @@ def reduce_paths(
 ) -> list:
     """The package's one Monte Carlo path loop.
 
-    Paths are drawn in blocks of k consecutive indices: the block starting
-    at path index s is one ``simulate_path(model, k * horizon,
-    rng=derive_rng(seed, *key, s))`` (with ``step`` and ``small_jump_cutoff``
-    passed through), cut at multiples of ``horizon`` into k paths that each
-    start at (0, 0).  Increments of a Levy process are stationary and
-    independent, so the pieces are iid paths on [0, horizon].  k comes from
+    Paths are drawn in blocks of k consecutive indices.  For a jump or
+    drift model the block starting at path index s is one
+    ``simulate_path(model, k * horizon, rng=derive_rng(seed, *key, s))``
+    (with ``small_jump_cutoff`` passed through), cut at multiples of
+    ``horizon`` into k paths that each start at (0, 0).  Increments of a
+    Levy process are stationary and independent, so the pieces are iid
+    paths on [0, horizon].  Grid skeletons (a Gaussian part) are not cut:
+    piece i of their block is the path ``simulate_path(model, horizon,
+    step=step, rng=derive_rng(seed, *key, i))`` gives, bit for bit, drawn
+    beside the others by :func:`_simulate_grid`.  k comes from
     :func:`_block_paths`; with k = 1 path i is drawn from
     ``derive_rng(seed, *key, i)`` uncut.  Each fixed chunk of path indices,
     tiled by whole blocks, goes to ``reducer`` as a lazy iterable of
@@ -600,10 +664,11 @@ def reduce_paths(
     layer functions, which return one row per piece, and reads
     ``block.pieces()`` only when it needs whole paths.  The per-chunk results
     come back in chunk order, so the caller's final reduction, and every
-    random stream, is the same for any number of threads.  Only k = 1 paths
-    use the ``threads`` pool: the reducers of block-cut light paths hold the
-    GIL, so two threads would pass it back and forth and run slower, and by
-    a varying amount, than one.  A budget below one path is refused, and so
+    random stream, is the same for any number of threads.  k = 1 paths and
+    grid blocks use the ``threads`` pool, since their draws and reducers
+    are numpy-bound; the reducers of block-cut light paths hold the GIL, so
+    two threads would pass it back and forth and run slower, and by a
+    varying amount, than one.  A budget below one path is refused, and so
     is ``threads`` below 1 (by :func:`map_chunks`).
 
     A reducer that reads nothing of ``x + path`` above some level (a
@@ -620,38 +685,51 @@ def reduce_paths(
     """
     if paths < 1:
         raise ValueError(f"paths must be >= 1, got {paths}")
-    block = _block_paths(model, horizon, small_jump_cutoff)
+    block = _block_paths(model, horizon, small_jump_cutoff, step)
+    grid = model.gaussian_var > 0
     if block > 1 or not model.is_subordinator:
         ceiling = None
 
     def chunk_blocks(a, b):
         for s in range(a, b, block):
             k = min(block, b - s)
-            long = simulate_path(model, k * horizon, step=step,
-                                 rng=derive_rng(seed, *key, s),
-                                 small_jump_cutoff=small_jump_cutoff, ceiling=ceiling)
-            yield _cut_path(long, k, horizon)
+            if grid:
+                yield _as_block(_simulate_grid(model, horizon, step,
+                                               [derive_rng(seed, *key, i) for i in range(s, s + k)]))
+            else:
+                long = simulate_path(model, k * horizon, step=step,
+                                     rng=derive_rng(seed, *key, s),
+                                     small_jump_cutoff=small_jump_cutoff, ceiling=ceiling)
+                yield _cut_path(long, k, horizon)
 
     return map_chunks(paths, lambda a, b: reducer(chunk_blocks(a, b)),
-                      threads=threads if block == 1 else min(threads, 1))
+                      threads=threads if block == 1 or grid else min(threads, 1))
 
 
-def _block_paths(model: LevyModel, horizon: float, small_jump_cutoff: Optional[float]) -> int:
-    """Paths per block: ``BLOCK_SEGMENTS`` over the expected segments per
-    path, clamped to [1, DEFAULT_CHUNK].  Grid skeletons (a Gaussian part)
-    get 1, since a cut at a multiple of ``horizon`` need not be a grid point."""
+def _block_paths(model: LevyModel, horizon: float, small_jump_cutoff: Optional[float],
+                 step: Optional[float] = None) -> int:
+    """Paths per block: a budget over the expected segments per path,
+    clamped to [1, DEFAULT_CHUNK].  The budget is ``BLOCK_SEGMENTS`` for jump
+    paths, and ``2 * BLOCK_SEGMENTS`` cells for grid skeletons (a Gaussian
+    part; one cell per ``step``, plus one per jump), whose k paths are drawn
+    side by side rather than cut from one long path: a cut at a multiple of
+    ``horizon`` need not be a grid point."""
     jumps = model.jumps
-    if model.gaussian_var > 0:
-        return 1
     if jumps is None:
         segments = 0.0
     elif isinstance(jumps, CompoundPoisson):
         segments = jumps.rate * horizon
     else:
         segments = jumps.tail_mass(_jump_cutoff(jumps, small_jump_cutoff)) * horizon
+    budget = BLOCK_SEGMENTS
+    if model.gaussian_var > 0:
+        if step is None or step <= 0:
+            raise ValueError("a positive step is required for models with a Gaussian part")
+        segments += horizon / step
+        budget *= 2
     if not segments > 0:   # pure drift, or a horizon simulate_path refuses
         return DEFAULT_CHUNK
-    return max(1, int(min(DEFAULT_CHUNK, BLOCK_SEGMENTS / segments)))
+    return max(1, int(min(DEFAULT_CHUNK, budget / segments)))
 
 
 def _cut_path(path: PathSample, k: int, horizon: float) -> PathBlock:
@@ -691,7 +769,7 @@ def _cut_path(path: PathSample, k: int, horizon: float) -> PathBlock:
     t1[:-1] = t0[1:]
     t1[last] = horizon
     return PathBlock(starts, t0, t1, v0, np.diff(at_value), exact=True, horizon=horizon,
-                     linear_rate=r)
+                     linear_rate=r, nondecreasing=path.nondecreasing)
 
 
 def binomial_stderr(p, n: int):
@@ -699,23 +777,56 @@ def binomial_stderr(p, n: int):
     return np.sqrt(np.maximum(p * (1 - p), 1e-12) / n)
 
 
-def _simulate_grid(model, horizon, step, rng):
-    n_cells = max(1, int(round(horizon / step)))
-    grid = np.linspace(0.0, horizon, n_cells + 1)
+def _simulate_grid(model: LevyModel, horizon: float, step: Optional[float],
+                   rngs: list) -> PathSample | PathBlock:
+    """Grid skeletons of ``len(rngs)`` independent paths on [0, horizon], path
+    i drawn from ``rngs[i]`` alone: first its jumps, if any, then one normal
+    per cell.  One generator gives a :class:`PathSample` (what
+    :func:`simulate_path` returns), several a :class:`PathBlock` of the paths
+    in order, each piece equal bit for bit to the lone path of its generator.
+
+    Cells end at the grid points and at the jump times; a jump is applied at
+    the end of its cell.  Without jumps every path has the same cells, so the
+    grid, dt and the drift and volatility terms are built once per block.
+    """
+    if not (horizon > 0 and math.isfinite(horizon)):
+        raise ValueError("horizon must be finite and > 0")
+    if step is None or step <= 0:
+        raise ValueError("a positive step is required for models with a Gaussian part")
     jumps = model.jumps
-    if isinstance(jumps, CompoundPoisson):
-        jt, sizes = map(np.concatenate,
-                        zip(*_jump_blocks(rng, jumps.rate, partial(jumps.sample, rng), horizon)))
-        times = np.unique(np.concatenate([grid, jt]))
-    elif isinstance(jumps, TruncatedStable):
+    if isinstance(jumps, TruncatedStable):
         raise ModelRejectionError("Gaussian part combined with a truncated stable subordinator is not supported")
+    grid = np.linspace(0.0, horizon, max(1, int(round(horizon / step))) + 1)
+    k, sd = len(rngs), math.sqrt(model.gaussian_var)
+    if jumps is None:
+        times = [grid] * k
     else:
-        jt, sizes = np.empty(0), np.empty(0)
-        times = grid
-    dt = np.diff(times)
-    incr = model.drift * dt + math.sqrt(model.gaussian_var) * np.sqrt(dt) * rng.standard_normal(len(dt))
-    if len(jt):
-        at = np.searchsorted(times, jt) - 1  # jump applied at the end of its cell
-        np.add.at(incr, at, sizes)
-    values = np.concatenate([[0.0], np.cumsum(incr)])
-    return PathSample(times, values, exact=False, horizon=horizon, linear_rate=0.0)
+        landings = [tuple(map(np.concatenate, zip(*_jump_blocks(
+            rng, jumps.rate, partial(jumps.sample, rng), horizon)))) for rng in rngs]
+        times = [np.unique(np.concatenate([grid, jt])) for jt, _ in landings]
+    starts = np.zeros(k + 1, dtype=int)
+    np.cumsum([len(t) - 1 for t in times], out=starts[1:])
+    incr = np.empty(starts[-1])
+    for rng, a, b in zip(rngs, starts[:-1], starts[1:]):
+        rng.standard_normal(out=incr[a:b])
+    if jumps is None:
+        dt = np.diff(grid)
+        rows = incr.reshape(k, -1)
+        rows *= sd * np.sqrt(dt)
+        rows += model.drift * dt
+    else:
+        dt = np.concatenate([np.diff(t) for t in times])
+        incr *= sd * np.sqrt(dt)
+        incr += model.drift * dt
+        for t, (jt, sizes), a in zip(times, landings, starts):
+            np.add.at(incr, a + np.searchsorted(t, jt) - 1, sizes)
+    for a, b in zip(starts[:-1], starts[1:]):     # v1: the value at each cell's end
+        np.cumsum(incr[a:b], out=incr[a:b])
+    if k == 1:
+        return PathSample(times[0], np.concatenate([[0.0], incr]), exact=False, horizon=horizon)
+    v0 = np.empty_like(incr)
+    v0[1:] = incr[:-1]
+    v0[starts[:-1]] = 0.0
+    return PathBlock(starts, np.concatenate([t[:-1] for t in times]),
+                     np.concatenate([t[1:] for t in times]), v0, incr[starts[1:] - 1],
+                     exact=False, horizon=horizon, v1=incr)

@@ -117,19 +117,29 @@ def occupation_histogram(path: PathSample | PathBlock, edges: np.ndarray,
                          out: np.ndarray) -> None:
     """Add the occupation time (per bin) of each piece of a path block into
     its row of ``out``, a (k, bins) array; a :class:`PathSample` is one
-    piece and takes a (bins,) ``out``.
+    piece and takes a (bins,) ``out``.  Time spent outside the grid is
+    dropped, and a value on an edge counts in the bin above it (cadlag
+    convention).
 
-    Exact piecewise-linear paths split linear sweeps across bin edges
-    exactly; grid skeletons attribute each cell to the bin of its left
-    endpoint (cadlag convention).  Time spent outside the grid is dropped.
-    Each piece's row is summed from 0.0 in segment order, the sweeps that
-    stay in one bin first, then the crossing sweeps, and added to ``out``.
+    A nondecreasing path (a subordinator's) spends min(tau_b, H) - min(tau_a,
+    H) in [a, b), with tau_y its first time at or above y: its row is the
+    difference of its passage times over the edges
+    (``PathBlock._passage_times``), one search per edge.  Other exact
+    piecewise-linear paths split linear sweeps across bin edges exactly,
+    summed from 0.0 in segment order, the sweeps that stay in one bin first,
+    then the crossing sweeps.  Grid skeletons (and exact paths with r = 0)
+    attribute each cell to the bin of its left endpoint, in segment order;
+    cells outside the grid are dropped before the bin search.
     """
     block = _as_block(path)
     k, nbins = len(block), len(edges) - 1
-    dt, v0, r = block.t1 - block.t0, block.v0, block.linear_rate
-    crossing = ()
+    r = block.linear_rate
+    if block.nondecreasing:
+        out += np.diff(block._passage_times(edges), axis=1).reshape(out.shape)
+        return
+    v0, crossing = block.v0, ()
     if block.exact and r != 0.0:
+        dt = block.t1 - block.t0
         u0 = v0 if r > 0 else v0 + r * dt
         u1 = v0 + r * dt if r > 0 else v0
         i0 = np.searchsorted(edges, u0, side="right") - 1
@@ -137,11 +147,13 @@ def occupation_histogram(path: PathSample | PathBlock, edges: np.ndarray,
         same = i0 == i1
         ok = same & (i0 >= 0) & (i0 < nbins)
         crossing = np.nonzero(~same)[0]
+        held, weights = i0[ok], dt[ok]
     else:
-        i0 = np.searchsorted(edges, v0, side="right") - 1
-        ok = (i0 >= 0) & (i0 < nbins)
-    bins = i0[ok] if k == 1 else block.piece[ok] * nbins + i0[ok]
-    rows = np.bincount(bins, weights=dt[ok], minlength=k * nbins)
+        ok = np.nonzero((v0 >= edges[0]) & (v0 < edges[-1]))[0]
+        held = np.searchsorted(edges, v0[ok], side="right") - 1
+        weights = block.t1[ok] - block.t0[ok]
+    bins = held if k == 1 else block.piece[ok] * nbins + held
+    rows = np.bincount(bins, weights=weights, minlength=k * nbins)
     rows = rows.astype(float, copy=False).reshape(k, nbins)   # int when nothing is binned
     if len(crossing):
         piece = np.searchsorted(block.starts, crossing, side="right") - 1

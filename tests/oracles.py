@@ -147,3 +147,29 @@ def ts_overshoot_single_cutoff(level: float, paths: int, seed: int,
                 break
             start = landed[-1]
     return out
+
+
+def occupation_by_sweeps(times, values, rate: float, edges) -> np.ndarray:
+    """Time an exact piecewise-linear path spends in each bin [a, b) of
+    ``edges``, summed segment by segment with no passage times.
+
+    Segment s runs over [times[s], times[s + 1]).  With ``rate`` 0 it holds
+    ``values[s]``, and its whole dt goes to the bin holding that value (a
+    value on an edge is in the bin above it).  With ``rate`` > 0 it sweeps
+    up from ``values[s]`` at that rate: a sweep that stays inside a bin adds
+    its dt, and one that crosses an edge adds to each bin it meets the length
+    of the sweep inside it over the rate.  Time outside the grid is dropped.
+    """
+    t, v = np.asarray(times, float), np.asarray(values, float)
+    dt, v0 = np.diff(t), v[:-1]
+    top = v0 + rate * dt
+    out = np.zeros(len(edges) - 1)
+    for i, (a, b) in enumerate(zip(edges[:-1], edges[1:])):
+        if rate == 0.0:
+            out[i] = dt[(v0 >= a) & (v0 < b)].sum()
+            continue
+        within = (v0 >= a) & (top < b)
+        split = ~within & (top > a) & (v0 < b)
+        inside = np.minimum(top[split], b) - np.maximum(v0[split], a)
+        out[i] = dt[within].sum() + (inside / rate).sum()
+    return out

@@ -30,7 +30,7 @@ OPTIONAL_PARAMETERS = {
     "LevyModel": (),
     "MgfReport": (),
     "OvershootTable": ("meta",),
-    "PathSample": ("linear_rate",),
+    "PathSample": ("linear_rate", "nondecreasing"),
     "PotentialMeasure": ("lattice_span", "meta"),
     "RegionSpec": ("describes_complement", "name"),
     "TestFunction": ("primitive", "breakpoints", "support", "ladder_windows"),

@@ -1,12 +1,14 @@
 """Block rows equal the per-path answers, bit for bit.
 
-``reduce_paths`` hands reducers blocks of k pieces cut from one long path,
-and each layer function answers for every piece in one pass.  Here every
-layer's block rows are checked against the same function on each piece's
-``PathSample`` view (``PathBlock.pieces()``), with equal bytes, on paths
-with r = 0, r > 0 (crossing sweeps), r < 0 and truncated-stable pieces.
-The views' totals are also checked against a pairwise ``.sum()`` written
-here, so a total that adds a piece up in another order fails too.
+``reduce_paths`` hands reducers blocks of k pieces, cut from one long path
+or (grid skeletons) drawn side by side, and each layer function answers for
+every piece in one pass.  Here every layer's block rows are checked against
+the same function on each piece's ``PathSample`` view
+(``PathBlock.pieces()``), with equal bytes, on paths with r = 0, r > 0
+(crossing sweeps), r < 0, truncated-stable pieces and Brownian grid
+skeletons with and without jumps.  The views' totals are also checked
+against a pairwise ``.sum()`` written here, so a total that adds a piece up
+in another order fails too.
 """
 
 import numpy as np
@@ -26,7 +28,12 @@ _MODELS = {
         rate=1.0, law=("uniform", 0.5, 2.5))), 12.0),
     "tstable": (lambda: L.build_model(jumps=L.TruncatedStable(activity=1.0, index=0.5,
                                                               cutoff=1.0)), 3.0),
+    "bm": (lambda: L.build_model(drift=1.0, gaussian_var=1.0), 3.0),
+    "bm_cpp": (lambda: L.build_model(drift=1.0, gaussian_var=1.0, jumps=L.CompoundPoisson(
+        rate=2.0, law=("uniform", -1.0, 0.5))), 3.0),
 }
+# grid skeletons need a time step
+_STEP = {"bm": 0.05, "bm_cpp": 0.05}
 
 _FUNCTIONS = [
     L.exp_decay(),
@@ -35,8 +42,9 @@ _FUNCTIONS = [
 ]
 
 
-def _blocks(model, horizon, paths=300):
-    return [b for part in models.reduce_paths(model, horizon, paths, 23, list) for b in part]
+def _blocks(model, horizon, paths=300, step=None):
+    return [b for part in models.reduce_paths(model, horizon, paths, 23, list, step=step)
+            for b in part]
 
 
 def _eval_times(block, horizon):
@@ -57,13 +65,15 @@ def _same(got, want):
 @pytest.mark.parametrize("x", [0.0, -0.75])
 def test_block_rows_equal_piece_views(which, f, x):
     build, horizon = _MODELS[which]
-    model = build()
+    model, step = build(), _STEP.get(which)
     if which == "tstable":
         assert models._block_paths(model, horizon, None) == 27
+    if step is not None:
+        assert models._block_paths(model, horizon, None, step) > 1
     live = f.live_intervals
     region = half_line(1.0) if np.isinf(live).any() else RegionSpec(intervals=live)
     edges = np.linspace(-2.0, 6.0, 33)
-    blocks = _blocks(model, horizon)
+    blocks = _blocks(model, horizon, step=step)
     assert all(len(b) > 1 for b in blocks)
     for block in blocks:
         views = block.pieces()
@@ -76,7 +86,10 @@ def test_block_rows_equal_piece_views(which, f, x):
         v = x + block.v0
         r = block.linear_rate
         dt = block.t1 - block.t0
-        terms = f(v) * dt if r == 0.0 else f.integral_on(v, v + r * dt) / r
+        if not block.exact and f.kind != "step":     # grid cells: trapezoid
+            terms = 0.5 * (f(v) + f(x + block.v1)) * dt
+        else:
+            terms = f(v) * dt if r == 0.0 else f.integral_on(v, v + r * dt) / r
         _same(totals, [terms[a:b].sum() for a, b in zip(block.starts[:-1], block.starts[1:])])
         _same(region.last_visit(block, x), [region.last_visit(p, x) for p in views])
         rows = np.zeros((len(block), len(edges) - 1))

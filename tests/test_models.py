@@ -302,19 +302,28 @@ def test_reduce_paths_matches_seeded_paths(which, lattice_model, ts_model):
 
 
 def test_reduce_paths_single_path_blocks_are_uncut(bm_model, ts_model):
-    """k = 1 (grid skeletons, dense truncated-stable paths) is path i from
-    derive_rng(seed, STREAM_PATH, i), uncut."""
-    for m, kw in ((bm_model, {"step": 0.05}), (ts_model, {"small_jump_cutoff": 1e-6})):
-        assert models._block_paths(m, 10.0, kw.get("small_jump_cutoff")) == 1
+    """k = 1 (dense truncated-stable paths) is path i from
+    derive_rng(seed, STREAM_PATH, i), uncut.  Grid skeletons come in blocks
+    of k > 1 paths drawn side by side, not cut: piece i of the block is
+    still the lone path from that stream, bit for bit."""
+    bm_cpp = L.build_model(drift=1.0, gaussian_var=1.0, jumps=L.CompoundPoisson(
+        rate=2.0, law=("uniform", -1.0, 0.5)))
+    for m, kw in ((bm_model, {"step": 0.05}), (bm_cpp, {"step": 0.05}),
+                  (ts_model, {"small_jump_cutoff": 1e-6})):
+        k = models._block_paths(m, 10.0, kw.get("small_jump_cutoff"), kw.get("step"))
+        assert (k > 1) == (m is not ts_model)
         got = reduce_paths(m, 10.0, 5, 3, _pieces, **kw)[0]
+        assert len(got) == 5
         for i, path in enumerate(got):
             ref = L.simulate_path(m, 10.0, rng=L.derive_rng(3, L.rng.STREAM_PATH, i), **kw)
-            assert np.array_equal(path.times, ref.times) and np.array_equal(path.values, ref.values)
+            assert path.times.tobytes() == ref.times.tobytes()
+            assert path.values.tobytes() == ref.values.tobytes()
 
 
 def test_reduce_paths_threads_only_single_path_blocks(lattice_model, bm_model):
     """Block-cut light paths run every chunk on the calling thread, whatever
-    ``threads`` asks; k = 1 paths with several chunks go to the pool."""
+    ``threads`` asks; k = 1 paths and grid blocks with several chunks go to
+    the pool."""
     for m, kw, pooled in ((lattice_model, {}, False), (bm_model, {"step": 0.5}, True)):
         ran_on = reduce_paths(m, 3.0, 600, 5, lambda chunk: (list(chunk), threading.get_ident())[1],
                               threads=2, **kw)

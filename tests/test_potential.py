@@ -132,3 +132,71 @@ def test_bad_edges_refused_before_any_path(monkeypatch, lattice_model, edges):
     assert not drawn
     with pytest.raises(ValueError, match="edges"):
         L.PotentialMeasure(edges=np.array(edges), masses=np.zeros(2), stderr=np.zeros(2))
+
+
+def _rows(path, edges):
+    out = np.zeros((len(path), len(edges) - 1)) if isinstance(path, L.models.PathBlock) \
+        else np.zeros(len(edges) - 1)
+    L.potential.occupation_histogram(path, edges, out)
+    return out
+
+
+def test_passage_rows_equal_sweep_oracle_on_lattice_blocks(lattice_model):
+    """A one-atom lattice path holds each site for one segment, so its
+    passage-time differences are that segment's dt: equal bytes to the
+    oracle's per-segment sums, for every piece of every cut block."""
+    edges = np.arange(-2.0, 40.0) - 0.5
+    blocks = [b for part in L.models.reduce_paths(lattice_model, 7.5, 300, 4, list) for b in part]
+    assert all(b.nondecreasing and len(b) > 1 for b in blocks)
+    for block in blocks:
+        want = [oracles.occupation_by_sweeps(p.times, p.values, 0.0, edges) for p in block.pieces()]
+        assert _rows(block, edges).tobytes() == np.array(want).tobytes()
+
+
+def test_passage_rows_step_off_rounding_ties():
+    """Piece 199's keys are offset by 199 * 32 = 6368, where 1 - 1e-13 rounds
+    onto the edge at 1: that segment still lies below the edge, and its two
+    time units stay in the bin under it."""
+    k = 200
+    starts = 2 * np.arange(k + 1)
+    t0, t1 = np.tile([0.0, 1.0], k), np.tile([1.0, 3.0], k)
+    v0 = np.tile([0.0, 1.0 - 1e-13], k)
+    block = L.models.PathBlock(starts, t0, t1, v0, v0[1::2].copy(), exact=True, horizon=3.0,
+                               nondecreasing=True)
+    edges = np.array([0.0, 1.0, 2.0])
+    assert 6368.0 + v0[1] == 6368.0 + edges[1]          # the tie
+    want = [oracles.occupation_by_sweeps(p.times, p.values, 0.0, edges) for p in block.pieces()]
+    assert np.array(want).tolist() == [[3.0, 0.0]] * k
+    assert _rows(block, edges).tobytes() == np.array(want).tobytes()
+
+
+def test_passage_rows_value_on_an_edge_counts_above():
+    """A path that sits on an edge spends that time in the bin above it."""
+    path = L.PathSample([0.0, 1.0, 3.0, 4.0, 6.0], [0.0, 1.0, 1.0, 2.0, 2.0], exact=True,
+                        horizon=6.0, nondecreasing=True)
+    edges = np.array([0.0, 1.0, 2.0, 3.0])
+    want = oracles.occupation_by_sweeps(path.times, path.values, 0.0, edges)
+    assert want.tolist() == [1.0, 3.0, 2.0]
+    assert _rows(path, edges).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("which", ["tstable", "drift"])
+def test_passage_rows_match_sweep_oracle(which, ts_model):
+    """Sweeping paths, with and without a ceiling at the grid top, against
+    the oracle on the whole path.  The two routes round differently, each
+    within a few ulps of times up to the horizon, so they agree to 1e-12 of
+    the row's largest bin."""
+    model, horizon = (ts_model, 200.0) if which == "tstable" else (L.build_model(drift=1.5), 60.0)
+    edges = np.linspace(-1.0, 128.0, 259)
+    for i in range(6 if which == "tstable" else 1):
+        full = L.simulate_path(model, horizon, rng=L.derive_rng(9, i))
+        want = oracles.occupation_by_sweeps(full.times, full.values, full.linear_rate, edges)
+        assert full.nondecreasing
+        assert (want[-1] == 0.0) == (which == "drift")     # the drift path ends inside the grid
+        paths = [full]
+        if which == "tstable":
+            paths.append(L.simulate_path(model, horizon, rng=L.derive_rng(9, i),
+                                         ceiling=float(edges[-1])))
+            assert len(paths[1].times) < len(full.times)
+        for path in paths:
+            np.testing.assert_allclose(_rows(path, edges), want, rtol=0, atol=1e-12 * want.max())
