@@ -43,11 +43,11 @@ __all__ = [
 SMALL_JUMP_FRACTION = 1e-4
 
 # Expected segments per simulated block in ``reduce_paths``: light paths are
-# drawn this many segments at a time and cut into pieces of one horizon.
+# drawn this many segments at a time, as the rows of one stream.
 BLOCK_SEGMENTS = 2**14
 
-# Arrival gaps drawn at a time by ``_jump_blocks``, each block followed by
-# the jump sizes of its arrivals.
+# Arrival gaps drawn per block by ``_jump_blocks``, and per stage of the k
+# rows of ``_jump_rows``; each is followed by the jump sizes of its arrivals.
 JUMP_BLOCK = 2**12
 
 _ATOL = 1e-9
@@ -318,10 +318,10 @@ class PathBlock:
     ``integral_at_times``, ``integral_along_path``, ``RegionSpec.last_visit``):
     one vectorised pass over the flat arrays gives one row per piece.  A
     :class:`PathSample` is the one-piece case.  A block of light jump paths
-    is cut from one long path (:func:`_cut_path`); a block of grid skeletons
-    holds k paths drawn from k streams (:func:`_simulate_grid`).  The checks a
-    path gets run here, once per block: every piece starts at (0, 0), its
-    times strictly increase, and it ends at the horizon.
+    holds the k rows of one stream (:func:`_jump_paths`); a block of grid
+    skeletons, k paths drawn from k streams (:func:`_simulate_grid`).  The
+    checks a path gets run here, once per block: every piece starts at
+    (0, 0), its times strictly increase, and it ends at the horizon.
     """
 
     starts: np.ndarray
@@ -539,7 +539,8 @@ def _jump_blocks(rng, lam, draw, horizon):
     time in, then one size per arrival of the block up to the horizon.  The
     block that holds the first arrival past the horizon is the last.  A
     reader that stops after some block has drawn a prefix of the full
-    stream, so whatever it kept is the full path's, bit for bit.
+    stream, so whatever it kept is the full path's, bit for bit.  This is
+    the one-row case of :func:`_jump_rows`, in scalar steps.
     """
     t = 0.0
     while True:
@@ -551,6 +552,100 @@ def _jump_blocks(rng, lam, draw, horizon):
         if n < JUMP_BLOCK:
             return
         t = times[-1]
+
+
+def _jump_rows(rng, lam, draw, horizon, k):
+    """Arrival times of k Poisson streams of rate ``lam`` (the rows) and
+    ``draw(n)`` jump sizes for them, as a generator of stages.
+
+    A stage draws m = ``JUMP_BLOCK // k`` gaps for every row, row-major,
+    carrying each row's time in, then the sizes of the arrivals up to the
+    horizon, row-major, up to the last of them.  It yields the (k, m) times
+    and sizes and each row's count n of those arrivals; the last stage is cut
+    to the columns some row reads.  Every row is drawn in every stage, so a
+    reader that stops early has drawn a prefix of the full stream, and what
+    it kept of any row is the full block's, bit for bit.  With k = 1 this is
+    :func:`_jump_blocks`' stream.
+    """
+    m = max(1, JUMP_BLOCK // k)
+    t, every = 0.0, np.full(k, m)
+    while True:
+        times = rng.exponential(1.0 / lam, size=(k, m))
+        times[:, 0] += t
+        np.cumsum(times, axis=1, out=times)
+        t = times[:, -1]
+        if t.max() <= horizon:
+            yield times, every, draw(k * m).reshape(k, m)
+            continue
+        n = (times <= horizon).sum(axis=1)
+        live = np.flatnonzero(n)
+        drawn = live[-1] * m + n[live[-1]] if len(live) else 0
+        sizes = np.concatenate([draw(drawn), np.zeros(k * m - drawn)]).reshape(k, m)
+        w = max(n.max(), 1)     # the columns some row reads
+        yield times[:, :w], n, sizes[:, :w]
+        if t.min() > horizon:
+            return
+
+
+def _jump_law(model: LevyModel, rng, small_jump_cutoff: Optional[float]):
+    """A jump model's arrival rate, ``draw(n)`` for n of its jump sizes from
+    ``rng``, and the linear rate of its paths between arrivals: the drift,
+    plus the mean of the small jumps a truncated stable subordinator drops."""
+    jumps = model.jumps
+    if isinstance(jumps, CompoundPoisson):
+        return jumps.rate, partial(jumps.sample, rng), model.drift
+    eps = _jump_cutoff(jumps, small_jump_cutoff)
+    return (jumps.tail_mass(eps), partial(jumps.sample_jumps, rng, eps=eps),
+            model.drift + jumps.small_jump_drift(eps))
+
+
+def _jump_paths(model: LevyModel, horizon: float, rng, k: int,
+                small_jump_cutoff: Optional[float] = None,
+                ceiling: Optional[float] = None) -> PathBlock:
+    """A block of k paths of a jump or drift model on [0, horizon], the rows
+    of :func:`_jump_rows` drawn from ``rng``: row r is what
+    :func:`simulate_path` draws for k = 1, with every scalar step done for
+    all rows at once.  Given a ceiling, a subordinator's row keeps its
+    arrivals up to its first sample above it, and no stage is drawn past the
+    one where every row is past that sample or its horizon.
+    """
+    rate, stages = model.drift, ()
+    if model.jumps is not None:
+        lam, draw, rate = _jump_law(model, rng, small_jump_cutoff)
+        stages = _jump_rows(rng, lam, draw, horizon, k)
+    # per row: (0, 0), then its arrivals, of which it keeps the first count
+    ts, vs, count, low = [np.zeros((k, 1))], [np.zeros((k, 1))], np.zeros(k, int), None
+    total = 0.0
+    for times, n, sizes in stages:
+        sizes[:, 0] += total
+        total = np.cumsum(sizes, axis=1, out=sizes)[:, -1]
+        values = np.multiply(times, rate)
+        values += sizes
+        ts.append(times)
+        vs.append(values)
+        count += n
+        if ceiling is not None and values[:, -1].max() > ceiling:
+            # every earlier column is at or below the ceiling; a row whose
+            # last column is past it, or past the horizon, is done
+            low = sum(x.shape[1] for x in ts[:-1]) if low is None else low
+            if ((values[:, -1] > ceiling) | (times[:, -1] > horizon)).all():
+                break
+    # a row's values never fall: it keeps its arrivals up to the first above
+    # the ceiling (columns past its count are past the horizon, and no lower)
+    t = np.concatenate(ts + [np.empty((k, 1))], axis=1)
+    v = np.concatenate(vs + [np.empty((k, 1))], axis=1)
+    if low is not None:
+        np.minimum(count, (v[:, low:-1] <= ceiling).sum(axis=1) + low, out=count)
+    # then the horizon, reached along the slope, unless a jump landed on it
+    rows = np.arange(k)
+    last_t = t[rows, count]
+    t[rows, count + 1] = horizon
+    v[rows, count + 1] = v[rows, count] + rate * (horizon - last_t)
+    size = count + (last_t < horizon)      # segments per row
+    seg = np.arange(t.shape[1] - 1) < size[:, None]
+    return PathBlock(np.concatenate([[0], np.cumsum(size)]), t[:, :-1][seg], t[:, 1:][seg],
+                     v[:, :-1][seg], v[rows, size], exact=True, horizon=horizon,
+                     linear_rate=rate, nondecreasing=model.is_subordinator)
 
 
 def simulate_path(
@@ -575,12 +670,11 @@ def simulate_path(
     ceiling : float, optional
         Subordinators only: a level above which the caller reads nothing.
         The path reads no block of :func:`_jump_blocks` past the one that
-        holds its first sample strictly above ``ceiling``.  It is then the
-        process only up to that sample, and goes on from it at
-        ``linear_rate`` to the horizon.  A subordinator never comes back
-        down, so every segment this leaves out starts above the ceiling, and
-        the samples that are kept are the unstopped path's, bit for bit: both
-        read the same blocks, and the running sum carries across them.
+        holds its first sample strictly above ``ceiling``; it is the process
+        up to that sample, then goes on at ``linear_rate`` to the horizon.  A
+        subordinator never comes back down, so every segment this leaves out
+        starts above the ceiling, and the samples kept are the unstopped
+        path's, bit for bit: both read the same blocks.
     """
     if not (horizon > 0 and math.isfinite(horizon)):
         raise ValueError("horizon must be finite and > 0")
@@ -589,28 +683,17 @@ def simulate_path(
     if rng is None:
         rng = np.random.default_rng(seed)
 
-    jumps = model.jumps
     if model.gaussian_var > 0:
         return _simulate_grid(model, horizon, step, [rng])
-
-    if jumps is None:
-        times = np.array([0.0, horizon])
-        values = np.array([0.0, model.drift * horizon])
-        return PathSample(times, values, exact=True, horizon=horizon, linear_rate=model.drift,
-                          nondecreasing=True)
-
-    if isinstance(jumps, CompoundPoisson):
-        lam, draw, rate = jumps.rate, partial(jumps.sample, rng), model.drift
-    else:  # truncated stable subordinator
-        eps = _jump_cutoff(jumps, small_jump_cutoff)
-        lam, draw = jumps.tail_mass(eps), partial(jumps.sample_jumps, rng, eps=eps)
-        rate = model.drift + jumps.small_jump_drift(eps)
 
     # (0, 0), then the value rate * t + S at each arrival (S: the summed
     # jumps), up to the first above the ceiling; then, unless a jump lands on
     # it, the horizon, where the last piece ends
-    times, values, total = [[0.0]], [[0.0]], 0.0
-    for jt, sizes in _jump_blocks(rng, lam, draw, horizon):
+    times, values, total, rate, blocks = [[0.0]], [[0.0]], 0.0, model.drift, ()
+    if model.jumps is not None:
+        lam, draw, rate = _jump_law(model, rng, small_jump_cutoff)
+        blocks = _jump_blocks(rng, lam, draw, horizon)
+    for jt, sizes in blocks:
         if not len(jt):   # an empty block is the last
             break
         sizes[0] += total
@@ -647,47 +730,41 @@ def reduce_paths(
 ) -> list:
     """The package's one Monte Carlo path loop.
 
-    Paths are drawn in blocks of k consecutive indices.  For a jump or
-    drift model the block starting at path index s is one
-    ``simulate_path(model, k * horizon, rng=derive_rng(seed, *key, s))``
-    (with ``small_jump_cutoff`` passed through), cut at multiples of
-    ``horizon`` into k paths that each start at (0, 0).  Increments of a
-    Levy process are stationary and independent, so the pieces are iid
-    paths on [0, horizon].  Grid skeletons (a Gaussian part) are not cut:
-    piece i of their block is the path ``simulate_path(model, horizon,
-    step=step, rng=derive_rng(seed, *key, i))`` gives, bit for bit, drawn
-    beside the others by :func:`_simulate_grid`.  k comes from
-    :func:`_block_paths`; with k = 1 path i is drawn from
-    ``derive_rng(seed, *key, i)`` uncut.  Each fixed chunk of path indices,
-    tiled by whole blocks, goes to ``reducer`` as a lazy iterable of
-    :class:`PathBlock` s, in index order; a reducer passes each block to the
-    layer functions, which return one row per piece, and reads
-    ``block.pieces()`` only when it needs whole paths.  The per-chunk results
-    come back in chunk order, so the caller's final reduction, and every
-    random stream, is the same for any number of threads.  k = 1 paths and
-    grid blocks use the ``threads`` pool, since their draws and reducers
-    are numpy-bound; the reducers of block-cut light paths hold the GIL, so
-    two threads would pass it back and forth and run slower, and by a
-    varying amount, than one.  A budget below one path is refused, and so
-    is ``threads`` below 1 (by :func:`map_chunks`).
+    Paths are drawn in blocks of k consecutive indices, k from
+    :func:`_block_paths`.  For a jump or drift model the block starting at
+    path index s is the k iid rows :func:`_jump_paths` draws from
+    ``derive_rng(seed, *key, s)`` (with ``small_jump_cutoff``); with k = 1,
+    ``simulate_path(model, horizon, rng=derive_rng(seed, *key, s))``.  Piece
+    i of a block of grid skeletons (a Gaussian part) is the path
+    ``simulate_path(model, horizon, step=step, rng=derive_rng(seed, *key,
+    i))`` gives, bit for bit, drawn beside the others by
+    :func:`_simulate_grid`.  Each fixed chunk of path indices, tiled by whole
+    blocks, goes to ``reducer`` as a lazy iterable of :class:`PathBlock` s,
+    in index order; a reducer passes each block to the layer functions,
+    which return one row per piece, and reads ``block.pieces()`` only when
+    it needs whole paths.  The per-chunk results come back in chunk order,
+    so the caller's final reduction, and every random stream, is the same
+    for any number of threads.  k = 1 paths and grid blocks use the
+    ``threads`` pool, since their draws and reducers are numpy-bound; the
+    reducers of blocks of light jump paths hold the GIL, so two threads
+    would pass it back and forth and run slower, and by a varying amount,
+    than one.  A budget below one path is refused, so is a horizon that is
+    not finite and > 0, and so is ``threads`` below 1 (by :func:`map_chunks`).
 
     A reducer that reads nothing of ``x + path`` above some level (a
     potential grid's top edge, the top of ``f.live_intervals``) passes that
-    level, less x, as ``ceiling``.  Uncut paths of a subordinator are then
-    drawn with it by :func:`simulate_path`: each is the process only up to
-    its first sample above the ceiling, then one linear segment to the
-    horizon, which starts above the ceiling and so adds nothing to what the
-    reducer reads.  Such a path draws no arrival gap or jump size past the
-    block that holds that sample, and what it keeps is the unstopped
-    path's, bit for bit.  Cut paths (k > 1) and other models ignore it: a long
-    path must reach every cut, and a path that can come back down must be
-    drawn whole.
+    level, less x, as ``ceiling``.  Each path of a subordinator is then kept
+    only up to its first sample above it, then one linear segment to the
+    horizon, which adds nothing to what the reducer reads.  Other models
+    ignore the ceiling: a path that can come back down must be drawn whole.
     """
     if paths < 1:
         raise ValueError(f"paths must be >= 1, got {paths}")
+    if not (horizon > 0 and math.isfinite(horizon)):
+        raise ValueError("horizon must be finite and > 0")
     block = _block_paths(model, horizon, small_jump_cutoff, step)
     grid = model.gaussian_var > 0
-    if block > 1 or not model.is_subordinator:
+    if not model.is_subordinator:
         ceiling = None
 
     def chunk_blocks(a, b):
@@ -696,11 +773,12 @@ def reduce_paths(
             if grid:
                 yield _as_block(_simulate_grid(model, horizon, step,
                                                [derive_rng(seed, *key, i) for i in range(s, s + k)]))
+            elif k == 1:    # the one-path generator: the same stream, in scalar steps
+                yield simulate_path(model, horizon, rng=derive_rng(seed, *key, s),
+                                    small_jump_cutoff=small_jump_cutoff, ceiling=ceiling)._block
             else:
-                long = simulate_path(model, k * horizon, step=step,
-                                     rng=derive_rng(seed, *key, s),
-                                     small_jump_cutoff=small_jump_cutoff, ceiling=ceiling)
-                yield _cut_path(long, k, horizon)
+                yield _jump_paths(model, horizon, derive_rng(seed, *key, s), k,
+                                  small_jump_cutoff, ceiling)
 
     return map_chunks(paths, lambda a, b: reducer(chunk_blocks(a, b)),
                       threads=threads if block == 1 or grid else min(threads, 1))
@@ -712,8 +790,7 @@ def _block_paths(model: LevyModel, horizon: float, small_jump_cutoff: Optional[f
     clamped to [1, DEFAULT_CHUNK].  The budget is ``BLOCK_SEGMENTS`` for jump
     paths, and ``2 * BLOCK_SEGMENTS`` cells for grid skeletons (a Gaussian
     part; one cell per ``step``, plus one per jump), whose k paths are drawn
-    side by side rather than cut from one long path: a cut at a multiple of
-    ``horizon`` need not be a grid point."""
+    side by side, each from its own stream."""
     jumps = model.jumps
     if jumps is None:
         segments = 0.0
@@ -727,49 +804,9 @@ def _block_paths(model: LevyModel, horizon: float, small_jump_cutoff: Optional[f
             raise ValueError("a positive step is required for models with a Gaussian part")
         segments += horizon / step
         budget *= 2
-    if not segments > 0:   # pure drift, or a horizon simulate_path refuses
+    if not segments > 0:   # pure drift
         return DEFAULT_CHUNK
     return max(1, int(min(DEFAULT_CHUNK, budget / segments)))
-
-
-def _cut_path(path: PathSample, k: int, horizon: float) -> PathBlock:
-    """Cut an exact path on [0, k * horizon] at multiples of ``horizon``
-    into a block of k paths on [0, horizon], each re-based to start at (0, 0).
-
-    The value at a cut extends the linear piece before it, and a jump that
-    lands on a cut goes into the end value of the piece it closes, so the
-    increments of the pieces add up to the long path.  For piece c >= 1 the
-    re-based time ``t - c * horizon`` is exact (Sterbenz), so time order
-    survives; a time that rounds onto the piece's end is likewise folded in.
-    With k = 1 the block is the path's own.
-    """
-    if k == 1:
-        return path._block
-    t, v, r = path.times, path.values, path.linear_rate
-    cuts = horizon * np.arange(k + 1)
-    at = np.searchsorted(t, cuts, side="right") - 1
-    at_value = v[at] + r * (cuts - t[at])
-    # cuts[piece] <= t < cuts[piece + 1], counted off the increasing times
-    piece = np.repeat(np.arange(k + 1), np.diff(np.searchsorted(t, cuts), append=len(t)))
-    local = cuts[piece]
-    np.subtract(t, local, out=local)
-    inner = (local > 0) & (local < horizon)
-    piece, local, rise = piece[inner], local[inner], v[inner]
-    rise -= at_value[piece]
-    # piece c samples (0, 0), its inner times, then (horizon, end); its
-    # segments start at starts[c], and inner sample j starts segment j + c + 1
-    starts = np.searchsorted(piece, np.arange(k + 1)) + np.arange(k + 1)
-    first, last = starts[:-1], starts[1:] - 1
-    opens = piece
-    opens += np.arange(1, len(local) + 1)
-    t0, t1, v0 = np.empty(starts[-1]), np.empty(starts[-1]), np.empty(starts[-1])
-    t0[first] = v0[first] = 0.0
-    t0[opens] = local
-    v0[opens] = rise
-    t1[:-1] = t0[1:]
-    t1[last] = horizon
-    return PathBlock(starts, t0, t1, v0, np.diff(at_value), exact=True, horizon=horizon,
-                     linear_rate=r, nondecreasing=path.nondecreasing)
 
 
 def binomial_stderr(p, n: int):
@@ -789,8 +826,6 @@ def _simulate_grid(model: LevyModel, horizon: float, step: Optional[float],
     the end of its cell.  Without jumps every path has the same cells, so the
     grid, dt and the drift and volatility terms are built once per block.
     """
-    if not (horizon > 0 and math.isfinite(horizon)):
-        raise ValueError("horizon must be finite and > 0")
     if step is None or step <= 0:
         raise ValueError("a positive step is required for models with a Gaussian part")
     jumps = model.jumps

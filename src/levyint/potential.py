@@ -219,16 +219,20 @@ def estimate_potential(
         # 0.0 plus each path's row in index order: an axis-0 cumsum is
         # sequential (an axis-0 add.reduce sums a one-bin grid pairwise)
         rows = np.concatenate(rows)
-        return np.cumsum(rows, axis=0)[-1], np.cumsum(rows * rows, axis=0)[-1]
+        total = np.cumsum(rows, axis=0)[-1]
+        rows = rows[1:] - total / (len(rows) - 1)     # deviations from the chunk mean
+        return total, np.cumsum(rows * rows, axis=0)[-1], len(rows)
 
     # time above the top edge is dropped, so paths may stop once past it
     parts = reduce_paths(model, horizon, paths, seed, reducer, threads=threads, step=step,
                          ceiling=float(edges[-1]))
-    total = sum(acc for acc, _ in parts)        # chunk order: fixed reduction order
-    total2 = sum(acc2 for _, acc2 in parts)
+    total, m2, n = parts[0]
+    for total_b, m2_b, n_b in parts[1:]:     # chunk order (Chan et al.'s pairwise update)
+        delta = total_b / n_b - total / n
+        m2 = m2 + m2_b + delta * delta * (n * n_b / (n + n_b))
+        total, n = total + total_b, n + n_b
     masses = total / paths
-    var = np.maximum(total2 / paths - masses * masses, 0.0)
-    stderr = np.sqrt(var / paths)
+    stderr = np.sqrt(m2 / paths / paths)
     meta = {
         "model": describe(model),
         "paths": paths,

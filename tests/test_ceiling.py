@@ -2,13 +2,16 @@
 
 A subordinator never comes back down, so once its path is above the top of
 what a reducer reads, nothing it does later changes the answer.
-Every jump path draws its stream in blocks of arrival gaps, each followed
+Every jump path draws its stream in stages of arrival gaps, each followed
 by the jump sizes of its arrivals, and ``simulate_path(..., ceiling=y)``
-reads no block past the one that holds its first sample above y, so the
+reads no stage past the one that holds its first sample above y, so the
 samples it keeps are drawn from the same numbers as the unstopped path's.
-These tests pin that a stopped path is the unstopped one up to its first
-sample above y, then one linear segment to the horizon, and that each jump
-law fills a draw in stream order, so n sizes drawn in several calls are
+A block of k paths is the k rows of one stream: every row is drawn in
+every stage, and the block stops once every row is past its first sample
+above y or its horizon.
+These tests pin that a stopped path, or row, is the unstopped one up to its
+first sample above y, then one linear segment to the horizon, and that each
+jump law fills a draw in stream order, so n sizes drawn in several calls are
 those of one call.  Every caller that passes a ceiling is then compared with
 the same call on unstopped paths.
 """
@@ -19,7 +22,7 @@ import numpy as np
 import pytest
 
 import levyint as L
-from levyint import models
+from levyint import models, perpetual, potential
 from levyint.perpetual import _ladder_samples
 
 _TS = L.TruncatedStable(activity=1.0, index=0.5, cutoff=1.0)
@@ -118,6 +121,30 @@ def test_stopped_path_is_the_prefix_up_to_the_first_sample_above(which):
         assert seen["jump_on_horizon"] > 0
 
 
+@pytest.mark.parametrize("k", [3, 40])
+@pytest.mark.parametrize("which", sorted(_PATHS))
+def test_stopped_rows_are_the_prefix_up_to_the_first_sample_above(which, k):
+    """The same for the k rows of a block, each against its own unstopped
+    row; a stopped block keeps fewer segments, or the same when no row
+    passes the ceiling before its horizon."""
+    model, horizon, cutoff, ceilings, rng = _PATHS[which]
+    stopped = 0
+    for i in range(3):
+        full = models._jump_paths(model, horizon, rng(i), k, cutoff)
+        if which == "on_horizon":   # each row's eighth jump lands on H = 8 and ends it
+            assert (np.diff(full.starts) == 8).all()
+            assert (full.end > full.v0[full.starts[1:] - 1]).all()
+        for ceiling in ceilings:
+            got = models._jump_paths(model, horizon, rng(i), k, cutoff, ceiling)
+            assert len(got) == k and len(got.t0) <= len(full.t0)
+            stopped += len(got.t0) < len(full.t0)
+            for a, b in zip(got.pieces(), full.pieces()):
+                times, values = _stopped_by_hand(b, ceiling)
+                assert a.times.tobytes() == times.tobytes()
+                assert a.values.tobytes() == values.tobytes()
+    assert stopped > 0
+
+
 def test_ceiling_needs_a_subordinator(bm_model, ts_model):
     with pytest.raises(ValueError, match="ceiling"):
         L.simulate_path(bm_model, 5.0, step=0.1, seed=1, ceiling=1.0)
@@ -187,6 +214,52 @@ def test_ladder_rows_are_unchanged_by_the_ceiling(monkeypatch, model, f, x):
     verdicts = _stopped_and_whole(
         monkeypatch, lambda: L.finiteness_diagnosis(f, model, x, rungs, paths=20, seed=9))
     assert repr(verdicts[0][0]) == repr(verdicts[1][0])
+
+
+def _rows_stopped_and_whole(monkeypatch, module, call):
+    """``call()`` with the ceiling ``module.reduce_paths`` passes kept, then
+    dropped, each with the segments of the jump blocks it drew."""
+    real_reduce, real_rows = module.reduce_paths, models._jump_paths
+    out = []
+    for stop in (True, False):
+        segments = []
+
+        def rows(*args, **kw):
+            path = real_rows(*args, **kw)
+            segments.append(len(models._as_block(path).t0))
+            return path
+
+        def reduce(*args, ceiling=None, **kw):
+            return real_reduce(*args, ceiling=ceiling if stop else None, **kw)
+
+        monkeypatch.setattr(models, "_jump_paths", rows)
+        monkeypatch.setattr(module, "reduce_paths", reduce)
+        out.append((call(), sum(segments)))
+    return out
+
+
+@pytest.mark.filterwarnings("ignore:horizon")
+def test_lattice_potential_is_unchanged_by_the_ceiling(monkeypatch, lattice_model):
+    """Lattice paths come in blocks of k > 1 rows; each stops past the top edge."""
+    assert models._block_paths(lattice_model, 60.0, None) > 1
+    (got, n_got), (want, n_want) = _rows_stopped_and_whole(
+        monkeypatch, potential, lambda: L.estimate_potential(
+            lattice_model, np.arange(20.0) - 0.5, paths=300, seed=8, horizon=60.0))
+    assert n_got < n_want
+    assert got.masses.tobytes() == want.masses.tobytes()
+    assert got.stderr.tobytes() == want.stderr.tobytes()
+
+
+@pytest.mark.parametrize("f, x", [(L.indicator(0.0, 1.0), 0.25), (_FUNCTIONS["train"], -2.5)],
+                         ids=["indicator", "train"])
+def test_lattice_I_distribution_is_unchanged_by_the_ceiling(monkeypatch, lattice_model, f, x):
+    assert models._block_paths(lattice_model, 60.0, None) > 1
+    (got, n_got), (want, n_want) = _rows_stopped_and_whole(
+        monkeypatch, perpetual, lambda: L.estimate_I_distribution(
+            f, lattice_model, x=x, horizon=60.0, paths=300, seed=9))
+    assert n_got < n_want
+    assert got.samples.tobytes() == want.samples.tobytes()
+    assert got.censored.tobytes() == want.censored.tobytes()
 
 
 @pytest.fixture(scope="module")

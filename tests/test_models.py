@@ -136,6 +136,52 @@ def _concatenated_path(model, horizon, rng, small_jump_cutoff=None, ceiling=None
     return times, values, rate
 
 
+def _reference_rows(model, horizon, k, rng, small_jump_cutoff=None, ceiling=None):
+    """k jump paths drawn from ``rng`` as the rows of one block, with
+    temporaries throughout, as a list of (times, values).
+
+    Stages of m = ``JUMP_BLOCK // k`` exponential spacings for every row,
+    drawn as one row-major (k, m) array, each followed by the sizes of the
+    stage's arrivals within the horizon, row-major, up to the last of them
+    (the sizes of a row's later arrivals are drawn and dropped).  Stages go
+    on until every row has passed the horizon or, with a ceiling, holds a
+    value above it.  Row r is (0, 0), its arrivals with values rate * t + S
+    up to its first above the ceiling, and the horizon appended, extending
+    the last piece, unless a jump landed on it; each row comes with the
+    rate."""
+    jumps, m = model.jumps, max(1, models.JUMP_BLOCK // k)
+    eps = None
+    if isinstance(jumps, L.CompoundPoisson):
+        arrival_rate, rate = jumps.rate, model.drift
+    else:
+        eps = small_jump_cutoff or models.SMALL_JUMP_FRACTION * jumps.cutoff
+        arrival_rate, rate = jumps.tail_mass(eps), model.drift + jumps.small_jump_drift(eps)
+    gaps, sizes = np.empty((k, 0)), [np.empty(0)] * k
+    while True:
+        gaps = np.concatenate([gaps, rng.exponential(1.0 / arrival_rate, size=(k, m))], axis=1)
+        arrivals = np.cumsum(gaps, axis=1)
+        n = [np.count_nonzero(row[-m:] <= horizon) for row in arrivals]
+        wanted = max([r * m + c for r, c in enumerate(n) if c], default=0)
+        drawn = _reference_sizes(jumps, rng, wanted, eps)
+        sizes = [np.concatenate([sizes[r], drawn[r * m:r * m + n[r]]]) for r in range(k)]
+        values = [rate * arrivals[r, :len(sizes[r])] + np.cumsum(sizes[r]) for r in range(k)]
+        if all(arrivals[r, -1] > horizon or (ceiling is not None and (values[r] > ceiling).any())
+               for r in range(k)):
+            break
+    rows = []
+    for r in range(k):
+        times, row = arrivals[r, :len(sizes[r])], values[r]
+        if ceiling is not None and (row > ceiling).any():
+            j = np.argmax(row > ceiling) + 1
+            times, row = times[:j], row[:j]
+        times, row = np.concatenate([[0.0], times]), np.concatenate([[0.0], row])
+        if times[-1] < horizon:
+            row = np.append(row, row[-1] + rate * (horizon - times[-1]))
+            times = np.append(times, horizon)
+        rows.append((times, row, rate))
+    return rows
+
+
 @pytest.mark.parametrize("which, horizon, cutoff", [
     ("lattice", 50.0, None),
     ("uniform", 40.0, None),
@@ -217,6 +263,39 @@ def test_paths_in_blocks_of_three(monkeypatch, which):
     assert min(seen.values()) > 0, seen
 
 
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("which", sorted(_SMALL_BLOCK_MODELS))
+def test_rows_in_small_stages(monkeypatch, which, k):
+    """With six arrivals a stage (three or two a row; two for one row), over
+    100 seeds: every block of k rows, stopped at a ceiling or not, is the
+    reference to the bit, and leaves the generator where the reference does.
+    A one-row block is the path simulate_path draws in scalar steps."""
+    monkeypatch.setattr(models, "JUMP_BLOCK", 6 if k > 1 else 2)
+    model, horizon, cutoff, ceilings = _SMALL_BLOCK_MODELS[which]
+    stages = set()
+    for seed in range(100):
+        for ceiling in [None, *ceilings]:
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            block = models._jump_paths(model, horizon, rng, k, cutoff, ceiling)
+            want = _reference_rows(model, horizon, k, ref_rng, cutoff, ceiling)
+            assert len(block) == k
+            for p, (times, values, rate) in zip(block.pieces(), want):
+                assert p.linear_rate == rate
+                assert p.times.tobytes() == times.tobytes()
+                assert p.values.tobytes() == values.tobytes()
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+            if k == 1:
+                path_rng = np.random.default_rng(seed)
+                p = L.simulate_path(model, horizon, rng=path_rng, small_jump_cutoff=cutoff,
+                                    ceiling=ceiling)
+                assert p.linear_rate == rate
+                assert p.times.tobytes() == times.tobytes()
+                assert p.values.tobytes() == values.tobytes()
+                assert path_rng.bit_generator.state == rng.bit_generator.state
+            stages.add(max(len(t) - 2 for t, _, _ in want) // (models.JUMP_BLOCK // k))
+    assert len(stages) > 2, stages
+
+
 def test_one_atom_law_draws_nothing():
     """Every jump of a one-atom law is its value; the generator is not touched."""
     rng = np.random.default_rng(11)
@@ -280,25 +359,23 @@ def _pieces(chunk):
 @pytest.mark.parametrize("which", ["lattice", "tstable"])
 def test_reduce_paths_matches_seeded_paths(which, lattice_model, ts_model):
     """Three chunks, a non-default key: the block of k paths starting at index
-    s is the long path derive_rng(seed, *key, s) gives on [0, k*H], cut at
-    multiples of H; blocks tile each chunk, whatever the thread count."""
+    s is the k rows derive_rng(seed, *key, s) gives, drawn by the plain-numpy
+    reference; blocks tile each chunk, whatever the thread count."""
     m, block = (lattice_model, 256) if which == "lattice" else (ts_model, 27)
     key = (L.rng.STREAM_INNER, 4)
     assert models._block_paths(m, 3.0, None) == block
     expected = []
     for a, b in [(0, 256), (256, 512), (512, 600)]:
         for s in range(a, b, block):
-            k = min(block, b - s)
-            long = L.simulate_path(m, k * 3.0, rng=L.derive_rng(17, *key, s))
-            expected += models._cut_path(long, k, 3.0).pieces()
+            expected += _reference_rows(m, 3.0, min(block, b - s), L.derive_rng(17, *key, s))
     for threads in (1, 2):
         parts = reduce_paths(m, 3.0, 600, 17, _pieces, key=key, threads=threads)
         assert [len(part) for part in parts] == [256, 256, 88]
         got = [path for part in parts for path in part]
         assert len(got) == len(expected)
-        for a, b in zip(got, expected):
-            assert np.array_equal(a.times, b.times) and np.array_equal(a.values, b.values)
-            assert a.linear_rate == b.linear_rate and a.horizon == 3.0
+        for a, (times, values, rate) in zip(got, expected):
+            assert a.times.tobytes() == times.tobytes() and a.values.tobytes() == values.tobytes()
+            assert a.linear_rate == rate and a.horizon == 3.0
 
 
 def test_reduce_paths_single_path_blocks_are_uncut(bm_model, ts_model):
@@ -321,47 +398,14 @@ def test_reduce_paths_single_path_blocks_are_uncut(bm_model, ts_model):
 
 
 def test_reduce_paths_threads_only_single_path_blocks(lattice_model, bm_model):
-    """Block-cut light paths run every chunk on the calling thread, whatever
-    ``threads`` asks; k = 1 paths and grid blocks with several chunks go to
+    """Blocks of light jump paths run every chunk on the calling thread,
+    whatever ``threads`` asks; k = 1 paths and grid blocks with several chunks go to
     the pool."""
     for m, kw, pooled in ((lattice_model, {}, False), (bm_model, {"step": 0.5}, True)):
         ran_on = reduce_paths(m, 3.0, 600, 5, lambda chunk: (list(chunk), threading.get_ident())[1],
                               threads=2, **kw)
         assert len(ran_on) == 3
         assert (set(ran_on) != {threading.get_ident()}) == pooled
-
-
-def _value_at(path, s):
-    """Value of an exact path at times s: last listed value plus the slope."""
-    i = np.searchsorted(path.times, s, side="right") - 1
-    return path.values[i] + path.linear_rate * (s - path.times[i])
-
-
-@pytest.mark.parametrize("horizon", [1.0, 0.1])
-def test_cut_path_pieces_rebuild_the_long_path(horizon):
-    """A hand-built drifted path with a jump on a cut: every piece starts at
-    (0, 0) and ends at H, and the pieces' increments add back up to the long
-    path, both at the cuts and in between.  H = 0.1 makes the cuts inexact."""
-    r, k = 0.5, 4
-    jt = horizon * np.array([0.3, 1.0, 1.25, 1.5, 2.9, 3.999])   # 1.0: on the first cut
-    sizes = np.array([1.0, -2.0, 0.5, 3.0, -0.25, 1.5])
-    times = np.concatenate([[0.0], jt, [k * horizon]])
-    values = r * times + np.concatenate([[0.0], np.cumsum(sizes), [sizes.sum()]])
-    long = L.PathSample(times, values, exact=True, horizon=k * horizon, linear_rate=r)
-    pieces = models._cut_path(long, k, horizon).pieces()
-    assert len(pieces) == k
-    start = 0.0
-    for c, p in enumerate(pieces):
-        assert p.times[0] == 0.0 and p.values[0] == 0.0
-        assert p.times[-1] == horizon and p.horizon == horizon and p.linear_rate == r
-        local = horizon * np.concatenate([[0.0], (np.arange(36) + 0.5) / 36])  # off the jumps
-        assert np.allclose(start + _value_at(p, local),
-                           _value_at(long, c * horizon + local), atol=1e-12)
-        start += p.values[-1]
-    assert math.isclose(start, long.values[-1], abs_tol=1e-12)
-    # the jump on the cut closes piece 0 and is not repeated in piece 1
-    assert [len(p.times) - 2 for p in pieces] == [1, 2, 1, 1]
-    assert math.isclose(pieces[0].values[-1], 1.0 - 2.0 + r * horizon, abs_tol=1e-12)
 
 
 def test_cut_keeps_lattice_values_integer(lattice_model):
@@ -383,26 +427,26 @@ _LAW_MODELS = {
 
 
 @pytest.mark.parametrize("which", sorted(_LAW_MODELS))
-def test_block_cut_paths_have_the_per_path_law(which):
-    """Two-sample check of block-cut paths against one stream per path:
+def test_block_rows_have_the_per_path_law(which):
+    """Two-sample check of the rows of a block against one stream per path:
     xi_H and the jump count agree within the two-sample DKW band at
-    alpha = 1e-3 (each sample's band at 1 - 5e-4), and consecutive pieces
-    of one block are uncorrelated."""
+    alpha = 1e-3 (each sample's band at 1 - 5e-4), and consecutive rows of
+    one block are uncorrelated."""
     build, horizon = _LAW_MODELS[which]
     m, n = build(), 4000
     assert models._block_paths(m, horizon, None) > 1
-    cut = [p for part in reduce_paths(m, horizon, n, 11, _pieces) for p in part]
+    rows = [p for part in reduce_paths(m, horizon, n, 11, _pieces) for p in part]
     ref = [L.simulate_path(m, horizon, rng=L.derive_rng(12, L.rng.STREAM_PATH, i))
            for i in range(n)]
     band = 2.0 * oracles.dkw_band(n, confidence=1.0 - 5e-4)
     for stat in (lambda p: p.values[-1], lambda p: len(p.times) - 2):
-        a = np.sort([stat(p) for p in cut])
+        a = np.sort([stat(p) for p in rows])
         b = np.sort([stat(p) for p in ref])
         grid = np.union1d(a, b)
         gap = np.abs(np.searchsorted(a, grid, side="right")
                      - np.searchsorted(b, grid, side="right")).max() / n
         assert gap <= band, (which, gap, band)
-    ends = np.array([p.values[-1] for p in cut])
+    ends = np.array([p.values[-1] for p in rows])
     assert abs(np.corrcoef(ends[:-1], ends[1:])[0, 1]) < 4.0 / math.sqrt(n)
 
 
@@ -439,6 +483,22 @@ def test_zero_path_budget_refused(routine, lattice_model):
     """No routine returns an estimate, or a pass, from zero paths."""
     with pytest.raises(ValueError, match="paths must be >= 1"):
         _ZERO_BUDGET[routine](lattice_model)
+
+
+@pytest.mark.filterwarnings("ignore:horizon")
+@pytest.mark.parametrize("horizon", [math.nan, 0.0, -1.0, math.inf])
+def test_bad_horizon_refused_for_every_block(horizon, lattice_model):
+    """A horizon that is not finite and > 0 is refused, not drawn: by
+    reduce_paths and estimate_potential on the lattice model (blocks of
+    k > 1 rows, which a NaN horizon would never end) and on pure drift
+    (blocks of rows with no arrival)."""
+    drift = L.build_model(drift=1.5)
+    edges = np.arange(11.0) - 0.5
+    for call in (lambda m: reduce_paths(m, horizon, 300, 1, list),
+                 lambda m: L.estimate_potential(m, edges, paths=300, seed=1, horizon=horizon)):
+        for m in (lattice_model, drift):
+            with pytest.raises(ValueError, match="horizon must be finite and > 0"):
+                call(m)
 
 
 def test_truncated_stable_jump_bounds(ts_model):

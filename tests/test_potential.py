@@ -35,6 +35,39 @@ def test_pure_drift_occupation_exact():
     assert np.allclose(ap.masses, pm.masses, atol=1e-12)
 
 
+@pytest.mark.filterwarnings("ignore:horizon")
+def test_identical_paths_have_zero_stderr():
+    """Pure-drift paths are all the same, so every bin's standard error is 0
+    up to the rounding of a chunk mean, not E[X^2] - E[X]^2 cancelling."""
+    m = L.build_model(drift=1.5)
+    edges = np.arange(83) * 0.5 - 0.5
+    for paths in (10, 600):     # one chunk, and three combined
+        pm = L.estimate_potential(m, edges, paths=paths, seed=3, horizon=30.0)
+        assert np.allclose(pm.masses[1:], 1.0 / 3.0, atol=1e-12) and pm.masses[0] == 0.0
+        assert (pm.stderr <= 1e-12 * pm.masses).all()
+
+
+@pytest.mark.filterwarnings("ignore:horizon")
+def test_stderr_matches_two_pass_over_paths(lattice_model):
+    """Chunks combined in order give the population standard deviation of
+    the per-path rows, over sqrt(paths), as a two-pass numpy sum does."""
+    edges, paths = np.arange(12.0) - 0.5, 700
+    pm = L.estimate_potential(lattice_model, edges, paths=paths, seed=4, horizon=20.0)
+
+    def rows(chunk):
+        blocks = list(chunk)
+        out = [np.zeros((len(block), len(edges) - 1)) for block in blocks]
+        for block, row in zip(blocks, out):
+            L.potential.occupation_histogram(block, edges, row)
+        return np.concatenate(out)
+
+    per_path = np.concatenate(L.models.reduce_paths(
+        lattice_model, 20.0, paths, 4, rows, ceiling=float(edges[-1])))
+    assert per_path.shape == (paths, len(edges) - 1)
+    np.testing.assert_allclose(pm.masses, per_path.mean(axis=0), rtol=1e-12)
+    np.testing.assert_allclose(pm.stderr, per_path.std(axis=0) / math.sqrt(paths), rtol=1e-9)
+
+
 def test_bm_closed_form_density(bm_model, bm_pm):
     """Monte Carlo vs closed form: at most 1% of bins outside 3 SE.
 
@@ -126,7 +159,7 @@ def test_bad_edges_refused_before_any_path(monkeypatch, lattice_model, edges):
     """Non-finite or non-increasing edges are refused by the measure itself
     and by the estimator before it draws a path (a NaN passes a diff <= 0 test)."""
     drawn = []
-    monkeypatch.setattr(L.models, "simulate_path", lambda *a, **kw: drawn.append(1))
+    monkeypatch.setattr(L.models, "_jump_paths", lambda *a, **kw: drawn.append(1))
     with pytest.raises(ValueError, match="edges"):
         L.estimate_potential(lattice_model, np.array(edges), paths=5, seed=0, horizon=10.0)
     assert not drawn
