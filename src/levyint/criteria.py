@@ -60,7 +60,7 @@ class RegionSpec:
 
     ``describes_complement=True`` tags the region as listing the complement of
     the region of interest, which is how sparse trap-style sets are written
-    down.
+    down.  Both kinds are searched as sorted spans (``_spans``).
     """
 
     intervals: Sequence[tuple[float, float]]
@@ -77,26 +77,27 @@ class RegionSpec:
                 raise ValueError("intervals must be disjoint")
         self.intervals = np.array(ivals, float).reshape(-1, 2)
 
-    def pieces(self, lo: float, hi: float) -> list[tuple[float, float]]:
-        """Connected components of (region intersect (lo, hi))."""
-        if hi <= lo:
-            return []
+    def _spans(self, atol: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+        """Sorted (lo, hi) ends of the spans the region is made of, widened
+        by ``atol``: the intervals, or for a complement the gaps between them
+        (where two intervals touch, a one-point gap)."""
+        lo, hi = self.intervals[:, 0], self.intervals[:, 1]
         if not self.describes_complement:
-            out = [(max(a, lo), min(b, hi)) for a, b in self.intervals if b > lo and a < hi]
-            return [(a, b) for a, b in out if b > a]
-        out = []
-        cursor = lo
-        for a, b in self.intervals:
-            if b <= lo:
-                continue
-            if a >= hi:
-                break
-            if a > cursor:
-                out.append((cursor, min(a, hi)))
-            cursor = max(cursor, b)
-        if cursor < hi:
-            out.append((cursor, hi))
-        return out
+            return lo - atol, hi + atol
+        return np.append(-math.inf, hi - atol), np.append(lo + atol, math.inf)
+
+    def clip(self, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Connected components of (region intersect (lo[w], hi[w])) for every
+        window w, as arrays (w, a, b) in window-then-span order; a span
+        clipped to nothing (a one-point gap among them) is dropped."""
+        a, b = self._spans()
+        first = np.searchsorted(b, lo, side="right")
+        count = np.maximum(np.searchsorted(a, hi, side="left") - first, 0)
+        w = np.repeat(np.arange(len(lo)), count)
+        span = np.arange(count.sum()) + np.repeat(first - (np.cumsum(count) - count), count)
+        a, b = np.maximum(a[span], lo[w]), np.minimum(b[span], hi[w])
+        keep = b > a
+        return w[keep], a[keep], b[keep]
 
     def last_visit(self, path: PathSample | PathBlock, x: float = 0.0) -> float | np.ndarray:
         """Last time ``x + path`` meets the closure of the intervals, -inf if
@@ -110,7 +111,7 @@ class RegionSpec:
         sweep.  A grid cell (r = 0) holds v_s over the whole cell, the
         cadlag convention of ``occupation_histogram``, so of the cells the
         index finds (it spans v_s to v1_s) only those whose held value meets
-        an interval count.
+        an interval count (:meth:`contains` with ``atol=0``).
         """
         if self.describes_complement:
             raise ValueError(f"{self.name}: last_visit needs the intervals themselves, "
@@ -119,9 +120,7 @@ class RegionSpec:
         lo, hi = self.intervals[:, 0], self.intervals[:, 1]
         met = block._sweep_index(x, self.intervals)
         if not block.exact:
-            held = x + block.v0[met]
-            inside = np.searchsorted(lo, held, side="right") > np.searchsorted(hi, held, side="left")
-            met = met[inside]
+            met = met[self.contains(x + block.v0[met], atol=0.0)]
         # the last segment met in each piece, if the piece meets any
         j = np.searchsorted(met, block.starts[1:]) - 1
         has = j >= 0
@@ -144,12 +143,12 @@ class RegionSpec:
             out[has] = t0 + np.clip((leave - v) / (r * dt), 0.0, 1.0) * dt
         return float(out[0]) if block is not path else out
 
-    def contains(self, y: float, atol: float = 1e-12) -> bool:
-        """Closure membership: points on an interval boundary count as inside."""
-        lo, hi = self.intervals[:, 0], self.intervals[:, 1]
-        if not self.describes_complement:
-            return bool(((lo - atol <= y) & (y <= hi + atol)).any())
-        return not bool(((lo + atol < y) & (y < hi - atol)).any())
+    def contains(self, y, atol: float = 1e-12):
+        """Closure membership, vectorised over y (a scalar gives a numpy bool):
+        within ``atol`` of a span, so an interval end is inside a region and
+        its complement alike, and so is the point where two intervals touch."""
+        lo, hi = self._spans(atol)
+        return np.searchsorted(lo, y, side="right") > np.searchsorted(hi, y, side="left")
 
 
 def half_line(lo: float) -> RegionSpec:
@@ -256,12 +255,13 @@ def potential_integral(
 ) -> CriterionReport:
     """Integral of f(x + y) against the potential measure, restricted to a region.
 
-    Bins are clipped against the region; each connected piece contributes
-    f at its midpoint weighted by the proportional bin mass.  Lattice point
+    Every bin is clipped against the region at once (:meth:`RegionSpec.clip`);
+    each connected piece contributes f at its midpoint weighted by the
+    proportional bin mass, and a bin sums its pieces in order.  Lattice point
     masses are handled exactly: a site contributes its full mass iff it lies
-    in the closure of the region.  Divergence is decided by
-    :func:`classify_ladder` on partial sums over windows doubling from 1 to
-    the top of the grid.
+    in the closure of the region (:meth:`RegionSpec.contains`).  Divergence
+    is decided by :func:`classify_ladder` on partial sums over windows
+    doubling from 1 to the top of the grid.
     """
     edges = pm.edges
     sup_lo, sup_hi = f.support
@@ -270,17 +270,14 @@ def potential_integral(
             f"support of {f.name} (shifted by x={x:g}) extends past the grid top {edges[-1]:g}")
 
     if pm.lattice_span is not None:
-        sites = pm.sites
-        inside = np.array([region.contains(s) for s in sites])
-        contrib = np.where(inside, f(x + sites) * pm.masses, 0.0)
-        positions = sites
+        positions = pm.sites
+        contrib = np.where(region.contains(positions), f(x + positions) * pm.masses, 0.0)
     else:
-        contrib = np.zeros(len(pm.masses))
         positions = pm.centers
-        for i, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
-            for a, b in region.pieces(lo, hi):
-                mid = 0.5 * (a + b)
-                contrib[i] += float(f(np.array([x + mid]))[0]) * pm.masses[i] * (b - a) / (hi - lo)
+        w, a, b = region.clip(edges[:-1], edges[1:])
+        terms = f(x + 0.5 * (a + b)) * pm.masses[w] * (b - a) / (edges[w + 1] - edges[w])
+        # a bin's terms summed in piece order from 0.0
+        contrib = np.bincount(w, weights=terms, minlength=len(pm.masses))
 
     tops = _window_edges(1.0, edges[-1], LADDER_RUNGS)
     ladder = [float(contrib[positions <= top].sum()) for top in tops]

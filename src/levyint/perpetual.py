@@ -471,8 +471,10 @@ def khasminskii_exponential_check(
     estimate sits outside the guaranteed-finite range; the run refuses
     unless ``override=True``, and then carries a warning.  Stability screen:
     the estimate moves < 10% between the half sample and the full sample and
-    < 25% when the top 1% of the sample is excluded.
+    < 25% when the top 1% of the sample is excluded, so it needs two paths.
     """
+    if paths < 2:
+        raise ValueError(f"paths must be >= 2 for the trimmed-sample screen, got {paths}")
     warning = None
     if j_value is not None and j_value > 0 and theta >= 1.0 / j_value - 1e-12:
         warning = (f"theta={theta:g} is at or above 1/J={1.0 / j_value:g}; "

@@ -173,3 +173,40 @@ def occupation_by_sweeps(times, values, rate: float, edges) -> np.ndarray:
         inside = np.minimum(top[split], b) - np.maximum(v0[split], a)
         out[i] = dt[within].sum() + (inside / rate).sum()
     return out
+
+
+def region_pieces(intervals, complement: bool, lo: float, hi: float) -> list:
+    """Connected components of (region intersect (lo, hi)) as (a, b) pairs,
+    by a walk over the sorted disjoint open ``intervals``.
+
+    The region is their union, or with ``complement`` what the union leaves
+    out: a cursor starts at lo and emits the stretch up to each interval it
+    meets, then jumps past that interval; what is left up to hi is the last
+    piece.
+    """
+    if hi <= lo:
+        return []
+    if not complement:
+        out = [(max(a, lo), min(b, hi)) for a, b in intervals if b > lo and a < hi]
+        return [(a, b) for a, b in out if b > a]
+    out = []
+    cursor = lo
+    for a, b in intervals:
+        if b <= lo:
+            continue
+        if a >= hi:
+            break
+        if a > cursor:
+            out.append((cursor, min(a, hi)))
+        cursor = max(cursor, b)
+    if cursor < hi:
+        out.append((cursor, hi))
+    return out
+
+
+def region_contains(intervals, complement: bool, y: float, atol: float = 1e-12) -> bool:
+    """Closure membership of y, interval by interval: within atol of some
+    interval, or for a complement inside none of them shrunk by atol."""
+    if not complement:
+        return any(a - atol <= y <= b + atol for a, b in intervals)
+    return not any(a + atol < y < b - atol for a, b in intervals)

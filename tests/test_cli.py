@@ -206,6 +206,15 @@ def test_library_refusal_is_config_error(tmp_path, capsys, args, cfg):
     assert capsys.readouterr().err.startswith("config error:")
 
 
+def test_mgf_with_one_path_is_config_error(tmp_path, capsys):
+    path = tmp_path / "cfg.yaml"
+    path.write_text(yaml.safe_dump({"seed": 3, "tests": ["mgf"], "theta": 0.5, "horizon": 20}))
+    assert run_cli(["test", "--model", "lattice_cpp", "--function", "exp_decay",
+                    "--paths", "1", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "paths" in err
+
+
 def test_non_finite_overshoot_level_is_config_error(tmp_path, capsys):
     cfg = tmp_path / "trap.yaml"
     cfg.write_text("seed: 1\nmode: trap\nlevels: [2, .inf]\n")

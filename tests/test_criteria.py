@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import levyint as L
 from levyint.criteria import RegionCoverageError, classify_ladder
@@ -128,9 +128,19 @@ def test_support_past_grid_raises(lattice_pm):
 
 # -- regions ----------------------------------------------------------------
 
+def _clip_lists(region, edges):
+    """region.clip over the windows of ``edges``, as one list of (a, b) per window."""
+    edges = np.asarray(edges, float)
+    w, a, b = region.clip(edges[:-1], edges[1:])
+    out = [[] for _ in edges[:-1]]
+    for i, lo, hi in zip(w, a, b):
+        out[i].append((lo, hi))
+    return out
+
+
 def test_region_complement_pieces():
     r = L.RegionSpec(intervals=[(1.0, 2.0), (4.0, 5.0)], describes_complement=True)
-    assert r.pieces(0.0, 6.0) == [(0.0, 1.0), (2.0, 4.0), (5.0, 6.0)]
+    assert _clip_lists(r, [0.0, 6.0]) == [[(0.0, 1.0), (2.0, 4.0), (5.0, 6.0)]]
     assert r.contains(3.0) and not r.contains(1.5)
     assert r.contains(1.0)            # closure convention at the boundary
 
@@ -152,11 +162,51 @@ def test_region_pieces_are_disjoint_and_inside(raw):
         ivals.append((lo, lo + w))
         cursor = lo + w
     r = L.RegionSpec(intervals=ivals)
-    pieces = r.pieces(0.0, 120.0)
+    [pieces] = _clip_lists(r, [0.0, 120.0])
     for (a0, b0), (a1, b1) in zip(pieces[:-1], pieces[1:]):
         assert b0 <= a1
     for a, b in pieces:
         assert 0.0 <= a < b <= 120.0
+
+
+# ends on a coarse grid, so intervals touch and windows share their ends
+_ENDS = st.integers(-8, 40).map(lambda k: k / 4.0)
+
+
+@st.composite
+def _region_and_edges(draw):
+    ends = sorted(draw(st.lists(_ENDS, min_size=0, max_size=12)))
+    ivals = [(a, b) for a, b in zip(ends[::2], ends[1::2]) if a < b]
+    if ivals and draw(st.booleans()):      # an interval touching the last one
+        ivals.append((ivals[-1][1], ivals[-1][1] + draw(st.integers(1, 8)) / 4.0))
+    if ivals and draw(st.booleans()):
+        ivals[0] = (-math.inf, ivals[0][1])
+    if ivals and draw(st.booleans()):
+        ivals[-1] = (ivals[-1][0], math.inf)
+    picks = draw(st.lists(st.one_of(_ENDS, st.floats(-3.0, 12.0)), min_size=2, max_size=24))
+    on_ends = [e for iv in ivals for e in iv if math.isfinite(e)]
+    edges = sorted(set(picks + on_ends[:draw(st.integers(0, len(on_ends)))]))
+    return ivals, draw(st.booleans()), edges
+
+
+@given(_region_and_edges())
+@settings(max_examples=300, deadline=None)
+def test_region_clip_matches_walk_oracle(case):
+    """The vectorised clip gives the interval walk's pieces, float for float
+    and in order, window by window, for regions and complements alike."""
+    ivals, complement, edges = case
+    assume(len(edges) >= 2)
+    r = L.RegionSpec(intervals=ivals, describes_complement=complement)
+    got = _clip_lists(r, edges)
+    want = [oracles.region_pieces(r.intervals.tolist(), complement, lo, hi)
+            for lo, hi in zip(edges[:-1], edges[1:])]
+    assert got == want
+    # and membership, vectorised and scalar, is the interval-by-interval rule
+    ys = np.array(edges + [e + d for e in edges for d in (-1e-12, -5e-13, 5e-13, 1e-12)])
+    for atol in (1e-12, 0.0):
+        want_in = [oracles.region_contains(r.intervals.tolist(), complement, y, atol) for y in ys]
+        assert r.contains(ys, atol=atol).tolist() == want_in
+        assert [bool(r.contains(y, atol=atol)) for y in ys] == want_in
 
 
 # -- nonincreasing-f consistency -------------------------------------------

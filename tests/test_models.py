@@ -136,6 +136,58 @@ def _concatenated_path(model, horizon, rng, small_jump_cutoff=None, ceiling=None
     return times, values, rate
 
 
+def _reference_grid_path(model, horizon, step, rng):
+    """A grid skeleton drawn from ``rng`` as simulate_path draws it, in plain
+    numpy, as (times, values).
+
+    First the jumps, if any: blocks of ``models.JUMP_BLOCK`` exponential
+    spacings, each followed by the sizes of its arrivals within the horizon,
+    until a block passes the horizon.  Then the cells, between consecutive
+    points of the grid and the arrivals; one normal per cell, times
+    sqrt(gaussian_var * dt), plus drift * dt; each jump added at the end of
+    its cell; the values the running sum from 0."""
+    grid = np.linspace(0.0, horizon, max(1, int(round(horizon / step))) + 1)
+    gaps, sizes = np.empty(0), np.empty(0)
+    while model.jumps is not None:
+        gaps = np.concatenate([gaps, rng.exponential(1.0 / model.jumps.rate,
+                                                     size=models.JUMP_BLOCK)])
+        n = np.count_nonzero(np.cumsum(gaps) <= horizon) - len(sizes)
+        sizes = np.concatenate([sizes, _reference_sizes(model.jumps, rng, n, None)])
+        if n < models.JUMP_BLOCK:
+            break
+    arrivals = np.cumsum(gaps)[:len(sizes)]
+    times = np.unique(np.concatenate([grid, arrivals]))
+    dt = np.diff(times)
+    incr = rng.standard_normal(len(dt)) * (math.sqrt(model.gaussian_var) * np.sqrt(dt))
+    incr += model.drift * dt
+    incr[np.isin(times[1:], arrivals)] += sizes
+    return times, np.concatenate([[0.0], np.cumsum(incr)])
+
+
+@pytest.mark.parametrize("block", [None, 3])
+@pytest.mark.parametrize("which", ["bm", "bm_cpp", "bm_atoms"])
+def test_grid_path_matches_plain_reference(monkeypatch, which, block, bm_model):
+    """simulate_path's grid skeleton equals the plain-numpy reference to the
+    bit, and both leave the generator in the same state (with blocks of 3
+    spacings the jumps span many blocks)."""
+    if block is not None:
+        monkeypatch.setattr(models, "JUMP_BLOCK", block)
+    model = {
+        "bm": bm_model,
+        "bm_cpp": L.build_model(drift=1.0, gaussian_var=1.0, jumps=L.CompoundPoisson(
+            rate=2.0, law=("uniform", -1.0, 0.5))),
+        "bm_atoms": L.build_model(drift=0.5, gaussian_var=2.0, jumps=L.CompoundPoisson(
+            rate=1.5, atoms=((-0.5, 0.4), (1.0, 0.6)))),
+    }[which]
+    for seed in range(5):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        p = L.simulate_path(model, 10.0, step=0.05, rng=rng)
+        times, values = _reference_grid_path(model, 10.0, 0.05, ref_rng)
+        assert p.times.tobytes() == times.tobytes()
+        assert p.values.tobytes() == values.tobytes()
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
 def _reference_rows(model, horizon, k, rng, small_jump_cutoff=None, ceiling=None):
     """k jump paths drawn from ``rng`` as the rows of one block, with
     temporaries throughout, as a list of (times, values).

@@ -210,6 +210,18 @@ def test_mgf_exponential_oracle(lattice_model):
     assert rep.warning is None
 
 
+@pytest.mark.parametrize("paths", [1, 0])
+def test_mgf_refuses_fewer_than_two_paths_before_any_draw(lattice_model, monkeypatch, paths):
+    """The trimmed-sample screen drops the top path, so one path leaves
+    nothing to screen: refused by name before any path is drawn."""
+    def no_draws(*args, **kwargs):
+        raise AssertionError("paths were drawn")
+    monkeypatch.setattr(L.perpetual, "estimate_I_distribution", no_draws)
+    with pytest.raises(ValueError, match="paths"):
+        L.khasminskii_exponential_check(L.exp_decay(), lattice_model, x=0.0, theta=0.5,
+                                        horizon=20.0, paths=paths, seed=3)
+
+
 def test_mgf_refuses_theta_beyond_threshold(lattice_model):
     with pytest.raises(ValueError):
         L.khasminskii_exponential_check(L.indicator(0.0, 1.0), lattice_model,
