@@ -53,7 +53,8 @@ COARSE_CUTOFF_FRACTION = 1e-4
 FINE_CUTOFF_FRACTION = 1e-8
 SWITCH_MARGIN = 1.1          # times the max jump size r
 LADDER_FACTOR = 10.0
-OVERSHOOT_CELLS = 1 << 16    # (gap, size) pairs per stage draw of a chunk
+OVERSHOOT_CELLS = 1 << 16    # most (gap, size) pairs per stage draw of a chunk
+OVERSHOOT_MIN_CELLS = 1 << 10  # least: about what one draw's fixed cost buys
 
 DKW_CONFIDENCE = 0.99
 
@@ -135,9 +136,10 @@ def _overshoot_chunk(jumps: TruncatedStable, level: float, n: int,
     """Overshoots over ``level`` of ``n`` compensated-jump skeletons.
 
     0.0 marks a crossing via the drift.  At each stage of :func:`_cutoff_ladder`
-    the paths at or below its stop draw rows of (gap, size) pairs, sized to the
-    expected jump count to the stop.  A row's first position past the stop
-    decides it: the path goes to the stop if the drift segment before that
+    the paths at or below its stop draw rows of (gap, size) pairs: the live rows'
+    own expected jump counts to the stop in all, clipped to [OVERSHOOT_MIN_CELLS,
+    OVERSHOOT_CELLS] cells and split evenly.  A row's first position past the
+    stop decides it: the path goes to the stop if the drift segment before that
     jump crossed first (a crossing only when the stop is the level), else to
     where the jump lands.  Rows not yet past the stop draw again.
     """
@@ -146,16 +148,18 @@ def _overshoot_chunk(jumps: TruncatedStable, level: float, n: int,
         rate, drift = jumps.tail_mass(eps), jumps.small_jump_drift(eps)
         live = np.flatnonzero(pos <= stop)
         while len(live):
-            need = int(1.25 * rate * (stop - pos[live].min()) / jumps.jump_part_mean) + 16
-            shape = (len(live), min(need, OVERSHOOT_CELLS // len(live)))
-            gaps = rng.exponential(1.0 / rate, size=shape)
-            sizes = jumps.sample_jumps(rng, gaps.size, eps).reshape(shape)
-            positions = pos[live, None] + np.cumsum(drift * gaps + sizes, axis=1)
+            cells = rate * (stop - pos[live]).sum() / jumps.jump_part_mean   # all rows' jumps left
+            shape = (len(live), int(np.clip(cells, OVERSHOOT_MIN_CELLS, OVERSHOOT_CELLS)) // len(live))
+            positions = rng.exponential(1.0 / rate, size=shape)   # gaps, then steps, in place
+            sizes = jumps.sample_jumps(rng, positions.size, eps).reshape(shape)
+            positions *= drift
+            positions += sizes
+            np.cumsum(positions, axis=1, out=positions)
+            positions += pos[live, None]
             crossed = positions > stop
             k = crossed.argmax(axis=1)
-            rows = np.arange(len(live))
-            hit = crossed[rows, k]
-            rows, k = rows[hit], k[hit]
+            hit = crossed[np.arange(len(live)), k]
+            rows, k = np.flatnonzero(hit), k[hit]
             landed = positions[rows, k]
             pos[live[hit]] = np.where(landed - sizes[rows, k] > stop, stop, landed)
             live = live[~hit]
@@ -182,8 +186,9 @@ def estimate_overshoot_cdf(
     small-overshoot bounds) and reported.
 
     Each (level, chunk of ``rng.DEFAULT_CHUNK`` paths) draws from one stream,
-    ``derive_rng(seed, STREAM_PATH, level_index, chunk_start)``, so the table
-    is the same bytes for any ``threads``.  Repeated levels are refused
+    ``derive_rng(seed, STREAM_PATH, level_index, chunk_start)``; all of them
+    share one ``threads`` pool and each level adds up integer counts, so the
+    table is the same bytes for any ``threads``.  Repeated levels are refused
     before any draw.
     """
     jumps = model.jumps
@@ -198,16 +203,15 @@ def estimate_overshoot_cdf(
         raise ValueError(f"levels must be distinct, got {levels.tolist()}")
     eps_grid = np.geomspace(1e-9, jumps.cutoff, 181)
 
-    cdfs = np.empty((len(levels), len(eps_grid)))
-    creep = np.empty(len(levels))
-    for li, level in enumerate(levels):
-        def worker(a, b, _level=level, _li=li):
-            over = _overshoot_chunk(jumps, _level, b - a,
-                                    _rng.derive_rng(seed, _rng.STREAM_PATH, _li, a))
-            return np.count_nonzero(over[:, None] <= eps_grid, axis=0), np.sum(over == 0.0)
-        parts = _rng.map_chunks(paths, worker, threads=threads)   # chunk order
-        cdfs[li] = sum(c for c, _ in parts) / paths
-        creep[li] = sum(nc for _, nc in parts) / paths
+    tasks = [(li, a, b) for li in range(len(levels)) for a, b in _rng.chunk_ranges(paths)]
+    def worker(i, _):        # one pool over every (level, chunk)
+        li, a, b = tasks[i]
+        over = _overshoot_chunk(jumps, levels[li], b - a,
+                                _rng.derive_rng(seed, _rng.STREAM_PATH, li, a))
+        return np.append(np.count_nonzero(over[:, None] <= eps_grid, axis=0),
+                         np.count_nonzero(over == 0.0))
+    counts = np.sum(np.reshape(_rng.map_chunks(len(tasks), worker, threads=threads, chunk=1),
+                               (len(levels), -1, len(eps_grid) + 1)), axis=1) / paths
 
     meta = {"model": describe(model), "paths_per_level": paths, "master_seed": seed,
             "coarse_cutoff_fraction": COARSE_CUTOFF_FRACTION,
@@ -215,8 +219,8 @@ def estimate_overshoot_cdf(
             "ladder_factor": LADDER_FACTOR,
             # overshoots below the floor are not resolved
             "cutoff_floor": FINE_CUTOFF_FRACTION * jumps.cutoff}
-    return OvershootTable(levels=levels, eps_grid=eps_grid, cdfs=cdfs,
-                          paths_per_level=paths, creep_fraction=creep, meta=meta)
+    return OvershootTable(levels=levels, eps_grid=eps_grid, cdfs=counts[:, :-1],
+                          paths_per_level=paths, creep_fraction=counts[:, -1], meta=meta)
 
 
 @dataclass
@@ -349,7 +353,7 @@ def build_transient_trap(table: OvershootTable, n_max: int, safety: float = 2.0)
     f = triangle_train(alpha, eps_arr, name=f"trap_bumps_{n_max}")
     trap_set = RegionSpec(intervals=[(a, b) for a, b in zip(alpha, beta)], name="trap")
     # tail beyond the materialized depth, stated with the doubled per-n bound
-    tail = float(sum(2.0 / (n * n) for n in range(n_max + 1, 100_000)))
+    tail = float(np.cumsum(2.0 / np.arange(n_max + 1, 100_000) ** 2)[-1])   # summed in order
     meta = {**table.meta, "n_max": n_max, "safety": safety,
             "dkw99_band": band, "limit_gap": table.limit_gap}
     return TrapConstruction(x_levels=x_arr, eps=eps_arr, alpha=alpha, beta=beta,

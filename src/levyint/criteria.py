@@ -336,8 +336,7 @@ def erickson_maller_test(
     if fy[-1] > 0.1 * fy[0] + _ATOL:
         warnings.warn(f"{f.name} has not decayed to ~0 by the grid top; "
                       "the Stieltjes tail is under-resolved", stacklevel=2)
-    renewal = np.array([pm.mass_between(0.0, y) for y in ys[:-1]])
-    increments = renewal * (fy[:-1] - fy[1:])           # U([0,y]) * (-df)
+    increments = pm.mass_between(0.0, ys[:-1]) * (fy[:-1] - fy[1:])   # U([0,y]) * (-df), all y
     tops = _window_edges(max(l, 1.0) * 2.0, top, LADDER_RUNGS)
     cum = np.concatenate([[0.0], np.cumsum(increments)])
     ladder = [float(cum[np.searchsorted(ys, t, side="right") - 1]) for t in tops]

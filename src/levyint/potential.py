@@ -72,19 +72,16 @@ class PotentialMeasure:
             raise ValueError("not a lattice measure")
         return np.round(self.centers / self.lattice_span) * self.lattice_span
 
-    def mass_between(self, lo: float, hi: float) -> float:
-        """Mass of [lo, hi], interpolating linearly inside boundary bins
-        (lattice sites count when inside within a small tolerance)."""
-        if hi <= lo:
-            return 0.0
+    def mass_between(self, lo, hi) -> float | np.ndarray:
+        """Mass of [lo, hi] (0 if hi <= lo), vectorised, from one cumulative mass:
+        linear inside a bin; a lattice site counts when inside within 1e-9."""
+        cum = np.append(0.0, np.cumsum(self.masses))
         if self.lattice_span is not None:
-            s = self.sites
-            sel = (s >= lo - 1e-9) & (s <= hi + 1e-9)
-            return float(self.masses[sel].sum())
-        lo_c = np.clip(lo, self.edges[0], self.edges[-1])
-        hi_c = np.clip(hi, self.edges[0], self.edges[-1])
-        frac = np.clip((np.minimum(hi_c, self.edges[1:]) - np.maximum(lo_c, self.edges[:-1])) / self.widths, 0.0, 1.0)
-        return float((self.masses * frac).sum())
+            m = (cum[np.searchsorted(self.sites, np.add(hi, 1e-9), side="right")]
+                 - cum[np.searchsorted(self.sites, np.subtract(lo, 1e-9))])
+        else:
+            m = np.interp(hi, self.edges, cum) - np.interp(lo, self.edges, cum)
+        return np.where(np.less(lo, hi), np.maximum(m, 0.0), 0.0)[()]
 
     # -- serialization -----------------------------------------------------
     def to_csv(self, path) -> None:

@@ -1,14 +1,15 @@
-"""Counter-based randomness derivation for reproducible parallel Monte Carlo.
+"""Keyed randomness derivation for reproducible parallel Monte Carlo.
 
 Every stochastic routine in the package draws from a Generator obtained via
-:func:`derive_rng`.  Philox is counter based, so the tuple
-``(master_seed, stream, index, ...)`` pins down an entire stream with no
-shared mutable state.  In ``models.reduce_paths`` the index is a path, or the
-first path of a block of paths drawn as the rows of one stream; the
-overshoot table keys a stream by (level, first path of a chunk).  Results are
-bit-identical for any number of worker threads because work is split into
-fixed-size chunks, tiled by whole blocks, that are reduced in chunk order.
-"""
+:func:`derive_rng`: an SFC64 generator seeded by ``SeedSequence`` from the
+entropy tuple ``(master_seed, stream, index, ...)``.  The tuple alone pins
+down the stream, with no shared mutable state, so a stream is the same
+whichever thread draws it and whenever.  In ``models.reduce_paths`` the index
+is a path, or the first path of a block of paths drawn as the rows of one
+stream; the overshoot table keys a stream by (level, first path of a chunk).
+Results are bit-identical for any number of worker threads because work is
+split into fixed-size chunks, tiled by whole blocks, that are reduced in
+chunk order."""
 
 from __future__ import annotations
 
@@ -32,7 +33,7 @@ def derive_rng(master_seed: int, *indices: int) -> np.random.Generator:
     equal streams and distinct tuples give statistically independent ones.
     """
     ss = np.random.SeedSequence(entropy=(int(master_seed), *map(int, indices)))
-    return np.random.Generator(np.random.Philox(ss))
+    return np.random.Generator(np.random.SFC64(ss))
 
 
 def chunk_ranges(n: int, chunk: int = DEFAULT_CHUNK) -> list[tuple[int, int]]:
@@ -53,5 +54,4 @@ def map_chunks(n: int, worker, threads: int = 1, chunk: int = DEFAULT_CHUNK) -> 
     if threads <= 1 or len(ranges) <= 1:
         return [worker(a, b) for a, b in ranges]
     with ThreadPoolExecutor(max_workers=threads) as ex:
-        futures = [ex.submit(worker, a, b) for a, b in ranges]
-        return [fu.result() for fu in futures]
+        return list(ex.map(worker, *zip(*ranges)))

@@ -149,6 +149,22 @@ def ts_overshoot_single_cutoff(level: float, paths: int, seed: int,
     return out
 
 
+def potential_mass_between(edges, masses, lo: float, hi: float, lattice_span=None) -> float:
+    """Mass of [lo, hi] under a binned potential, bin by bin: each bin adds
+    the share of its mass its overlap with [lo, hi] covers, or for a lattice
+    measure, the mass of its site when the site is in [lo, hi] to 1e-9."""
+    if hi <= lo:
+        return 0.0
+    total = 0.0
+    for a, b, m in zip(edges[:-1], edges[1:], masses):
+        if lattice_span is not None:
+            site = round(0.5 * (a + b) / lattice_span) * lattice_span
+            total += m if lo - 1e-9 <= site <= hi + 1e-9 else 0.0
+        else:
+            total += m * min(max((min(hi, b) - max(lo, a)) / (b - a), 0.0), 1.0)
+    return total
+
+
 def occupation_by_sweeps(times, values, rate: float, edges) -> np.ndarray:
     """Time an exact piecewise-linear path spends in each bin [a, b) of
     ``edges``, summed segment by segment with no passage times.

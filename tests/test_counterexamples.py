@@ -57,7 +57,8 @@ def test_overshoot_refuses_repeated_levels_before_any_draw(ts_model, monkeypatch
         L.estimate_overshoot_cdf(ts_model, [2, 2, 30], paths=400, seed=1)
 
 
-@pytest.mark.parametrize("paths", [600, 257])     # 257: a one-path last chunk
+# 257: a one-path last chunk; 200: one chunk per level, so the levels share the pool
+@pytest.mark.parametrize("paths", [600, 257, 200])
 def test_overshoot_table_is_the_same_bytes_for_any_threads(ts_model, paths):
     tables = [L.estimate_overshoot_cdf(ts_model, [2, 6], paths=paths, seed=12, threads=t)
               for t in (1, 2, 8)]

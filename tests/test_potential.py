@@ -128,6 +128,37 @@ def test_mass_between_interpolates():
     assert pm.mass_between(3.0, 4.0) == 0.0
 
 
+@pytest.mark.parametrize("lattice", [False, True])
+def test_mass_between_matches_bin_walk_oracle(lattice):
+    """U([lo, y]) for every y at once agrees with the bin-by-bin sum on grids
+    that start below, at and above lo, at bounds on edges, inside bins, on
+    and beside sites and past both grid ends.  It is a difference of two
+    cumulative masses, so it agrees to 1e-12 relative to the larger of the
+    answer and the mass below lo: purely relative when no mass lies below lo,
+    as for U([0, y]) on a subordinator's grid."""
+    gen = np.random.default_rng(17)
+    for _ in range(20):
+        if lattice:
+            sites = np.arange(int(gen.integers(-5, 3)), 40)
+            edges = np.append(sites - 0.5, sites[-1] + 0.5)
+        else:
+            edges = np.cumsum(np.append(gen.uniform(-5.0, 1.0), gen.uniform(0.01, 1.0, 60)))
+        masses = gen.exponential(1.0, len(edges) - 1) * (gen.random(len(edges) - 1) > 0.1)
+        pm = L.PotentialMeasure(edges=edges, masses=masses, stderr=np.zeros(len(masses)),
+                                lattice_span=1.0 if lattice else None)
+        for lo in (0.0, 3.0 + 1e-10, float(edges[0]), float(edges[3]),
+                   float(gen.uniform(edges[0], edges[-1]))):
+            ys = np.sort(np.concatenate([edges, gen.uniform(edges[0] - 2, edges[-1] + 2, 50),
+                                         np.round(gen.uniform(-2, 40, 20)) + 1e-10,
+                                         np.round(gen.uniform(-2, 40, 20)) - 1e-10, [lo]]))
+            want = [oracles.potential_mass_between(edges, masses, lo, y, pm.lattice_span)
+                    for y in ys]
+            below = oracles.potential_mass_between(edges, masses, edges[0] - 1.0, lo,
+                                                   pm.lattice_span)
+            np.testing.assert_allclose(pm.mass_between(lo, ys), want, rtol=1e-12,
+                                       atol=1e-12 * below)
+
+
 def test_lattice_grid_validation(lattice_model):
     with pytest.raises(ValueError), warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
@@ -225,7 +256,8 @@ def test_passage_rows_match_sweep_oracle(which, ts_model):
         full = L.simulate_path(model, horizon, rng=L.derive_rng(9, i))
         want = oracles.occupation_by_sweeps(full.times, full.values, full.linear_rate, edges)
         assert full.nondecreasing
-        assert (want[-1] == 0.0) == (which == "drift")     # the drift path ends inside the grid
+        # the tstable path ends above the grid top, the drift path inside it
+        assert (full.values[-1] > edges[-1]) == (which == "tstable")
         paths = [full]
         if which == "tstable":
             paths.append(L.simulate_path(model, horizon, rng=L.derive_rng(9, i),

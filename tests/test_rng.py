@@ -21,6 +21,19 @@ def test_different_indices_different_streams():
     assert not np.array_equal(a, c)
 
 
+@pytest.mark.parametrize("ix", [(), (rng.STREAM_PATH, 0), (rng.STREAM_PATH, 3, 512),
+                                (rng.STREAM_INNER, 7, 2**40)])
+def test_stream_is_sfc64_keyed_by_the_entropy_tuple(ix):
+    """A stream is SFC64 seeded from SeedSequence(entropy=(seed, *indices)),
+    so the tuple alone fixes it."""
+    want = np.random.Generator(np.random.SFC64(np.random.SeedSequence(entropy=(99, *ix))))
+    got = rng.derive_rng(99, *ix)
+    assert isinstance(got.bit_generator, np.random.SFC64)
+    assert np.array_equal(got.bit_generator.state["state"]["state"],
+                          want.bit_generator.state["state"]["state"])
+    assert np.array_equal(got.random(16), want.random(16))
+
+
 def test_chunk_ranges_cover_exactly():
     spans = rng.chunk_ranges(1000)
     assert spans[0][0] == 0 and spans[-1][1] == 1000
