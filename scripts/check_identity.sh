@@ -4,12 +4,13 @@
 #   scripts/check_identity.sh                      # digests and bench self-test
 #   scripts/check_identity.sh A/SHA256SUMS B/SHA256SUMS
 #
-# Prints digest_batch0 of every benchmark workload at --seed 1, runs the
-# benchmark self-test, and, given two out/SHA256SUMS files written by
-# scripts/run_examples.sh (say one in a checkout of the parent commit and one
-# in this checkout), diffs them.  Compare the digests with the ones the
-# parent commit prints, or with those CHANGES.md records.  It reads bench/
-# and writes only the benchmark's own records under .bench_work/.
+# Prints digest_batch0 of every benchmark workload at --seed 1 and the
+# src/levyint line count, runs the benchmark self-test, and, given two
+# out/SHA256SUMS files written by scripts/run_examples.sh (say one in a
+# checkout of the parent commit and one in this checkout), diffs them.
+# Compare the digests with the ones the parent commit prints, or with those
+# CHANGES.md records.  It reads bench/ and writes only the benchmark's own
+# records under .bench_work/.
 #
 # Every step runs whatever an earlier one did, and prints its status; the
 # exit status is non-zero when a digest run, the self-test or the diff
@@ -39,6 +40,8 @@ for w in lattice_verdicts trap_certificate continuous_corpus; do
   echo "digest_batch0 $w ${line##*digest }"
   status "digest $w" "$rc"
 done
+
+echo "src/levyint lines $(cat src/levyint/*.py | wc -l)"
 
 python3 bench/selftest.py
 status "bench self-test" $?

@@ -38,6 +38,7 @@ from .counterexamples import (
     verify_counterexample,
 )
 from .criteria import (
+    CriterionReport,
     RegionSpec,
     blackwell_equivalence_check,
     dk_test,
@@ -409,7 +410,6 @@ def cmd_test(cfg: dict) -> int:
     pm = None
     if set(which) & {"potential_integral", "erickson_maller", "blackwell", "khasminskii_j"}:
         pm = _potential_from_config(cfg, model)
-    out = _outdir(cfg)
 
     reports = {}
     comparison = []
@@ -417,39 +417,36 @@ def cmd_test(cfg: dict) -> int:
     for name in which:
         if name == "dk":
             rep = dk_test(f, _num(cfg, "dk_cutoff", 0.0))
-            reports[name] = rep.to_dict()
-            comparison.append((name, rep.value, rep.verdict))
         elif name == "potential_integral":
-            region = region_from_config(cfg.get("region"))
-            rep = potential_integral(f, pm, region, x=x)
-            reports[name] = rep.to_dict()
-            comparison.append((name, rep.value, rep.verdict))
+            rep = potential_integral(f, pm, region_from_config(cfg.get("region")), x=x)
         elif name == "erickson_maller":
             rep = erickson_maller_test(f, pm, cutoff)
-            reports[name] = rep.to_dict()
-            comparison.append((name, rep.value, rep.verdict))
         elif name == "blackwell":
-            reports[name] = blackwell_equivalence_check(f, pm, cutoff)
+            rep = blackwell_equivalence_check(f, pm, cutoff)
         elif name == "khasminskii_j":
             xg = cfg.get("x_grid")
             grid = (np.asarray([_as(float, v, "x_grid") for v in xg]) if isinstance(xg, list)
                     else np.linspace(-2.0, 2.0, 41))
-            reports[name] = khasminskii_J(f, pm, grid)
+            rep = khasminskii_J(f, pm, grid)
         elif name == "batty":
             rep = batty_inequality_check(
                 f, model, x, a=_num(cfg, "a", 1.0), t=_num(cfg, "t", 10.0),
-                n_outer=_num(cfg, "paths", 400, int), seed=cfg["seed"], step=_num(cfg, "step"))
-            reports[name] = rep.__dict__
+                n_outer=_num(cfg, "paths", 400, int), seed=cfg["seed"],
+                step=_num(cfg, "step")).__dict__
         elif name == "mgf":
             rep = khasminskii_exponential_check(
                 f, model, x, theta=_num(cfg, "theta", 1.0),
                 horizon=_num(cfg, "horizon", 50.0), paths=_num(cfg, "paths", 2000, int),
                 seed=cfg["seed"], j_value=_num(cfg, "j_value"), step=_num(cfg, "step"),
-                threads=cfg["threads"])
-            reports[name] = rep.__dict__
+                threads=cfg["threads"]).__dict__
         else:
             raise ConfigError(f"unknown test '{name}'")
+        if isinstance(rep, CriterionReport):    # a verdict: one row of comparison.csv
+            comparison.append((name, rep.value, rep.verdict))
+            rep = rep.to_dict()
+        reports[name] = rep
 
+    out = _outdir(cfg)
     write_json(out / "tests.json", {"model": model_id, "f": f_id, "reports": reports}, cfg)
     write_csv(out / "comparison.csv", ["test", "value", "verdict", "model_id", "f_id"],
               [(n, v, verdict, model_id, f_id) for n, v, verdict in comparison],
@@ -469,11 +466,11 @@ def cmd_diagnose(cfg: dict) -> int:
         ladder = [horizon / 2 ** (n_rungs - 1 - i) for i in range(n_rungs)]
     else:
         ladder = [_as(float, t, "ladder") for t in ladder]
-    out = _outdir(cfg)
     verdict = finiteness_diagnosis(f, model, x=_num(cfg, "x", 0.0),
                                    rungs=ladder, paths=_num(cfg, "paths", 2000, int),
                                    seed=cfg["seed"], step=_num(cfg, "step"),
                                    threads=cfg["threads"])
+    out = _outdir(cfg)
     ev = verdict.evidence
     write_json(out / "diagnosis.json",
                {"outcome": verdict.outcome, "note": verdict.note, "evidence": ev}, cfg)
@@ -543,12 +540,12 @@ def cmd_scan(cfg: dict) -> int:
     xs = (np.asarray([_as(float, v, "x") for v in xspec]) if isinstance(xspec, list)
           else np.linspace(_num(xspec, "lo", -2.0), _num(xspec, "hi", 6.0),
                            _num(xspec, "points", 17, int)))
-    out = _outdir(cfg)
     approx = estimate_L_set(f, model, a=_num(scan, "a", 1.0),
                             q=_num(scan, "q", 0.5), x_grid=xs,
                             horizon=_num(cfg, "horizon", 50.0),
                             paths=_num(cfg, "paths", 1000, int), seed=cfg["seed"],
                             step=_num(cfg, "step"), threads=cfg["threads"])
+    out = _outdir(cfg)
     write_csv(out / "lset.csv", ["x", "g_hat", "stderr", "member"],
               zip(approx.xs, approx.g_hat, approx.stderr, approx.member),
               cfg, {"a": repr(approx.a), "q": repr(approx.q),

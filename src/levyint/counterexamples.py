@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -22,7 +22,7 @@ from . import rng as _rng
 from .criteria import RegionSpec, dk_test, potential_integral
 from .functions import TestFunction, lattice_sine, triangle_train
 from .models import LevyModel, TruncatedStable, binomial_stderr, describe, reduce_paths
-from .perpetual import _censoring_rule, _classify_plateau, _live_ceiling, integral_along_path
+from .perpetual import _censoring_rule, _classify_plateau, _integral_samples, _live_ceiling
 from .potential import estimate_potential
 
 __all__ = [
@@ -377,9 +377,7 @@ class LatticeSineReport:
     meta: dict
 
     def to_dict(self) -> dict:
-        return {k: getattr(self, k) for k in (
-            "span", "max_abs_on_lattice", "dk_verdict", "dk_value", "max_integral",
-            "horizon", "paths", "mismatch_required", "passed", "meta")}
+        return asdict(self)
 
 
 def lattice_counterexample(
@@ -403,10 +401,7 @@ def lattice_counterexample(
     sites = alpha * np.arange(0, 200)
     max_on_lattice = float(np.abs(f(sites)).max())
     dk = dk_test(f, 0.0)
-    worst = float(max(reduce_paths(
-        model, horizon, paths, seed,
-        lambda chunk: max(np.abs(integral_along_path(f, block)).max() for block in chunk)),
-        default=0.0))
+    worst = float(np.abs(_integral_samples(f, model, [0.0], horizon, paths, seed)).max())
     passed = (max_on_lattice <= LATTICE_ZERO_TOL
               and dk.verdict == "infinite"
               and worst <= LATTICE_INTEGRAL_TOL_PER_TIME * horizon)
@@ -435,10 +430,7 @@ class TrapVerification:
     details: dict
 
     def to_dict(self) -> dict:
-        return {k: getattr(self, k) for k in (
-            "visit_fraction", "visit_bound", "visit_stderr", "visit_ok",
-            "diagnosis_outcome", "diagnosis_ok", "potential_integral_value",
-            "potential_ok", "dk_verdict", "dk_ok", "passed", "details")}
+        return asdict(self)
 
 
 def verify_counterexample(

@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -181,8 +181,7 @@ class CriterionReport:
             raise ValueError("infinite verdict must carry the +inf sentinel value")
 
     def to_dict(self) -> dict:
-        return {"test": self.test, "value": self.value, "verdict": self.verdict,
-                "inputs": self.inputs, "details": self.details}
+        return asdict(self)
 
 
 def _digest(*parts) -> str:
@@ -261,8 +260,11 @@ def potential_integral(
     masses are handled exactly: a site contributes its full mass iff it lies
     in the closure of the region (:meth:`RegionSpec.contains`).  Divergence
     is decided by :func:`classify_ladder` on partial sums over windows
-    doubling from 1 to the top of the grid.
+    doubling from 1 to the top of the grid.  A start point x that is not
+    finite is refused.
     """
+    if not math.isfinite(x):
+        raise ValueError(f"start point x must be finite, got {x!r}")
     edges = pm.edges
     sup_lo, sup_hi = f.support
     if math.isfinite(sup_hi) and sup_hi + x > edges[-1] + 1e-9:

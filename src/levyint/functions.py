@@ -3,8 +3,9 @@
 A :class:`TestFunction` bundles a vectorized evaluator with enough structure
 to integrate it reliably: an optional exact primitive (antiderivative of f
 with an arbitrary base point), breakpoints where the function is kinked or
-discontinuous, and a support hint.  The primitive is what makes needle-thin
-bump trains integrable exactly; blind quadrature never sees them.
+discontinuous, and the intervals off which it vanishes.  The primitive is
+what makes needle-thin bump trains integrable exactly; blind quadrature
+never sees them.
 """
 
 from __future__ import annotations
@@ -39,7 +40,8 @@ class TestFunction:
     exactly constant, so an integral over a range that misses them is exactly
     0.0.  The bump train and the step functions set their pieces (those with a
     nonzero coefficient); every other function is one piece, the whole line.
-    It is set by the constructors, not passed in.
+    It is set by the constructors, not passed in, and :attr:`support` is its
+    hull.
     """
 
     name: str
@@ -47,10 +49,15 @@ class TestFunction:
     evaluator: Callable[[np.ndarray], np.ndarray]
     primitive: Optional[Callable[[np.ndarray], np.ndarray]] = None
     breakpoints: np.ndarray = field(default_factory=lambda: np.empty(0))
-    support: tuple[float, float] = (-math.inf, math.inf)
     ladder_windows: Optional[np.ndarray] = None  # preferred partial-integral edges
     live_intervals: np.ndarray = field(init=False,
                                        default_factory=lambda: np.array([[-math.inf, math.inf]]))
+
+    @property
+    def support(self) -> tuple[float, float]:
+        """Hull of ``live_intervals``: (0.0, 0.0) when f has no live piece."""
+        live = self.live_intervals
+        return (float(live[0, 0]), float(live[-1, 1])) if len(live) else (0.0, 0.0)
 
     def __call__(self, y) -> np.ndarray:
         return np.asarray(self.evaluator(np.asarray(y, float)), float)
@@ -144,11 +151,8 @@ def step_function(pieces: Sequence[tuple[float, float, float]], name: str = "ste
         y = np.asarray(y, float)[..., None]
         return (coeffs * np.clip(y - lowers, 0.0, uppers - lowers)).sum(axis=-1)
 
-    lo = float(lowers.min()) if len(lowers) else 0.0
-    hi = float(uppers.max()) if len(uppers) else 0.0
     f = TestFunction(name=name, kind="step", evaluator=ev, primitive=prim,
-                     breakpoints=np.unique(np.concatenate([lowers, uppers])),
-                     support=(lo, hi))
+                     breakpoints=np.unique(np.concatenate([lowers, uppers])))
     live = coeffs > 0
     # pieces may overlap by the 1e-12 slack above; the running maximum keeps
     # the upper ends sorted, widening a piece only over its neighbour
@@ -256,7 +260,6 @@ def triangle_train(starts: Sequence[float], widths: Sequence[float], name: str =
 
     f = TestFunction(name=name, kind="closed_form", evaluator=ev, primitive=prim,
                      breakpoints=np.unique(np.concatenate([a, a + 0.5 * w, b])),
-                     support=(float(a[0]), float(b[-1])),
                      ladder_windows=b.copy())
     f.live_intervals = np.column_stack([a, b])
     return f

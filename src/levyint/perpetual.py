@@ -156,9 +156,8 @@ def _censoring_rule(f, x, rungs):
     ``row(block)`` is, for each piece of a path block, the running integral
     at each rung, then at the start of each rung's final CENSOR_WINDOW share.
     ``split(rows)`` turns stacked rows into (integrals at the rungs, censored
-    flags): a path is censored
-    at a rung when that final window still accrues more than
-    CENSOR_REL_ACCRUAL of the running integral.
+    flags): a path is censored at a rung when that final window still
+    accrues more than CENSOR_REL_ACCRUAL of the running integral.
     """
     k = len(rungs)
     eval_times = np.concatenate([rungs, (1.0 - CENSOR_WINDOW) * rungs])
@@ -188,6 +187,29 @@ def _live_ceiling(f: TestFunction, x: float) -> float:
     return c
 
 
+def _integral_samples(f: TestFunction, model: LevyModel, xs, horizon: float, paths: int,
+                      seed: int, key: tuple = (_rng.STREAM_PATH,),
+                      step: Optional[float] = None, threads: int = 1) -> np.ndarray:
+    """I^x_T of every path from every start point x in ``xs``: a (paths,
+    len(xs)) array, rows in path index order, from one ``reduce_paths`` pass.
+
+    Every start point reads the same paths (starting at x only shifts them),
+    so the columns are coupled: for nonincreasing f, I^x falls with x along
+    every row.  The reducer's per-block step integrates each block once per
+    start point.  Start points are checked before any draw.
+    """
+    xs = np.asarray(xs, float)
+    if xs.ndim != 1 or len(xs) == 0 or not np.all(np.isfinite(xs)):
+        raise ValueError(f"start points must be a nonempty sequence of finite numbers, got {xs}")
+
+    def reducer(chunk):
+        return np.concatenate([np.column_stack([integral_along_path(f, block, x) for x in xs])
+                               for block in chunk])
+
+    return np.concatenate(reduce_paths(model, horizon, paths, seed, reducer, key=key,
+                                       threads=threads, step=step))
+
+
 def _ladder_samples(f, model, x, rungs, paths, seed, step, threads):
     """Per-path running integrals at each rung, and censored flags.
 
@@ -197,6 +219,8 @@ def _ladder_samples(f, model, x, rungs, paths, seed, step, threads):
     rows read only segments that meet f's live intervals, so paths may stop
     once past their top.
     """
+    if not math.isfinite(x):
+        raise ValueError(f"start point x must be finite, got {x!r}")
     rungs = np.asarray(sorted(rungs), float)
     row, split = _censoring_rule(f, x, rungs)
     parts = reduce_paths(model, float(rungs[-1]), paths, seed,
@@ -217,13 +241,11 @@ def estimate_I_distribution(
     threads: int = 1,
 ) -> IDistribution:
     """Sample I^x_T over independent paths."""
-    rungs, vals, censored = _ladder_samples(f, model, x, [horizon], paths, seed, step, threads)
-    samples = vals[:, 0]
-    cens = censored[:, 0]
-    meta = {"model": describe(model), "f": f.name, "paths": paths,
-            "horizon": float(horizon), "master_seed": seed}
-    return IDistribution(x=float(x), horizon=float(horizon), samples=samples,
-                         censored=cens, meta=meta)
+    _, vals, censored = _ladder_samples(f, model, x, [horizon], paths, seed, step, threads)
+    return IDistribution(x=float(x), horizon=float(horizon), samples=vals[:, 0],
+                         censored=censored[:, 0],
+                         meta={"model": describe(model), "f": f.name, "paths": paths,
+                               "horizon": float(horizon), "master_seed": seed})
 
 
 @dataclass
@@ -339,24 +361,17 @@ def estimate_L_set(
 ) -> LSetApprox:
     """Mark grid points x where the estimated tail G_a(x) is at most q.
 
-    All starting points share the same simulated paths (``reduce_paths``
-    draws them once; starting at x only shifts them), so for nonincreasing f
-    the estimated I^x are coupled monotonically in x and the member set
-    inherits that stability.
+    All starting points share the same simulated paths
+    (:func:`_integral_samples`), so for nonincreasing f the estimated I^x
+    are coupled monotonically in x and the member set inherits that
+    stability.  An empty grid, or one with a point that is not finite, is
+    refused.
     """
     xs = np.asarray(sorted(float(v) for v in x_grid))
     if not 0.0 < q < 1.0:
         raise ValueError("q must lie in (0, 1)")
-
-    def reducer(chunk):
-        counts = np.zeros(len(xs))
-        for block in chunk:
-            for j, x in enumerate(xs):
-                counts[j] += np.count_nonzero(integral_along_path(f, block, x) > a)
-        return counts
-
-    parts = reduce_paths(model, horizon, paths, seed, reducer, threads=threads, step=step)
-    g = sum(parts, np.zeros(len(xs))) / paths
+    samples = _integral_samples(f, model, xs, horizon, paths, seed, step=step, threads=threads)
+    g = np.count_nonzero(samples > a, axis=0) / paths
     return LSetApprox(a=float(a), q=float(q), xs=xs, g_hat=g, stderr=binomial_stderr(g, paths),
                       member=g <= q,
                       meta={"model": describe(model), "f": f.name, "paths": paths,
@@ -393,13 +408,18 @@ def batty_inequality_check(
     """Check beta_hat * mean(I^x_t) <= a + 3 propagated standard errors.
 
     beta_hat is the minimum over BATTY_PROBES evenly spaced points on the
-    support of f of the inner-estimated P(I^y_t <= a), each from
-    max(8, round(sqrt(n_outer))) inner paths with nested seeds
-    (master, probe index, path index).  An unbounded support is truncated
-    to a window of length 20 starting at min(0, x).  The minimum of noisy
-    estimates is biased low, which only makes the check conservative; that
-    caveat and any window truncation are recorded.
+    support of f of the inner-estimated P(I^y_t <= a).  Every probe reads
+    the same max(8, round(sqrt(n_outer))) inner paths (stream STREAM_INNER,
+    one pass of :func:`_integral_samples`), so the probes are coupled as in
+    the L-set scan.  An unbounded support is truncated to a window of
+    length 20 starting at min(0, x).  The minimum of noisy estimates is
+    biased low, which only makes the check conservative; that caveat and
+    any window truncation are recorded.
     """
+    outer = _integral_samples(f, model, [x], t, n_outer, seed, step=step)[:, 0]
+    mean_i = float(outer.mean())
+    se_mean = float(outer.std(ddof=1) / math.sqrt(n_outer)) if n_outer > 1 else 0.0
+
     caveats = ["beta_hat is a minimum of noisy estimates (biased low, conservative)"]
     lo, hi = f.support
     if not (math.isfinite(lo) and math.isfinite(hi)):
@@ -408,24 +428,12 @@ def batty_inequality_check(
         caveats.append(f"unbounded support truncated to probe window ({lo:g}, {hi:g})")
     n_inner = max(8, int(round(math.sqrt(n_outer))))
     probes = np.linspace(lo, hi, BATTY_PROBES)
-
-    p_hat = np.empty(BATTY_PROBES)
-    for j, y in enumerate(probes):
-        below = reduce_paths(model, t, n_inner, seed,
-                             lambda chunk: sum(np.count_nonzero(
-                                 integral_along_path(f, block, float(y)) <= a) for block in chunk),
-                             key=(_rng.STREAM_INNER, j), step=step)
-        p_hat[j] = sum(below) / n_inner
+    inner = _integral_samples(f, model, probes, t, n_inner, seed, key=(_rng.STREAM_INNER,),
+                              step=step)
+    p_hat = np.count_nonzero(inner <= a, axis=0) / n_inner
     j_min = int(np.argmin(p_hat))
     beta = float(p_hat[j_min])
     se_beta = float(binomial_stderr(beta, n_inner))
-
-    outer = np.concatenate(reduce_paths(
-        model, t, n_outer, seed,
-        lambda chunk: np.concatenate([integral_along_path(f, block, x) for block in chunk]),
-        step=step))
-    mean_i = float(outer.mean())
-    se_mean = float(outer.std(ddof=1) / math.sqrt(n_outer)) if n_outer > 1 else 0.0
 
     lhs = beta * mean_i
     se_lhs = math.sqrt((beta * se_mean) ** 2 + (mean_i * se_beta) ** 2)

@@ -58,10 +58,6 @@ class PotentialMeasure:
 
     # -- geometry ----------------------------------------------------------
     @property
-    def widths(self) -> np.ndarray:
-        return np.diff(self.edges)
-
-    @property
     def centers(self) -> np.ndarray:
         return 0.5 * (self.edges[:-1] + self.edges[1:])
 

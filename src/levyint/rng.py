@@ -19,7 +19,7 @@ import numpy as np
 
 # Stream tags keep draws of unrelated stages decorrelated under one master seed.
 STREAM_PATH = 1        # top-level path simulation
-STREAM_INNER = 2       # nested per-probe estimates
+STREAM_INNER = 2       # inner paths shared by every probe of the Batty check
 
 # Paths per work unit.  Fixed (never derived from the thread count) so that
 # the float accumulation order cannot depend on parallelism.

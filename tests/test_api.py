@@ -33,7 +33,7 @@ OPTIONAL_PARAMETERS = {
     "PathSample": ("linear_rate", "nondecreasing"),
     "PotentialMeasure": ("lattice_span", "meta"),
     "RegionSpec": ("describes_complement", "name"),
-    "TestFunction": ("primitive", "breakpoints", "support", "ladder_windows"),
+    "TestFunction": ("primitive", "breakpoints", "ladder_windows"),
     "TrapConstruction": (),
     "TruncatedStable": (),
     "Verdict": ("note",),

@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 
@@ -234,6 +235,24 @@ def test_repeated_overshoot_level_is_config_error_before_any_draw(tmp_path, caps
     out = tmp_path / "o"
     assert run_cli(["counterexample", "--config", str(cfg), "--out", str(out)]) == 2
     assert "distinct" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args, cfg", [
+    (["scan"], {"scan": {"x": [0.0, math.nan]}}),
+    (["scan"], {"scan": {"x": []}}),
+    (["diagnose"], {"x": math.inf}),
+    (["test"], {"tests": ["khasminskii_j"], "x_grid": [math.nan, 0.0]}),
+], ids=["scan_nan", "scan_empty", "diagnose_inf", "test_J_nan"])
+def test_start_point_that_is_not_finite_is_config_error(tmp_path, capsys, args, cfg):
+    """Refused by the library with one line, and no output directory is made."""
+    path = tmp_path / "cfg.yaml"
+    path.write_text(yaml.safe_dump({"seed": 1, "paths": 10, **cfg}))
+    out = tmp_path / "o"
+    assert run_cli([*args, "--model", "lattice_cpp", "--function", "exp_decay",
+                    "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "finite" in err
     assert not out.exists()
 
 

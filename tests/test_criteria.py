@@ -126,6 +126,31 @@ def test_support_past_grid_raises(lattice_pm):
         L.potential_integral(f, lattice_pm, L.half_line(0.0))
 
 
+def _site_measure(sites=64):
+    """A lattice potential with mass 0.5 on each site 0..sites-1."""
+    return L.PotentialMeasure(edges=np.arange(sites + 1) - 0.5, masses=np.full(sites, 0.5),
+                              stderr=np.zeros(sites), lattice_span=1.0)
+
+
+def test_dead_pieces_past_grid_do_not_raise():
+    """f is 0 beyond 1: a zero-coefficient piece out at (100, 200) does not
+    reach past the grid, and f reads as the indicator it equals."""
+    pm = _site_measure()
+    f = L.step_function([(1.0, 0.0, 1.0), (0.0, 100.0, 200.0)])
+    got = L.potential_integral(f, pm, L.half_line(0.0), x=0.5)
+    want = L.potential_integral(L.indicator(0.0, 1.0), pm, L.half_line(0.0), x=0.5)
+    assert got.details["partial_value"] == want.details["partial_value"] == 0.5
+
+
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+def test_start_point_that_is_not_finite_is_refused(x):
+    pm = _site_measure()
+    with pytest.raises(ValueError, match="finite"):
+        L.potential_integral(L.lattice_sine(1.0), pm, L.full_line(), x=x)
+    with pytest.raises(ValueError, match="finite"):
+        L.khasminskii_J(L.indicator(0.0, 1.0), pm, [x, 0.0])
+
+
 # -- regions ----------------------------------------------------------------
 
 def _clip_lists(region, edges):

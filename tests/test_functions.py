@@ -85,6 +85,16 @@ def test_live_intervals_are_the_nonzero_pieces():
     assert L.exp_decay().live_intervals.tolist() == [[-math.inf, math.inf]]
 
 
+def test_support_is_the_hull_of_the_live_intervals():
+    """A zero-coefficient piece widens nothing, and f with no live piece
+    has support (0, 0)."""
+    assert L.step_function([(1.0, 0.0, 1.0), (0.0, 100.0, 200.0)]).support == (0.0, 1.0)
+    assert L.step_function([(0.0, -5.0, 1.0), (2.0, 4.0, 5.0)]).support == (4.0, 5.0)
+    assert L.step_function([(0.0, 0.0, 1.0)]).support == (0.0, 0.0)
+    assert L.triangle_train([3.0, 1.0], [0.5, 0.25]).support == (1.0, 3.5)
+    assert L.exp_decay().support == (-math.inf, math.inf)
+
+
 def test_ladder_windows_exposed():
     f = L.triangle_train([1.0, 4.0], [0.5, 0.25])
     assert np.allclose(f.ladder_windows, [1.5, 4.25])

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import levyint as L
+from levyint import models
 from levyint.models import PathSample
 
 import oracles
@@ -161,6 +162,73 @@ def test_diagnosis_verdict_carries_zero_one_note(lattice_model):
     v = L.finiteness_diagnosis(L.exp_decay(), lattice_model, x=0.0,
                                rungs=[5.0, 10.0, 20.0], paths=200, seed=37)
     assert "0 or 1" in v.note
+
+
+# -- I^x over start points ---------------------------------------------------
+
+_SAMPLER_CASES = {
+    # (model, horizon, step, paths): every case spans two chunks of paths
+    "lattice": (L.build_model(jumps=L.CompoundPoisson(rate=2.0, atoms=((1.0, 1.0),)),
+                              lattice_span=1.0), 3.0, None, 300),
+    "tstable_k1": (L.build_model(jumps=L.TruncatedStable(activity=1.0, index=0.5, cutoff=1.0)),
+                   100.0, None, 258),
+    "bm_grid": (L.build_model(drift=1.0, gaussian_var=1.0), 3.0, 0.05, 300),
+}
+
+
+@pytest.mark.parametrize("which", sorted(_SAMPLER_CASES))
+@pytest.mark.parametrize("f", [L.exp_decay(), L.indicator(0.5, 2.5)], ids=lambda f: f.name)
+@pytest.mark.parametrize("threads", [1, 2])
+def test_integral_samples_match_per_piece_oracle(which, f, threads):
+    """The sampler's (paths, len(xs)) matrix is, bit for bit, a plain loop
+    over every piece of every block and every x of ``integral_along_path``."""
+    model, horizon, step, paths = _SAMPLER_CASES[which]
+    xs = [-0.75, 0.0, 0.5]
+    k = models._block_paths(model, horizon, None, step)
+    assert (k == 1) == (which == "tstable_k1")
+    blocks = [b for part in models.reduce_paths(model, horizon, paths, 29, list, step=step)
+              for b in part]
+    want = np.array([[L.integral_along_path(f, p, x) for x in xs]
+                     for b in blocks for p in b.pieces()])
+    got = L.perpetual._integral_samples(f, model, xs, horizon, paths, 29, step=step,
+                                        threads=threads)
+    assert got.shape == (paths, len(xs))
+    assert got.tobytes() == want.tobytes()
+
+
+def test_batty_reads_two_path_passes(lattice_model, monkeypatch):
+    """The inner estimate reads one pass shared by every probe, the outer
+    estimate one more: two ``reduce_paths`` calls in all."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("key"))
+        return models.reduce_paths(*args, **kwargs)
+    monkeypatch.setattr(L.perpetual, "reduce_paths", counted)
+    L.batty_inequality_check(L.indicator(0.0, 1.0), lattice_model, x=0.0, a=1.0, t=5.0,
+                             n_outer=64, seed=5)
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("call", [
+    lambda m: L.estimate_L_set(L.exp_decay(), m, a=1.0, q=0.5, x_grid=[0.0, math.nan],
+                               horizon=10.0, paths=10, seed=0),
+    lambda m: L.estimate_L_set(L.exp_decay(), m, a=1.0, q=0.5, x_grid=[],
+                               horizon=10.0, paths=10, seed=0),
+    lambda m: L.estimate_I_distribution(L.exp_decay(), m, x=math.inf, horizon=10.0,
+                                        paths=10, seed=0),
+    lambda m: L.finiteness_diagnosis(L.lattice_sine(1.0), m, x=math.nan,
+                                     rungs=[5.0, 10.0, 20.0], paths=10, seed=0),
+    lambda m: L.batty_inequality_check(L.indicator(0.0, 1.0), m, x=math.nan, a=1.0, t=5.0,
+                                       n_outer=16, seed=0),
+], ids=["L_set_nan", "L_set_empty", "I_distribution_inf", "diagnosis_nan", "batty_nan"])
+def test_start_points_that_are_not_finite_are_refused_before_any_draw(lattice_model,
+                                                                      monkeypatch, call):
+    def no_draws(*args, **kwargs):
+        raise AssertionError("paths were drawn")
+    monkeypatch.setattr(L.perpetual, "reduce_paths", no_draws)
+    with pytest.raises(ValueError, match="finite"):
+        call(lattice_model)
 
 
 # -- sublevel set -----------------------------------------------------------
