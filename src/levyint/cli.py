@@ -406,6 +406,14 @@ def cmd_test(cfg: dict) -> int:
     which = cfg.get("tests", ["dk", "potential_integral"])
     x = _num(cfg, "x", 0.0)
     cutoff = _num(cfg, "lower_cutoff", 1.0)
+    dk_cutoff = _num(cfg, "dk_cutoff", 0.0)
+    xg = cfg.get("x_grid")
+    grid = (np.asarray([_as(float, v, "x_grid") for v in xg]) if isinstance(xg, list)
+            else np.linspace(-2.0, 2.0, 41))
+    # refused before the potential measure is drawn
+    for key, value in (("x", x), ("lower_cutoff", cutoff), ("dk_cutoff", dk_cutoff), ("x_grid", grid)):
+        if not np.all(np.isfinite(value)):
+            raise ConfigError(f"config key '{key}' must be finite, got {cfg[key]!r}")
 
     pm = None
     if set(which) & {"potential_integral", "erickson_maller", "blackwell", "khasminskii_j"}:
@@ -416,7 +424,7 @@ def cmd_test(cfg: dict) -> int:
     model_id, f_id = describe(model), f.name
     for name in which:
         if name == "dk":
-            rep = dk_test(f, _num(cfg, "dk_cutoff", 0.0))
+            rep = dk_test(f, dk_cutoff)
         elif name == "potential_integral":
             rep = potential_integral(f, pm, region_from_config(cfg.get("region")), x=x)
         elif name == "erickson_maller":
@@ -424,9 +432,6 @@ def cmd_test(cfg: dict) -> int:
         elif name == "blackwell":
             rep = blackwell_equivalence_check(f, pm, cutoff)
         elif name == "khasminskii_j":
-            xg = cfg.get("x_grid")
-            grid = (np.asarray([_as(float, v, "x_grid") for v in xg]) if isinstance(xg, list)
-                    else np.linspace(-2.0, 2.0, 41))
             rep = khasminskii_J(f, pm, grid)
         elif name == "batty":
             rep = batty_inequality_check(

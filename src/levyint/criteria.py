@@ -202,6 +202,8 @@ def classify_ladder(values: Sequence[float]) -> tuple[str, dict]:
     v = np.asarray(values, float)
     if v.ndim != 1 or len(v) < 4:
         raise ValueError("ladder needs at least 4 rungs")
+    if not np.all(np.isfinite(v)):
+        raise ValueError("partial integrals must be finite")
     if np.any(np.diff(v) < -1e-9 * max(1.0, abs(v[-1]))):
         raise ValueError("partial integrals must be nondecreasing")
     d = np.diff(v, prepend=0.0)
@@ -211,7 +213,7 @@ def classify_ladder(values: Sequence[float]) -> tuple[str, dict]:
 
     tail_d = d[-3:]
     ratios = tail_d[1:] / np.where(tail_d[:-1] > _ATOL, tail_d[:-1], np.inf)
-    diag["increment_ratios"] = [float(r) for r in ratios]
+    diag["increment_ratios"] = ratios.tolist()
     if np.all(ratios < RATIO_CAP):
         r = float(max(ratios.max(), 0.0))
         tail_est = d[-1] * r / (1.0 - r) if r < 1.0 else math.inf
@@ -219,31 +221,65 @@ def classify_ladder(values: Sequence[float]) -> tuple[str, dict]:
         if tail_est <= TAIL_FRACTION * v[-1]:
             return FINITE, {**diag, "reason": "geometric_decay"}
 
-    k = np.arange(len(v), dtype=float)
     half = len(v) // 2
-    kk, vv = k[half:], v[half:]
-    slope = float(np.polyfit(kk, vv, 1)[0])
-    norm = slope / (v[-1] / len(v))
-    diag["normalized_slope"] = float(norm)
+    slope = float(np.polyfit(np.arange(half, len(v), dtype=float), v[half:], 1)[0])
+    diag["normalized_slope"] = norm = float(slope / (v[-1] / len(v)))
     if norm >= GROWTH_FRACTION and slope > 0:
         return INFINITE, {**diag, "reason": "sustained_growth"}
     return INCONCLUSIVE, diag
 
 
 def _window_edges(base: float, top: float, rungs: int) -> np.ndarray:
-    """Doubling ladder base, 2*base, ... clipped and closed at ``top``."""
-    edges = [base * 2.0 ** k for k in range(rungs) if base * 2.0 ** k < top * (1.0 - 1e-12)]
-    edges.append(top)
-    return np.asarray(edges)
+    """Doubling ladder base, 2*base, ... clipped and closed at ``top``; a top
+    of +inf closes nothing."""
+    edges = base * 2.0 ** np.arange(rungs)
+    edges = edges[edges < top * (1.0 - 1e-12)]
+    return np.append(edges, top) if math.isfinite(top) else edges
 
 
-def _ladder_report(test: str, ladder, tops, total: float, inputs: dict) -> CriterionReport:
-    """Classify a finished ladder of partial integrals and wrap it as a report."""
+def _ladders(positions: np.ndarray, terms: np.ndarray, tops: np.ndarray):
+    """The one ladder rule: the running sum of ``terms`` (last axis) at sorted
+    ``positions``, read at each top t as the sum of the terms at positions
+    <= t; and the totals, the last running values."""
+    run = np.zeros(terms.shape[:-1] + (terms.shape[-1] + 1,))
+    np.cumsum(terms, axis=-1, out=run[..., 1:])
+    return run[..., np.searchsorted(positions, tops, side="right")], run[..., -1]
+
+
+def _ladder_report(test: str, positions, terms, tops, inputs: dict) -> CriterionReport:
+    """Classify the ladder of ``terms`` over ``tops`` and wrap it as a report."""
+    ladder, total = _ladders(positions, terms, tops)
     verdict, diag = classify_ladder(ladder)
+    total = float(total)
     return CriterionReport(
         test=test, value=math.inf if verdict == INFINITE else total, verdict=verdict,
-        inputs=inputs, details={"partial_value": total, "window_tops": [float(t) for t in tops],
-                                "ladder": [float(u) for u in ladder], **diag})
+        inputs=inputs, details={"partial_value": total, "window_tops": tops.tolist(),
+                                "ladder": ladder.tolist(), **diag})
+
+
+def _potential_terms(f: TestFunction, pm: PotentialMeasure, region: RegionSpec, xs: np.ndarray):
+    """Sorted positions, one row of terms per start point x and the window
+    tops of :func:`potential_integral`, for every x in one pass."""
+    bad = xs[~np.isfinite(xs)]
+    if len(bad):
+        raise ValueError(f"start point x must be finite, got {float(bad[0])!r}")
+    edges, sup, x = pm.edges, f.support[1], xs.min()
+    if math.isfinite(sup) and sup - x > edges[-1] + 1e-9:   # f(x + y) lives at y < sup f - x
+        raise RegionCoverageError(f"support of {f.name} shifted by x={x:g} reaches y={sup - x:g}, "
+                                  f"past the grid top {edges[-1]:g}")
+    if pm.lattice_span is not None:
+        positions = pm.sites
+        w = np.flatnonzero(region.contains(positions))
+        y, span, width = positions[w], 1.0, 1.0
+    else:
+        positions = pm.centers
+        w, a, b = region.clip(edges[:-1], edges[1:])
+        y, span, width = 0.5 * (a + b), b - a, edges[w + 1] - edges[w]
+    n = len(positions)
+    terms = f((xs[:, None] + y).ravel()).reshape(len(xs), len(y)) * pm.masses[w] * span / width
+    rows = (np.arange(len(xs))[:, None] * n + w).ravel()
+    contrib = np.bincount(rows, weights=terms.ravel(), minlength=len(xs) * n).reshape(len(xs), n)
+    return positions, contrib, _window_edges(1.0, edges[-1], LADDER_RUNGS)
 
 
 def potential_integral(
@@ -254,37 +290,18 @@ def potential_integral(
 ) -> CriterionReport:
     """Integral of f(x + y) against the potential measure, restricted to a region.
 
-    Every bin is clipped against the region at once (:meth:`RegionSpec.clip`);
-    each connected piece contributes f at its midpoint weighted by the
-    proportional bin mass, and a bin sums its pieces in order.  Lattice point
-    masses are handled exactly: a site contributes its full mass iff it lies
-    in the closure of the region (:meth:`RegionSpec.contains`).  Divergence
-    is decided by :func:`classify_ladder` on partial sums over windows
-    doubling from 1 to the top of the grid.  A start point x that is not
-    finite is refused.
+    The region restricts y, so one :meth:`RegionSpec.clip` of every bin (or
+    one :meth:`RegionSpec.contains` of every lattice site) serves any x.  A
+    bin's piece contributes f at its midpoint weighted by the proportional
+    bin mass, and a bin adds its pieces in order from 0.0; a site contributes
+    its full mass iff it lies in the closure of the region.  Divergence is
+    decided by :func:`classify_ladder` on partial sums over windows doubling
+    from 1 to the top of the grid.  A start point x that is not finite is
+    refused, and so is a shift that puts f's support past the grid top.
     """
-    if not math.isfinite(x):
-        raise ValueError(f"start point x must be finite, got {x!r}")
-    edges = pm.edges
-    sup_lo, sup_hi = f.support
-    if math.isfinite(sup_hi) and sup_hi + x > edges[-1] + 1e-9:
-        raise RegionCoverageError(
-            f"support of {f.name} (shifted by x={x:g}) extends past the grid top {edges[-1]:g}")
-
-    if pm.lattice_span is not None:
-        positions = pm.sites
-        contrib = np.where(region.contains(positions), f(x + positions) * pm.masses, 0.0)
-    else:
-        positions = pm.centers
-        w, a, b = region.clip(edges[:-1], edges[1:])
-        terms = f(x + 0.5 * (a + b)) * pm.masses[w] * (b - a) / (edges[w + 1] - edges[w])
-        # a bin's terms summed in piece order from 0.0
-        contrib = np.bincount(w, weights=terms, minlength=len(pm.masses))
-
-    tops = _window_edges(1.0, edges[-1], LADDER_RUNGS)
-    ladder = [float(contrib[positions <= top].sum()) for top in tops]
+    positions, terms, tops = _potential_terms(f, pm, region, np.array([x], float))
     return _ladder_report(
-        "potential_integral", ladder, tops, float(contrib.sum()),
+        "potential_integral", positions, terms[0], tops,
         {"f": f.name, "region": region.name, "x": x, "pm": pm.meta.get("model", "?"),
          "digest": _digest("potential_integral", f.name, region.name, x, pm.meta)})
 
@@ -298,17 +315,15 @@ def dk_test(f: TestFunction, lower_cutoff: float = 0.0) -> CriterionReport:
     :func:`classify_ladder`.
     """
     l = float(lower_cutoff)
-    if f.ladder_windows is not None:
-        tops = np.asarray([t for t in f.ladder_windows if t > l], float)
-        if len(tops) < 4:
-            raise ValueError("declared ladder has fewer than 4 usable windows")
-    else:
-        base = max(l, 1.0) * 2.0
-        tops = np.array([base * 2.0 ** k for k in range(LADDER_RUNGS)])
-    starts = np.concatenate([[l], tops[:-1]])
-    increments = np.array([float(f.integral_on(a, b)) for a, b in zip(starts, tops)])
-    ladder = np.cumsum(increments)
-    return _ladder_report("dk_test", ladder, tops, float(ladder[-1]),
+    if not math.isfinite(l):
+        raise ValueError(f"lower cutoff must be finite, got {l!r}")
+    tops = np.asarray(_window_edges(max(l, 1.0) * 2.0, math.inf, LADDER_RUNGS)
+                      if f.ladder_windows is None else f.ladder_windows, float)
+    tops = tops[tops > l]   # every doubling top is above l
+    if len(tops) < 4:
+        raise ValueError("declared ladder has fewer than 4 usable windows")
+    increments = np.asarray(f.integral_on(np.append(l, tops[:-1]), tops), float)
+    return _ladder_report("dk_test", tops, increments, tops,
                           {"f": f.name, "lower": l, "digest": _digest("dk", f.name, l, LADDER_RUNGS)})
 
 
@@ -324,14 +339,13 @@ def erickson_maller_test(
     ladder feed the shared extrapolation rule.
     """
     l = float(lower_cutoff)
+    if not math.isfinite(l):
+        raise ValueError(f"lower cutoff must be finite, got {l!r}")
     top = float(pm.edges[-1])
     if top <= l:
         raise RegionCoverageError("grid top must exceed the lower cutoff")
-    ys = np.unique(np.concatenate([
-        pm.edges[(pm.edges >= l) & (pm.edges <= top)],
-        f.breakpoints[(f.breakpoints >= l) & (f.breakpoints <= top)] if len(f.breakpoints) else np.empty(0),
-        [l, top],
-    ]))
+    ys = np.unique(np.concatenate([pm.edges, f.breakpoints, [l, top]]))
+    ys = ys[(ys >= l) & (ys <= top)]
     fy = f(ys)
     if np.any(np.diff(fy) > 1e-9 * max(1.0, fy.max())):
         raise ValueError(f"{f.name} is not nonincreasing on [{l:g}, {top:g}]")
@@ -339,11 +353,8 @@ def erickson_maller_test(
         warnings.warn(f"{f.name} has not decayed to ~0 by the grid top; "
                       "the Stieltjes tail is under-resolved", stacklevel=2)
     increments = pm.mass_between(0.0, ys[:-1]) * (fy[:-1] - fy[1:])   # U([0,y]) * (-df), all y
-    tops = _window_edges(max(l, 1.0) * 2.0, top, LADDER_RUNGS)
-    cum = np.concatenate([[0.0], np.cumsum(increments)])
-    ladder = [float(cum[np.searchsorted(ys, t, side="right") - 1]) for t in tops]
     return _ladder_report(
-        "erickson_maller", ladder, tops, float(cum[-1]),
+        "erickson_maller", ys[1:], increments, _window_edges(max(l, 1.0) * 2.0, top, LADDER_RUNGS),
         {"f": f.name, "lower": l, "pm": pm.meta.get("model", "?"),
          "digest": _digest("em", f.name, l, pm.meta)})
 
@@ -385,17 +396,11 @@ def khasminskii_J(
     x_grid = np.asarray(x_grid, float)
     if x_grid.ndim != 1 or len(x_grid) == 0:
         raise ValueError("x_grid must be a nonempty 1-d sequence")
-    values = []
-    for x in x_grid:
-        rep = potential_integral(f, pm, full_line(), x=float(x))
-        if rep.verdict == INFINITE:
+    ladders, values = _ladders(*_potential_terms(f, pm, full_line(), x_grid))
+    for x, ladder in zip(x_grid, ladders):
+        if classify_ladder(ladder)[0] == INFINITE:
             raise ValueError(f"potential integral diverges at x={x:g}; no uniform bound exists")
-        values.append(rep.details["partial_value"])
-    j = float(max(values))
-    return {
-        "J": j,
-        "theta_max": math.inf if j == 0.0 else 1.0 / j,
-        "x_grid": [float(x) for x in x_grid],
-        "argmax_x": float(x_grid[int(np.argmax(values))]),
-        "caveat": "supremum over a finite x-grid (lower proxy)",
-    }
+    j = float(values.max())
+    return {"J": j, "theta_max": math.inf if j == 0.0 else 1.0 / j, "x_grid": x_grid.tolist(),
+            "argmax_x": float(x_grid[int(np.argmax(values))]),
+            "caveat": "supremum over a finite x-grid (lower proxy)"}

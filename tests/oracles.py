@@ -226,3 +226,16 @@ def region_contains(intervals, complement: bool, y: float, atol: float = 1e-12) 
     if not complement:
         return any(a - atol <= y <= b + atol for a, b in intervals)
     return not any(a + atol < y < b - atol for a, b in intervals)
+
+
+def ladder_partial_sums(positions, terms, tops) -> list:
+    """For each window top t, the sum of the terms at positions <= t, term by
+    term in the order given."""
+    out = []
+    for t in tops:
+        total = 0.0
+        for p, v in zip(positions, terms):
+            if p <= t:
+                total += v
+        out.append(total)
+    return out

@@ -6,7 +6,7 @@ import sys
 import pytest
 import yaml
 
-from levyint import counterexamples
+from levyint import cli, counterexamples
 from levyint.cli import main
 
 
@@ -254,6 +254,26 @@ def test_start_point_that_is_not_finite_is_config_error(tmp_path, capsys, args, 
     err = capsys.readouterr().err
     assert err.startswith("config error:") and "finite" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("cfg, key", [
+    ({"tests": ["potential_integral"], "x": math.nan}, "x"),
+    ({"tests": ["khasminskii_j"], "x_grid": [math.nan, 0.0]}, "x_grid"),
+    ({"tests": ["erickson_maller"], "lower_cutoff": math.nan}, "lower_cutoff"),
+    ({"tests": ["dk", "potential_integral"], "dk_cutoff": math.nan}, "dk_cutoff"),
+], ids=["x", "x_grid", "lower_cutoff", "dk_cutoff"])
+def test_test_inputs_are_checked_before_the_potential_is_drawn(tmp_path, capsys, monkeypatch,
+                                                              cfg, key):
+    drawn = []
+    monkeypatch.setattr(cli, "estimate_potential", lambda *a, **k: drawn.append(1))
+    path = tmp_path / "cfg.yaml"
+    path.write_text(yaml.safe_dump({"seed": 1, "paths": 10, **cfg}))
+    out = tmp_path / "o"
+    assert run_cli(["test", "--model", "lattice_cpp", "--function", "exp_decay",
+                    "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"'{key}'" in err and "finite" in err
+    assert drawn == [] and not out.exists()
 
 
 @pytest.mark.parametrize("scan, key", [(5, "scan"), ([0.5], "scan"), ({"x": 5}, "x")])

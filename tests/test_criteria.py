@@ -39,6 +39,14 @@ def test_ladder_decreasing_rejected():
         classify_ladder(np.array([1.0, 2.0, 1.5, 3.0]))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_ladder_that_is_not_finite_rejected(bad):
+    with pytest.raises(ValueError, match="finite"):
+        classify_ladder([bad] * 5)
+    with pytest.raises(ValueError, match="finite"):
+        classify_ladder([1.0, 2.0, 3.0, bad])
+
+
 # -- tail integral test -----------------------------------------------------
 
 def test_dk_corpus_verdicts(corpus_functions):
@@ -50,6 +58,14 @@ def test_dk_corpus_verdicts(corpus_functions):
 def test_dk_exact_values():
     assert L.dk_test(L.exp_decay(), 0.0).value == pytest.approx(1.0, rel=1e-6)
     assert L.dk_test(L.indicator(0.0, 1.0), 0.0).value == pytest.approx(1.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("cut", [math.nan, math.inf, -math.inf])
+def test_lower_cutoff_that_is_not_finite_is_refused(lattice_pm, cut):
+    with pytest.raises(ValueError, match="finite"):
+        L.dk_test(L.exp_decay(), cut)
+    with pytest.raises(ValueError, match="finite"):
+        L.erickson_maller_test(L.exp_decay(), lattice_pm, cut)
 
 
 def test_dk_lattice_sine_infinite():
@@ -140,6 +156,22 @@ def test_dead_pieces_past_grid_do_not_raise():
     got = L.potential_integral(f, pm, L.half_line(0.0), x=0.5)
     want = L.potential_integral(L.indicator(0.0, 1.0), pm, L.half_line(0.0), x=0.5)
     assert got.details["partial_value"] == want.details["partial_value"] == 0.5
+
+
+def test_grid_coverage_follows_the_shifted_support():
+    """f(x + y) lives at y < sup f - x: x = -63.6 puts 1_(0,1) at y in
+    (63.6, 64.6), past the top 63.5 of 64 sites, and x = 64 puts it below
+    the grid, which is no coverage defect."""
+    pm = _site_measure()
+    f = L.indicator(0.0, 1.0)
+    with pytest.raises(RegionCoverageError, match="x=-63.6"):
+        L.potential_integral(f, pm, L.full_line(), x=-63.6)
+    with pytest.raises(RegionCoverageError, match="x=-63.6"):
+        L.khasminskii_J(f, pm, [0.0, 64.0, -63.6])
+    rep = L.potential_integral(f, pm, L.full_line(), x=64.0)
+    assert rep.verdict == "finite" and rep.value == 0.0
+    # the site 63 is the last one x = -62.5 reaches, and it counts
+    assert L.potential_integral(f, pm, L.full_line(), x=-62.5).value == 0.5
 
 
 @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
@@ -282,6 +314,67 @@ def test_khasminskii_J_zero_on_lattice(lattice_pm):
 def test_khasminskii_J_divergent_raises(bm_pm):
     with pytest.raises(ValueError):
         L.khasminskii_J(L.inverse_power(1.0), bm_pm, np.array([0.0]))
+
+
+def test_khasminskii_J_rows_equal_potential_integral(bm_pm):
+    """The x-grid is read in one pass; each row's ladder and total are the
+    bits a single potential_integral gives at that x."""
+    from levyint import criteria
+    f, xs = L.indicator(0.0, 1.0), np.linspace(-2.0, 2.0, 9)
+    for pm in (_site_measure(), bm_pm):
+        ladders, totals = criteria._ladders(*criteria._potential_terms(f, pm, L.full_line(), xs))
+        reps = [L.potential_integral(f, pm, L.full_line(), x=float(x)) for x in xs]
+        assert totals.tolist() == [r.details["partial_value"] for r in reps]
+        assert ladders.tolist() == [r.details["ladder"] for r in reps]
+        out = L.khasminskii_J(f, pm, xs)
+        assert out["J"] == max(totals.tolist())
+        assert out["argmax_x"] == xs[int(np.argmax(totals))]
+
+
+def test_khasminskii_J_clips_once(bm_pm, monkeypatch):
+    """The region restricts y, not x + y: one clip serves the whole x-grid."""
+    calls = []
+    clip = L.RegionSpec.clip
+
+    def counted(self, lo, hi):
+        calls.append(len(lo))
+        return clip(self, lo, hi)
+    monkeypatch.setattr(L.RegionSpec, "clip", counted)
+    L.khasminskii_J(L.indicator(0.0, 1.0), bm_pm, np.linspace(-2.0, 2.0, 41))
+    assert len(calls) == 1
+
+
+def _oracle_contrib(f, pm, intervals, complement, x):
+    """Each site's or bin's term, by the interval-by-interval region rules."""
+    def at(y):
+        return float(f(np.array([x + y]))[0])
+    if pm.lattice_span is not None:
+        sites = np.round(pm.centers / pm.lattice_span) * pm.lattice_span
+        return sites, [at(s) * m if oracles.region_contains(intervals, complement, s) else 0.0
+                       for s, m in zip(sites, pm.masses)]
+    contrib = []
+    for lo, hi, m in zip(pm.edges[:-1], pm.edges[1:], pm.masses):
+        pieces = oracles.region_pieces(intervals, complement, lo, hi)
+        contrib.append(sum(at(0.5 * (a + b)) * m * (b - a) / (hi - lo) for a, b in pieces))
+    return pm.centers, contrib
+
+
+@pytest.mark.parametrize("intervals, complement", [
+    ([(-math.inf, math.inf)], False),
+    ([(0.7, 3.2), (5.0, 17.5), (40.25, 90.0)], False),
+    ([(0.7, 3.2), (5.0, 17.5), (40.25, 90.0)], True),
+], ids=["full", "intervals", "complement"])
+@pytest.mark.parametrize("x", [0.0, -1.3, 2.6])
+def test_potential_ladder_matches_partial_sum_oracle(lattice_pm, bm_pm, intervals, complement, x):
+    """Every rung is the sum of the terms at positions at or below its top."""
+    region = L.RegionSpec(intervals=intervals, describes_complement=complement)
+    for f in (L.exp_decay(), L.inverse_power(2.0), L.indicator(0.0, 1.0)):
+        for pm in (lattice_pm, bm_pm):
+            rep = L.potential_integral(f, pm, region, x=x)
+            positions, contrib = _oracle_contrib(f, pm, region.intervals.tolist(), complement, x)
+            want = oracles.ladder_partial_sums(positions, contrib, rep.details["window_tops"])
+            assert rep.details["ladder"] == pytest.approx(want, rel=1e-12, abs=1e-300)
+            assert rep.details["partial_value"] == pytest.approx(sum(contrib), rel=1e-12, abs=1e-300)
 
 
 # -- visit rule -------------------------------------------------------------
