@@ -100,10 +100,10 @@ def _expand(spec, presets: dict, what: str) -> dict:
         spec = {"kind": spec}
     if not isinstance(spec, dict):
         raise ConfigError(f"{what} spec must be a name or a mapping")
-    preset = presets.get(spec.get("kind"))
+    preset = presets.get(str(spec.get("kind")))
     if preset is None:
         return spec
-    return {**preset, **{k: v for k, v in spec.items() if k != "kind"}}
+    return {**preset, **spec, "kind": preset["kind"]}
 
 
 def load_config(path: str) -> dict:
@@ -163,58 +163,67 @@ def _require(cfg: dict, key: str):
     return cfg[key]
 
 
-def _as(kind, value, key: str):
-    """``kind(value)``, or a config error naming ``key``; an integer refuses a fraction."""
-    what = "an integer" if kind is int else "a number"
-    if isinstance(value, bool):   # int(True) == 1: a YAML boolean is not a number
-        raise ConfigError(f"config key '{key}' must be {what}, got {value!r}")
+def _as(kind, value, key: str, infinite: bool = False):
+    """``kind(value)``, or a config error naming ``key``.  An integer refuses a
+    fraction; a number refuses NaN, and ±inf unless ``infinite`` (interval ends)."""
+    what = "an integer" if kind is int else "a number or ±inf" if infinite else "a finite number"
+    error = ConfigError(f"config key '{key}' must be {what}, got {value!r}")
     try:
         out = kind(value)
     except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"config key '{key}' must be {what}, got {value!r}") from exc
-    if kind is int and isinstance(value, float) and out != value:
-        raise ConfigError(f"config key '{key}' must be {what}, got {value!r}")
+        raise error from exc
+    fraction = kind is int and isinstance(value, float) and out != value
+    in_range = kind is int or math.isfinite(out) or infinite and math.isinf(out)
+    if isinstance(value, bool) or fraction or not in_range:   # a YAML boolean is not a number
+        raise error
     return out
 
 
 def _num(spec: dict, key: str, default=None, kind=float):
-    """``spec[key]`` (``default`` when absent) as ``kind``; None stays None."""
+    """``spec[key]`` (``default`` when absent) as ``kind``; null only where the default is."""
     value = spec.get(key, default)
-    return None if value is None else _as(kind, value, key)
+    return None if value is None and default is None else _as(kind, value, key)
+
+
+def _list(value, key: str, width: int = 0, ends=()) -> np.ndarray:
+    """``value``, a list of numbers, as a float array; with ``width``, a list of
+    ``width``-number lists as an (n, width) array.  Every number is read by
+    :func:`_as`; only the ``ends`` columns, interval ends, may hold ±inf."""
+    if not isinstance(value, list) or width and not all(
+            isinstance(row, list) and len(row) == width for row in value):
+        shape = f"lists of {width} numbers" if width else "numbers"
+        raise ConfigError(f"config key '{key}' must be a list of {shape}, got {value!r}")
+    if not width:
+        return np.array([_as(float, v, key) for v in value], float)
+    return np.array([[_as(float, v, key, j in ends) for j, v in enumerate(row)] for row in value],
+                    float).reshape(-1, width)
 
 
 def model_from_config(spec) -> LevyModel:
     """Build a model from a kind or preset name, or a parameter mapping."""
     spec = _expand(spec, _MODEL_PRESETS, "model")
     kind = spec.get("kind")
-    try:
-        if kind in ("drift", "deterministic"):
-            return build_model(drift=_num(spec, "drift", 1.0))
-        if kind in ("bm", "brownian"):
-            return build_model(drift=_num(spec, "drift", 1.0),
-                               gaussian_var=_num(spec, "gaussian_var", 1.0))
-        if kind in ("cpp", "compound_poisson"):
-            atoms = spec.get("atoms")
-            law = spec.get("law")
-            if atoms is not None:
-                jumps = CompoundPoisson(rate=_num(spec, "rate", 1.0),
-                                        atoms=tuple((_as(float, v, "atoms"), _as(float, p, "atoms"))
-                                                    for v, p in atoms))
-            elif law is not None:
-                jumps = CompoundPoisson(rate=_num(spec, "rate", 1.0),
-                                        law=(str(law[0]), *(_as(float, v, "law") for v in law[1:])))
-            else:
-                raise ConfigError("compound Poisson spec needs 'atoms' or 'law'")
-            return build_model(drift=_num(spec, "drift", 0.0),
-                               gaussian_var=_num(spec, "gaussian_var", 0.0),
-                               jumps=jumps, lattice_span=_num(spec, "lattice_span"))
-        if kind in ("tstable", "truncated_stable"):
-            jumps = TruncatedStable(activity=_num(spec, "activity", 1.0),
-                                    index=_num(spec, "index", 0.5),
-                                    cutoff=_num(spec, "cutoff", 1.0))
-            return build_model(drift=_num(spec, "drift", 0.0), jumps=jumps)
-    except (TypeError, KeyError) as exc:
-        raise ConfigError(f"bad model spec: {exc}") from exc
+    if kind in ("drift", "deterministic"):
+        return build_model(drift=_num(spec, "drift", 1.0))
+    if kind in ("bm", "brownian"):
+        return build_model(drift=_num(spec, "drift", 1.0),
+                           gaussian_var=_num(spec, "gaussian_var", 1.0))
+    if kind in ("cpp", "compound_poisson"):
+        rate, atoms, law = _num(spec, "rate", 1.0), spec.get("atoms"), spec.get("law")
+        if atoms is not None:
+            jumps = CompoundPoisson(rate, atoms=_list(atoms, "atoms", 2))
+        elif isinstance(law, list) and law:     # [name, parameters...]
+            jumps = CompoundPoisson(rate, law=(str(law[0]), *_list(law[1:], "law")))
+        else:
+            raise ConfigError("compound Poisson spec needs 'atoms' or 'law' = [name, parameters...]")
+        return build_model(drift=_num(spec, "drift", 0.0),
+                           gaussian_var=_num(spec, "gaussian_var", 0.0),
+                           jumps=jumps, lattice_span=_num(spec, "lattice_span"))
+    if kind in ("tstable", "truncated_stable"):
+        jumps = TruncatedStable(activity=_num(spec, "activity", 1.0),
+                                index=_num(spec, "index", 0.5),
+                                cutoff=_num(spec, "cutoff", 1.0))
+        return build_model(drift=_num(spec, "drift", 0.0), jumps=jumps)
     raise ConfigError(f"unknown model kind '{kind}'")
 
 
@@ -222,25 +231,22 @@ def function_from_config(spec) -> fn.TestFunction:
     """Build a test function from a kind or preset name, or a parameter mapping."""
     spec = _expand(spec, _FUNCTION_PRESETS, "function")
     kind = spec.get("kind")
-    try:
-        if kind == "exp_decay":
-            return fn.exp_decay()
-        if kind == "inverse_power":
-            return fn.inverse_power(_num(spec, "power", 1.0))
-        if kind == "indicator":
-            return fn.indicator(_as(float, spec["lo"], "lo"), _as(float, spec["hi"], "hi"))
-        if kind == "constant":
-            return fn.constant(_num(spec, "value", 1.0))
-        if kind == "step":
-            return fn.step_function([tuple(_as(float, v, "pieces") for v in piece)
-                                     for piece in spec["pieces"]])
-        if kind == "lattice_sine":
-            return fn.lattice_sine(_num(spec, "span", 1.0))
-        if kind == "triangle_train":
-            return fn.triangle_train([_as(float, v, "starts") for v in spec["starts"]],
-                                     [_as(float, v, "widths") for v in spec["widths"]])
-    except (TypeError, KeyError, ValueError) as exc:
-        raise ConfigError(f"bad function spec: {exc}") from exc
+    if kind == "exp_decay":
+        return fn.exp_decay()
+    if kind == "inverse_power":
+        return fn.inverse_power(_num(spec, "power", 1.0))
+    if kind == "indicator":
+        return fn.indicator(_as(float, _require(spec, "lo"), "lo", infinite=True),
+                            _as(float, _require(spec, "hi"), "hi", infinite=True))
+    if kind == "constant":
+        return fn.constant(_num(spec, "value", 1.0))
+    if kind == "step":
+        return fn.step_function(_list(_require(spec, "pieces"), "pieces", 3, ends=(1, 2)))
+    if kind == "lattice_sine":
+        return fn.lattice_sine(_num(spec, "span", 1.0))
+    if kind == "triangle_train":
+        return fn.triangle_train(_list(_require(spec, "starts"), "starts"),
+                                 _list(_require(spec, "widths"), "widths"))
     raise ConfigError(f"unknown function kind '{kind}'")
 
 
@@ -252,12 +258,13 @@ def region_from_config(spec) -> RegionSpec:
     if not isinstance(spec, dict):
         raise ConfigError("region spec must be a mapping or 'full_line'")
     if "half_line" in spec:
-        return half_line(_as(float, spec["half_line"], "half_line"))
+        return half_line(_as(float, spec["half_line"], "half_line", infinite=True))
     if "intervals" in spec:
-        return RegionSpec(intervals=[(_as(float, a, "intervals"), _as(float, b, "intervals"))
-                                     for a, b in spec["intervals"]],
-                          describes_complement=bool(spec.get("complement", False)),
-                          name=spec.get("name", "region"))
+        complement = spec.get("complement", False)
+        if not isinstance(complement, bool):
+            raise ConfigError(f"config key 'complement' must be true or false, got {complement!r}")
+        return RegionSpec(intervals=_list(spec["intervals"], "intervals", 2, ends=(0, 1)),
+                          describes_complement=complement, name=spec.get("name", "region"))
     raise ConfigError("region spec needs 'half_line' or 'intervals'")
 
 
@@ -270,17 +277,15 @@ def grid_from_config(spec, model: LevyModel) -> np.ndarray:
     if not isinstance(spec, dict):
         raise ConfigError("grid spec must be a mapping with lo/hi/bins or edges")
     if "edges" in spec:
-        edges = np.asarray([_as(float, v, "edges") for v in spec["edges"]])
-        if len(edges) < 2 or not (np.all(np.isfinite(edges)) and np.all(np.diff(edges) > 0)):
-            raise ConfigError(f"config key 'grid.edges' must be at least 2 finite, strictly "
+        edges = _list(spec["edges"], "grid.edges")
+        if len(edges) < 2 or not np.all(np.diff(edges) > 0):
+            raise ConfigError(f"config key 'grid.edges' must be at least 2 strictly "
                               f"increasing values, got {spec['edges']!r}")
         return edges
-    lo, hi, bins = _num(spec, "lo", 0.0), _num(spec, "hi", 64.0), _num(spec, "bins", 64, int)
+    lo, hi = _as(float, spec.get("lo", 0.0), "grid.lo"), _as(float, spec.get("hi", 64.0), "grid.hi")
+    bins = _as(int, spec.get("bins", 64), "grid.bins")
     if bins < 1:
         raise ConfigError(f"config key 'grid.bins' must be >= 1, got {bins}")
-    for key, value in (("lo", lo), ("hi", hi)):
-        if not math.isfinite(value):
-            raise ConfigError(f"config key 'grid.{key}' must be finite, got {value!r}")
     if not hi > lo:
         raise ConfigError(f"config key 'grid.hi' must exceed grid.lo = {lo!r}, got {hi!r}")
     return np.linspace(lo, hi, bins + 1)
@@ -404,16 +409,15 @@ def cmd_test(cfg: dict) -> int:
     model = model_from_config(_require(cfg, "model"))
     f = function_from_config(_require(cfg, "function"))
     which = cfg.get("tests", ["dk", "potential_integral"])
+    if not (isinstance(which, list) and all(isinstance(name, str) for name in which)):
+        raise ConfigError(f"config key 'tests' must be a list of test names, got {which!r}")
+    # read before the potential measure is drawn
     x = _num(cfg, "x", 0.0)
     cutoff = _num(cfg, "lower_cutoff", 1.0)
     dk_cutoff = _num(cfg, "dk_cutoff", 0.0)
+    region = region_from_config(cfg.get("region"))
     xg = cfg.get("x_grid")
-    grid = (np.asarray([_as(float, v, "x_grid") for v in xg]) if isinstance(xg, list)
-            else np.linspace(-2.0, 2.0, 41))
-    # refused before the potential measure is drawn
-    for key, value in (("x", x), ("lower_cutoff", cutoff), ("dk_cutoff", dk_cutoff), ("x_grid", grid)):
-        if not np.all(np.isfinite(value)):
-            raise ConfigError(f"config key '{key}' must be finite, got {cfg[key]!r}")
+    grid = np.linspace(-2.0, 2.0, 41) if xg is None else _list(xg, "x_grid")
 
     pm = None
     if set(which) & {"potential_integral", "erickson_maller", "blackwell", "khasminskii_j"}:
@@ -426,7 +430,7 @@ def cmd_test(cfg: dict) -> int:
         if name == "dk":
             rep = dk_test(f, dk_cutoff)
         elif name == "potential_integral":
-            rep = potential_integral(f, pm, region_from_config(cfg.get("region")), x=x)
+            rep = potential_integral(f, pm, region, x=x)
         elif name == "erickson_maller":
             rep = erickson_maller_test(f, pm, cutoff)
         elif name == "blackwell":
@@ -470,7 +474,7 @@ def cmd_diagnose(cfg: dict) -> int:
         n_rungs = _num(cfg, "rungs", 4, int)
         ladder = [horizon / 2 ** (n_rungs - 1 - i) for i in range(n_rungs)]
     else:
-        ladder = [_as(float, t, "ladder") for t in ladder]
+        ladder = _list(ladder, "ladder")
     verdict = finiteness_diagnosis(f, model, x=_num(cfg, "x", 0.0),
                                    rungs=ladder, paths=_num(cfg, "paths", 2000, int),
                                    seed=cfg["seed"], step=_num(cfg, "step"),
@@ -502,8 +506,7 @@ def cmd_counterexample(cfg: dict) -> int:
 
     if mode == "trap":
         model = model_from_config(cfg.get("model", "tstable"))
-        levels = [_as(float, v, "levels")
-                  for v in cfg.get("levels", [2, 3, 4, 6, 8, 12, 16, 22, 30])]
+        levels = _list(cfg.get("levels", [2, 3, 4, 6, 8, 12, 16, 22, 30]), "levels")
         n_max, safety = _num(cfg, "n_max", 12, int), _num(cfg, "safety", 2.0)
         table = estimate_overshoot_cdf(model, levels,
                                        paths=_num(cfg, "overshoot_paths", 4000, int),
@@ -538,13 +541,9 @@ def cmd_scan(cfg: dict) -> int:
     scan = cfg.get("scan", {})
     if not isinstance(scan, dict):
         raise ConfigError(f"config key 'scan' must be a mapping with a, q and x, got {scan!r}")
-    xspec = scan.get("x", {})
-    if not isinstance(xspec, (dict, list)):
-        raise ConfigError(f"config key 'x' must be a list or a mapping with lo, hi and points, "
-                          f"got {xspec!r}")
-    xs = (np.asarray([_as(float, v, "x") for v in xspec]) if isinstance(xspec, list)
-          else np.linspace(_num(xspec, "lo", -2.0), _num(xspec, "hi", 6.0),
-                           _num(xspec, "points", 17, int)))
+    xspec = scan.get("x", {})     # a list, or a mapping with lo, hi and points
+    xs = (np.linspace(_num(xspec, "lo", -2.0), _num(xspec, "hi", 6.0), _num(xspec, "points", 17, int))
+          if isinstance(xspec, dict) else _list(xspec, "x"))
     approx = estimate_L_set(f, model, a=_num(scan, "a", 1.0),
                             q=_num(scan, "q", 0.5), x_grid=xs,
                             horizon=_num(cfg, "horizon", 50.0),

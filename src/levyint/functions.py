@@ -131,8 +131,8 @@ def step_function(pieces: Sequence[tuple[float, float, float]], name: str = "ste
     for c, a, b in pieces:
         if not (a < b):
             raise ValueError(f"degenerate interval ({a}, {b})")
-        if c < 0:
-            raise ValueError("step coefficients must be nonnegative")
+        if not 0 <= c < math.inf:
+            raise ValueError(f"step coefficients must be finite and nonnegative, got {c}")
     for (_, _, b0), (_, a1, _) in zip(pieces[:-1], pieces[1:]):
         if a1 < b0 - 1e-12:
             raise ValueError("step intervals must be disjoint")
@@ -166,8 +166,8 @@ def indicator(lo: float, hi: float) -> TestFunction:
 
 def constant(value: float = 1.0) -> TestFunction:
     value = float(value)
-    if value < 0:
-        raise ValueError("constant must be nonnegative")
+    if not 0 <= value < math.inf:
+        raise ValueError(f"constant must be finite and nonnegative, got {value}")
     return TestFunction(name=f"const_{value:g}", kind="closed_form",
                         evaluator=lambda y: np.full_like(np.asarray(y, float), value),
                         primitive=lambda y: value * np.asarray(y, float))
@@ -230,6 +230,8 @@ def triangle_train(starts: Sequence[float], widths: Sequence[float], name: str =
     w = np.asarray(widths, float)
     if a.shape != w.shape or a.ndim != 1 or len(a) == 0:
         raise ValueError("starts and widths must be matching nonempty 1-d sequences")
+    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(w))):
+        raise ValueError("starts and widths must be finite")
     if np.any(w <= 0):
         raise ValueError("widths must be positive")
     order = np.argsort(a)

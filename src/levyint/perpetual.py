@@ -364,12 +364,14 @@ def estimate_L_set(
     All starting points share the same simulated paths
     (:func:`_integral_samples`), so for nonincreasing f the estimated I^x
     are coupled monotonically in x and the member set inherits that
-    stability.  An empty grid, or one with a point that is not finite, is
-    refused.
+    stability.  An empty grid, one with a point that is not finite, and a
+    level ``a`` that is not finite are refused.
     """
     xs = np.asarray(sorted(float(v) for v in x_grid))
     if not 0.0 < q < 1.0:
         raise ValueError("q must lie in (0, 1)")
+    if not math.isfinite(a):
+        raise ValueError(f"level a must be finite, got {a!r}")
     samples = _integral_samples(f, model, xs, horizon, paths, seed, step=step, threads=threads)
     g = np.count_nonzero(samples > a, axis=0) / paths
     return LSetApprox(a=float(a), q=float(q), xs=xs, g_hat=g, stderr=binomial_stderr(g, paths),
@@ -416,6 +418,8 @@ def batty_inequality_check(
     biased low, which only makes the check conservative; that caveat and
     any window truncation are recorded.
     """
+    if not math.isfinite(a):
+        raise ValueError(f"level a must be finite, got {a!r}")
     outer = _integral_samples(f, model, [x], t, n_outer, seed, step=step)[:, 0]
     mean_i = float(outer.mean())
     se_mean = float(outer.std(ddof=1) / math.sqrt(n_outer)) if n_outer > 1 else 0.0
@@ -483,6 +487,8 @@ def khasminskii_exponential_check(
     """
     if paths < 2:
         raise ValueError(f"paths must be >= 2 for the trimmed-sample screen, got {paths}")
+    if not math.isfinite(theta):
+        raise ValueError(f"theta must be finite, got {theta!r}")
     warning = None
     if j_value is not None and j_value > 0 and theta >= 1.0 / j_value - 1e-12:
         warning = (f"theta={theta:g} is at or above 1/J={1.0 / j_value:g}; "

@@ -128,17 +128,19 @@ def test_criterion_5_transient_trap(trap20, trap_verification, timings):
 
 def test_criterion_6_batty_inequality_grid(lattice_model, bm_model):
     """P(I_t^x > a for all probe starts) * a <= E I_t^x within 3 propagated SE
-    on a 3 x 3 x 3 grid of (f, a, t), for both models: 54 cases, 0 violations."""
+    on a 3 x 3 x 3 grid of (f, a, t), for both models: 54 cases, 0 violations.
+    Lattice paths start off the lattice, at x = 0.5: from x = 0 the open
+    indicator reads 0 on every site, so those cases would hold with lhs 0."""
     fs = [L.indicator(0.0, 1.0), L.exp_decay(), L.inverse_power(2.0)]
     a_grid = [0.5, 1.0, 2.0]
     t_grid = [5.0, 10.0, 20.0]
     violations = []
     idx = 0
-    for model, n_outer, step in ((lattice_model, 400, None), (bm_model, 240, 0.05)):
+    for model, x, n_outer, step in ((lattice_model, 0.5, 400, None), (bm_model, 0.0, 240, 0.05)):
         for f in fs:
             for a in a_grid:
                 for t in t_grid:
-                    rep = L.batty_inequality_check(f, model, x=0.0, a=a, t=t,
+                    rep = L.batty_inequality_check(f, model, x=x, a=a, t=t,
                                                    n_outer=n_outer,
                                                    seed=60_000 + idx, step=step)
                     idx += 1

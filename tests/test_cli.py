@@ -347,3 +347,56 @@ def test_empty_or_reversed_grid_is_config_error(tmp_path, capsys, grid, key, com
     assert run_cli([command, "--config", str(path), "--out", str(out)]) == 2
     assert f"'{key}'" in capsys.readouterr().err
     assert not out.exists()
+
+
+_NAN = math.nan
+
+
+@pytest.mark.parametrize("args, cfg, key", [
+    (["counterexample"], {"mode": "trap", "levels": 5}, "levels"),
+    (["diagnose"], {"ladder": 5}, "ladder"),
+    (["potential"], {"grid": {"edges": 5}}, "grid.edges"),
+    (["test"], {"tests": ["potential_integral"], "region": {"intervals": 5}}, "intervals"),
+    (["test"], {"tests": 5}, "tests"),
+    (["test"], {"tests": ["khasminskii_j"], "x_grid": 5}, "x_grid"),
+    (["simulate"], {"model": {"kind": "cpp", "atoms": 5}}, "atoms"),
+    (["simulate"], {"model": {"kind": "cpp", "law": 5}}, "law"),
+    (["diagnose"], {"function": {"kind": "step", "pieces": 5}}, "pieces"),
+    (["diagnose"], {"function": {"kind": "triangle_train", "starts": 5, "widths": [1.0]}},
+     "starts"),
+    (["diagnose"], {"function": {"kind": "triangle_train", "starts": [1.0], "widths": 5}},
+     "widths"),
+    (["scan"], {"scan": {"a": _NAN}}, "a"),
+    (["test"], {"tests": ["batty"], "a": _NAN}, "a"),
+    (["test"], {"tests": ["mgf"], "theta": _NAN}, "theta"),
+    (["test"], {"tests": ["mgf"], "theta": None}, "theta"),
+    (["counterexample"], {"mode": "trap", "safety": _NAN, "overshoot_paths": 200}, "safety"),
+    (["diagnose"], {"function": {"kind": "constant", "value": _NAN}}, "value"),
+    (["test"], {"tests": ["potential_integral"],
+                "region": {"intervals": [[0.0, 1.0]], "complement": "false"}}, "complement"),
+], ids=["levels", "ladder", "edges", "intervals", "tests", "x_grid", "atoms", "law", "pieces",
+        "starts", "widths", "scan_a", "batty_a", "theta", "theta_null", "safety", "value",
+        "complement"])
+def test_config_value_of_the_wrong_shape_is_config_error(tmp_path, capsys, args, cfg, key):
+    """A scalar where a list belongs, a NaN or null where a number belongs and
+    a string where a boolean belongs each exit 2 by name and write nothing:
+    no traceback, no silent default and no verification run."""
+    path = tmp_path / "cfg.yaml"
+    path.write_text(yaml.safe_dump({"seed": 1, "paths": 10, "model": "lattice_cpp",
+                                    "function": "exp_decay", **cfg}))
+    out = tmp_path / "o"
+    assert run_cli([*args, "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and f"'{key}'" in err
+    assert not out.exists()
+
+
+def test_infinite_interval_end_is_read(tmp_path):
+    """Interval ends are the numbers that may be ±inf."""
+    path = tmp_path / "cfg.yaml"
+    path.write_text("seed: 1\npaths: 10\ntests: [potential_integral]\n"
+                    "region: {intervals: [[1.0, .inf]]}\n")
+    out = tmp_path / "o"
+    assert run_cli(["test", "--model", "lattice_cpp", "--function", "exp_decay",
+                    "--config", str(path), "--out", str(out)]) == 0
+    assert json.loads((out / "tests.json").read_text())["reports"]["potential_integral"]

@@ -75,6 +75,24 @@ def test_triangle_train_overlap_rejected():
         L.triangle_train([0.0, 0.5], [1.0, 1.0])
 
 
+@pytest.mark.parametrize("build", [
+    lambda: L.constant(math.nan),
+    lambda: L.constant(math.inf),
+    lambda: L.step_function([(math.nan, 0.0, 1.0)]),
+    lambda: L.step_function([(math.inf, 0.0, 1.0)]),
+    lambda: L.triangle_train([0.0, math.nan], [1.0, 1.0]),
+    lambda: L.triangle_train([math.inf], [1.0]),
+    lambda: L.triangle_train([0.0], [math.nan]),
+    lambda: L.triangle_train([0.0], [math.inf]),
+], ids=["constant_nan", "constant_inf", "step_nan", "step_inf", "starts_nan", "starts_inf",
+        "widths_nan", "widths_inf"])
+def test_parameters_that_are_not_finite_are_refused(build):
+    """Only interval ends may be infinite: a NaN step coefficient is not
+    silently dropped (f would read 0), and no other value builds a function."""
+    with pytest.raises(ValueError, match="finite"):
+        build()
+
+
 def test_live_intervals_are_the_nonzero_pieces():
     """The intervals f lives on: the pieces with a nonzero coefficient, the
     bumps, or the whole line."""

@@ -231,6 +231,26 @@ def test_start_points_that_are_not_finite_are_refused_before_any_draw(lattice_mo
         call(lattice_model)
 
 
+@pytest.mark.parametrize("call", [
+    lambda m: L.estimate_L_set(L.exp_decay(), m, a=math.nan, q=0.5, x_grid=[0.0],
+                               horizon=10.0, paths=10, seed=0),
+    lambda m: L.khasminskii_exponential_check(L.exp_decay(), m, x=0.0, theta=math.nan,
+                                              horizon=10.0, paths=10, seed=0),
+    lambda m: L.batty_inequality_check(L.indicator(0.0, 1.0), m, x=0.5, a=math.nan, t=5.0,
+                                       n_outer=16, seed=0),
+], ids=["L_set_a_nan", "mgf_theta_nan", "batty_a_nan"])
+def test_levels_that_are_not_finite_are_refused_before_any_draw(lattice_model, monkeypatch,
+                                                                call):
+    """A NaN level or exponent would mark every x a member, give a NaN MGF or
+    a failed inequality; each is refused by name instead."""
+    def no_draws(*args, **kwargs):
+        raise AssertionError("paths were drawn")
+    monkeypatch.setattr(L.perpetual, "reduce_paths", no_draws)
+    monkeypatch.setattr(L.perpetual, "estimate_I_distribution", no_draws)
+    with pytest.raises(ValueError, match="finite"):
+        call(lattice_model)
+
+
 # -- sublevel set -----------------------------------------------------------
 
 def test_L_set_upper_half_line(lattice_model):
