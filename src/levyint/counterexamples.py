@@ -189,7 +189,7 @@ def estimate_overshoot_cdf(
     ``derive_rng(seed, STREAM_PATH, level_index, chunk_start)``; all of them
     share one ``threads`` pool and each level adds up integer counts, so the
     table is the same bytes for any ``threads``.  Repeated levels are refused
-    before any draw.
+    before any draw, as is an empty level list.
     """
     jumps = model.jumps
     if not isinstance(jumps, TruncatedStable) or model.drift != 0.0 or model.gaussian_var != 0.0:
@@ -197,8 +197,8 @@ def estimate_overshoot_cdf(
     if paths < 1:
         raise ValueError(f"paths must be >= 1, got {paths}")
     levels = np.asarray(sorted(float(v) for v in levels))
-    if not np.all(np.isfinite(levels) & (levels > 0)):
-        raise ValueError(f"levels must be positive and finite, got {levels.tolist()}")
+    if len(levels) == 0 or not np.all(np.isfinite(levels) & (levels > 0)):
+        raise ValueError(f"levels must be nonempty, positive and finite, got {levels.tolist()}")
     if np.any(np.diff(levels) == 0):
         raise ValueError(f"levels must be distinct, got {levels.tolist()}")
     eps_grid = np.geomspace(1e-9, jumps.cutoff, 181)
@@ -288,8 +288,8 @@ def build_transient_trap(table: OvershootTable, n_max: int, safety: float = 2.0)
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    if safety < 1.0:
-        raise ValueError("safety factor must be >= 1")
+    if not 1.0 <= safety < math.inf:
+        raise ValueError(f"safety factor must be finite and >= 1, got {safety}")
     limit = table.limit_proxy
     if limit[0] > 0.05:
         raise TrapConstructionError(

@@ -335,8 +335,11 @@ def erickson_maller_test(
     """Stieltjes test integrating the renewal function U([0, y]) against -df.
 
     Requires f nonincreasing and vanishing at infinity on [lower, grid top];
-    both are checked on the evaluation grid.  Partial sums over a doubling
-    ladder feed the shared extrapolation rule.
+    both are checked on the evaluation grid ``ys``.  Every breakpoint is in
+    ``ys``, so a step f, whose pieces are open intervals, is constant on each
+    gap between consecutive points: it is read at the gaps' midpoints and at
+    the top, never on its own jumps.  Partial sums over a doubling ladder
+    feed the shared extrapolation rule.
     """
     l = float(lower_cutoff)
     if not math.isfinite(l):
@@ -346,7 +349,7 @@ def erickson_maller_test(
         raise RegionCoverageError("grid top must exceed the lower cutoff")
     ys = np.unique(np.concatenate([pm.edges, f.breakpoints, [l, top]]))
     ys = ys[(ys >= l) & (ys <= top)]
-    fy = f(ys)
+    fy = f(np.append(0.5 * (ys[:-1] + ys[1:]), top)) if f.kind == "step" else f(ys)
     if np.any(np.diff(fy) > 1e-9 * max(1.0, fy.max())):
         raise ValueError(f"{f.name} is not nonincreasing on [{l:g}, {top:g}]")
     if fy[-1] > 0.1 * fy[0] + _ATOL:
@@ -363,22 +366,22 @@ def blackwell_equivalence_check(
     f: TestFunction,
     pm: PotentialMeasure,
     lower_cutoff: float = 0.0,
-    x: float = 0.0,
 ) -> dict:
     """Cross-check: tail Lebesgue test vs potential-measure test.
 
     For finite-mean models the renewal mass of [0, L] grows like L / mean, so
     the two tests must agree.  Disagreement is reported, not raised: it is a
     finding about resolution, and the caller decides what to do with it.
+    The potential side starts at x = 0.
     """
     lebesgue = dk_test(f, lower_cutoff)
-    potential = potential_integral(f, pm, half_line(lower_cutoff), x=x)
+    potential = potential_integral(f, pm, half_line(lower_cutoff))
     agree = lebesgue.verdict == potential.verdict and INCONCLUSIVE not in (lebesgue.verdict, potential.verdict)
     return {
         "lebesgue": lebesgue,
         "potential": potential,
         "verdicts_agree": bool(agree),
-        "inputs": {"f": f.name, "lower": lower_cutoff, "x": x},
+        "inputs": {"f": f.name, "lower": lower_cutoff, "x": 0.0},
     }
 
 

@@ -363,40 +363,26 @@ class PathBlock:
                            nondecreasing=self.nondecreasing)
                 for a, b, end in zip(self.starts[:-1], self.starts[1:], self.end)]
 
-    def _search_pieces(self, keys: np.ndarray, queries: np.ndarray, span: float,
-                       side: str) -> np.ndarray:
+    def _search_pieces(self, keys: np.ndarray, queries: np.ndarray, side: str) -> np.ndarray:
         """(k, len(queries)) ``searchsorted`` of ``queries`` into each piece's
         own run of the per-segment ``keys`` (sorted within each piece), as
-        flat indices.
-
-        One search over the keys ``keys + c * W`` for the queries ``queries +
-        c * W``, with W = ``span`` a power of two above twice the spread of all
-        keys and queries, so each piece's keys and queries lie clear of every
-        other piece's.  Adding c W rounds monotonically, so a key can only tie
-        its query, never pass it; the caller steps the ties off.
+        flat indices: one search of the pairs (c, query) into the (piece, key)
+        pairs, held as complex numbers.  numpy orders those by real part, the
+        piece, then by imaginary part, so each piece is searched exactly.
         """
         k = len(self)
         if k == 1:     # c = 0: the keys themselves, with no O(segments) copy
             return np.searchsorted(keys, queries[None, :], side=side)
-        offsets = span * np.arange(k)
-        return np.searchsorted(keys + offsets[self.piece], queries[None, :] + offsets[:, None],
-                               side=side)
+        pairs = np.empty(len(keys), complex)
+        pairs.real, pairs.imag = self.piece, keys
+        at = np.empty((k, len(queries)), complex)
+        at.real, at.imag = np.arange(k)[:, None], queries
+        return np.searchsorted(pairs, at, side=side)
 
     def _segments_at(self, at: np.ndarray) -> np.ndarray:
-        """(k, len(at)) index of the segment each time falls in, per piece
-        (the last segment for a time at the horizon).
-
-        A search of the times into the segment starts ``t0``: the first guess
-        is at or after the answer, and a step back while the segment starts
-        after the time makes it exact.
-        """
-        span = 2.0 ** (math.frexp(self.horizon)[1] + 1)
-        idx = self._search_pieces(self.t0, at, span, "right") - 1
-        while True:
-            late = self.t0[idx] > at
-            if not late.any():
-                return idx
-            idx -= late
+        """(k, len(at)) index of the last segment of each piece that starts at
+        or before each time (the last segment for a time at the horizon)."""
+        return self._search_pieces(self.t0, at, "right") - 1
 
     def _passage_times(self, levels: np.ndarray) -> np.ndarray:
         """(k, len(levels)) first time each piece of a nondecreasing block is
@@ -409,23 +395,10 @@ class PathBlock:
         convention).  With r = 0 the path sits at v0 over each segment, so
         tau_y is where segment j starts, ``t1[j - 1]``.  With r > 0 the path
         may reach y sweeping up through segment j - 1, so tau_y is the time
-        it meets y there, capped at that segment's end.  The keys are clipped
-        to a band around the levels, which keeps every comparison with a
-        level, before they are offset per piece; a key that rounds onto its
-        level lies below it, and is stepped past.
+        it meets y there, capped at that segment's end.
         """
-        lo, hi = float(levels[0]), float(levels[-1])
-        pad = max(hi - lo, 1.0)
-        span = 2.0 ** (math.frexp(4.0 * pad)[1] + 1)
-        keys = self.v0 if len(self) == 1 else np.clip(self.v0, lo - pad, hi + pad)
-        j = self._search_pieces(keys, levels, span, "left")
-        first, ends = self.starts[:-1, None], self.starts[1:, None]
-        while True:
-            tied = j < ends
-            tied[tied] = self.v0[j[tied]] < np.broadcast_to(levels, j.shape)[tied]
-            if not tied.any():
-                break
-            j += tied
+        j = self._search_pieces(self.v0, levels, "left")
+        first = self.starts[:-1, None]
         r = self.linear_rate
         if r == 0.0:
             return np.where(j > first, self.t1[j - 1], 0.0)

@@ -239,3 +239,30 @@ def ladder_partial_sums(positions, terms, tops) -> list:
                 total += v
         out.append(total)
     return out
+
+
+def search_each_piece(starts, keys, queries, side: str) -> np.ndarray:
+    """(k, len(queries)) flat indices: piece by piece, ``np.searchsorted`` of
+    the queries into that piece's own slice ``keys[starts[c]:starts[c + 1]]``,
+    shifted by the slice's start."""
+    return np.array([a + np.searchsorted(keys[a:b], queries, side=side)
+                     for a, b in zip(starts[:-1], starts[1:])]).reshape(len(starts) - 1, -1)
+
+
+def step_stieltjes_sum(pieces, sites, masses, lower: float) -> float:
+    """Integral over y > lower of U([0, y)) against -df, for a nonincreasing
+    step f given as (coefficient, a, b) pieces and a lattice potential given
+    as site masses: at each piece end b > lower, f drops by its coefficient
+    less that of a piece starting at b, and U([0, b)) adds, site by site, the
+    masses of the sites in [0, b)."""
+    total = 0.0
+    for c, _, b in pieces:
+        if b <= lower:
+            continue
+        drop = c - sum(c1 for c1, a1, _ in pieces if a1 == b)
+        below = 0.0
+        for s, m in zip(sites, masses):
+            if 0.0 <= s < b:
+                below += m
+        total += below * drop
+    return total

@@ -39,7 +39,7 @@ OPTIONAL_PARAMETERS = {
     "Verdict": ("note",),
     "analytic_potential": (),
     "batty_inequality_check": ("step",),
-    "blackwell_equivalence_check": ("lower_cutoff", "x"),
+    "blackwell_equivalence_check": ("lower_cutoff",),
     "build_model": ("drift", "gaussian_var", "jumps", "lattice_span"),
     "build_transient_trap": ("safety",),
     "classify_ladder": (),

@@ -19,6 +19,8 @@ from levyint import models
 from levyint.criteria import RegionSpec, half_line
 from levyint.potential import occupation_histogram
 
+import oracles
+
 _MODELS = {
     "lattice": (lambda: L.build_model(jumps=L.CompoundPoisson(rate=2.0, atoms=((1.0, 1.0),)),
                                       lattice_span=1.0), 3.0),
@@ -114,6 +116,73 @@ def test_segment_search_survives_rounding_ties():
     idx = block._segments_at(np.array([0.5, 1.0 + 5e-14, horizon]))
     assert idx[-1].tolist() == [k - 1, k, k + 1]
     assert idx[:-1].tolist() == [[c] * 3 for c in range(k - 1)]
+
+
+def _search_block(times, values, horizon, rate=0.0):
+    """A nondecreasing block from each piece's segment start times and values."""
+    starts = np.cumsum([0] + [len(t) for t in times])
+    t0, v0 = np.concatenate(times), np.concatenate(values)
+    t1 = np.append(t0[1:], horizon)
+    t1[starts[1:] - 1] = horizon
+    end = v0[starts[1:] - 1] + rate * (horizon - t0[starts[1:] - 1])
+    return models.PathBlock(starts, t0, t1, v0, end, exact=True, horizon=horizon,
+                            linear_rate=rate, nondecreasing=True)
+
+
+def _random_search_block(seed, rate):
+    """Up to 40 pieces of 1-30 segments; jumps of 0 repeat values."""
+    rng, horizon = np.random.default_rng(seed), 5.0
+    times, values = [], []
+    for n in rng.integers(1, 31, rng.integers(2, 41)):
+        gaps = rng.exponential(size=n)
+        t = np.concatenate([[0.0], np.cumsum(gaps)[:-1]]) * (horizon / gaps.sum())
+        jumps = rng.choice([0.0, 0.5, 1.0, 1.5], n - 1) + rate * np.diff(t)
+        times.append(t)
+        values.append(np.concatenate([[0.0], np.cumsum(jumps)]))
+    block = _search_block(times, values, horizon, rate)
+    at = np.sort(np.concatenate([rng.uniform(0.0, horizon, 20), block.t0[::3], [horizon]]))
+    levels = np.sort(np.concatenate([rng.uniform(-1.0, 25.0, 20), block.v0[::3]]))
+    return block, at, levels
+
+
+def _tied_search_block():
+    """256 pieces whose keys, near 1e6, equal their queries, repeat, or lie an
+    ulp from them, with 0.5 among the queries.  Shifted by c * W for piece c,
+    with W a power of two above the spread (2^22 for times up to 2e6, 2^23
+    for levels from 0.5), keys an ulp apart round onto one float."""
+    b, k, horizon = 1e6, 256, 2e6
+    near = [np.nextafter(b, 0.0), b, np.nextafter(b, np.inf), b + 1e-7]
+    times = [np.array([0.0, near[0], b, near[2], b + 1e-7, 1.5e6])] * k
+    values = [np.array([0.0, near[0], b, b, near[2], b + 1e-7])] * k
+    block = _search_block(times, values, horizon)
+    assert len(np.unique(np.array(near) + (k - 1) * 2.0 ** 22)) < len(near)   # the ties
+    return block, np.array([0.5, *near, 1.5e6, horizon]), np.array([0.5, *near])
+
+
+_SEARCH_BLOCKS = {f"random{seed}_r{rate}": (lambda s=seed, r=rate: _random_search_block(s, r))
+                  for seed in (1, 2, 3) for rate in (0.0, 0.25)}
+_SEARCH_BLOCKS["tied"] = _tied_search_block
+
+
+@pytest.mark.parametrize("which", sorted(_SEARCH_BLOCKS))
+def test_piece_search_matches_per_piece_oracle(which):
+    """``_search_pieces`` is each piece's own ``searchsorted``, for both
+    sides; ``_segments_at`` and ``_passage_times`` read it exactly."""
+    block, at, levels = _SEARCH_BLOCKS[which]()
+    for keys, queries in ((block.t0, at), (block.v0, levels)):
+        for side in ("left", "right"):
+            want = oracles.search_each_piece(block.starts, keys, queries, side)
+            _same(block._search_pieces(keys, queries, side), want)
+    idx = oracles.search_each_piece(block.starts, block.t0, at, "right") - 1
+    _same(block._segments_at(at), idx)
+    j = oracles.search_each_piece(block.starts, block.v0, levels, "left")
+    first, r = block.starts[:-1, None], block.linear_rate
+    if r == 0.0:
+        want = np.where(j > first, block.t1[j - 1], 0.0)
+    else:
+        p = np.maximum(j - 1, first)
+        want = np.minimum(np.maximum(levels - block.v0[p], 0.0) / r + block.t0[p], block.t1[p])
+    _same(block._passage_times(levels), want)
 
 
 def test_block_checks_every_piece():

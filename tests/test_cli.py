@@ -391,6 +391,22 @@ def test_config_value_of_the_wrong_shape_is_config_error(tmp_path, capsys, args,
     assert not out.exists()
 
 
+def _no_draws(*args):
+    raise AssertionError("the overshoot sampler ran")
+
+
+def test_empty_level_list_is_config_error(tmp_path, capsys, monkeypatch):
+    """``levels: []`` is refused by name before any overshoot path is drawn."""
+    monkeypatch.setattr(counterexamples, "_overshoot_chunk", _no_draws)
+    path = tmp_path / "cfg.yaml"
+    path.write_text("seed: 1\nmode: trap\nlevels: []\novershoot_paths: 200\n")
+    out = tmp_path / "o"
+    assert run_cli(["counterexample", "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: levels must be nonempty")
+    assert not out.exists()
+
+
 def test_infinite_interval_end_is_read(tmp_path):
     """Interval ends are the numbers that may be ±inf."""
     path = tmp_path / "cfg.yaml"

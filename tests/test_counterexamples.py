@@ -57,6 +57,12 @@ def test_overshoot_refuses_repeated_levels_before_any_draw(ts_model, monkeypatch
         L.estimate_overshoot_cdf(ts_model, [2, 2, 30], paths=400, seed=1)
 
 
+def test_overshoot_refuses_an_empty_level_list_before_any_draw(ts_model, monkeypatch):
+    monkeypatch.setattr(counterexamples, "_overshoot_chunk", _no_draws)
+    with pytest.raises(ValueError, match="levels must be nonempty"):
+        L.estimate_overshoot_cdf(ts_model, [], paths=400, seed=1)
+
+
 # 257: a one-path last chunk; 200: one chunk per level, so the levels share the pool
 @pytest.mark.parametrize("paths", [600, 257, 200])
 def test_overshoot_table_is_the_same_bytes_for_any_threads(ts_model, paths):
@@ -155,6 +161,13 @@ def test_trap_monotone_in_safety(overshoot_table):
     assert t4.certified_visit_bound <= t2.certified_visit_bound + 1e-12
     # and the stricter trap uses narrower (or equal) bumps at every depth
     assert np.all(t4.eps <= t2.eps + 1e-18)
+
+
+@pytest.mark.parametrize("safety", [math.nan, math.inf, 0.5])
+def test_trap_refuses_a_safety_factor_that_is_not_finite_and_at_least_1(overshoot_table, safety):
+    """A bad safety factor is a bad parameter, not a failed certificate."""
+    with pytest.raises(ValueError, match="safety"):
+        L.build_transient_trap(overshoot_table, n_max=10, safety=safety)
 
 
 def test_trap_depth_failure_reports_first_n(overshoot_table):

@@ -281,6 +281,31 @@ def test_erickson_maller_rejects_increasing(lattice_pm):
         L.erickson_maller_test(rising, lattice_pm, 1.0)
 
 
+_STAIRS = [(1.0, 0.0, 2.0), (0.5, 2.0, 6.0), (0.25, 6.0, 9.0)]
+
+
+def test_erickson_maller_reads_a_staircase_between_its_steps(lattice_model, lattice_pm):
+    """The pieces are open, so f reads 0 at y = 2 and 6, where they meet;
+    read between evaluation points, the staircase is nonincreasing.  Its
+    value is the Stieltjes sum of U([0, y)) over the drops at 2, 6 and 9:
+    0.5 * 1 + 0.25 * 3 + 0.25 * 4.5 = 2.375 for site masses 1/2."""
+    f = L.step_function(_STAIRS, name="stairs")
+    exact = L.analytic_potential(lattice_model, lattice_pm.edges)
+    for pm in (exact, lattice_pm):
+        rep = L.erickson_maller_test(f, pm, 1.0)
+        want = oracles.step_stieltjes_sum(_STAIRS, pm.sites, pm.masses, 1.0)
+        assert rep.verdict == "finite"
+        assert rep.value == pytest.approx(want, rel=1e-12)
+    assert L.erickson_maller_test(f, exact, 1.0).value == pytest.approx(2.375, rel=1e-12)
+
+
+def test_erickson_maller_sees_a_bump_between_evaluation_points(lattice_pm):
+    """1_(1.5, 2.5) rises past the cutoff 1, though it reads 0 at every
+    evaluation point (sites' bin edges and its own ends)."""
+    with pytest.raises(ValueError, match="not nonincreasing"):
+        L.erickson_maller_test(L.step_function([(1.0, 1.5, 2.5)]), lattice_pm, 1.0)
+
+
 def test_blackwell_equivalence_on_corpus(lattice_pm, corpus_functions):
     for f in corpus_functions:
         out = L.blackwell_equivalence_check(f, lattice_pm, 1.0)
