@@ -21,8 +21,8 @@ import numpy as np
 from . import rng as _rng
 from .criteria import RegionSpec, dk_test, potential_integral
 from .functions import TestFunction, lattice_sine, triangle_train
-from .models import LevyModel, TruncatedStable, binomial_stderr, describe, reduce_paths
-from .perpetual import _censoring_rule, _classify_plateau, _integral_samples, _live_ceiling
+from .models import LevyModel, TruncatedStable, binomial_stderr, describe
+from .perpetual import _classify_plateau, _integral_samples, _ladder_samples
 from .potential import estimate_potential
 
 __all__ = [
@@ -463,28 +463,13 @@ def verify_counterexample(
         if not (math.isfinite(mean) and mean > 0):
             raise ValueError("pass horizon explicitly for models without finite positive mean")
         horizon = 1.5 * (beta_top + 10.0) / mean
-    rungs = np.array([horizon / 4.0, horizon / 2.0, horizon])
-    row, split = _censoring_rule(trap.f, 0.0, rungs)
-
-    def reducer(chunk):
-        visits = 0
-        vals = []
-        for block in chunk:
-            # the bumps' live intervals are the trap set, so the row's segment
-            # index is the one the visit rule reads back (PathBlock._sweep_index)
-            vals.append(row(block))
-            visits += np.count_nonzero(trap.trap_set.last_visit(block) > -math.inf)
-        return visits, np.concatenate(vals)
-
-    # the bumps, and so the trap set, end at beta_top: the row and the visit
-    # rule read nothing above it
-    parts = reduce_paths(model, horizon, paths, seed, reducer, threads=threads,
-                         small_jump_cutoff=small_jump_cutoff,
-                         ceiling=_live_ceiling(trap.f, 0.0))
-    visit_count = sum(c for c, _ in parts)
-    at_rungs, censored = split(np.concatenate([vals for _, vals in parts]))
-
-    p_visit = visit_count / paths
+    # the bumps' live intervals are the trap set, and both end at beta_top:
+    # the ladder rows and the visit rule read one segment index per block
+    # and nothing above beta_top
+    rungs, at_rungs, censored, met = _ladder_samples(
+        trap.f, model, 0.0, [horizon / 4.0, horizon / 2.0, horizon], paths, seed, None, threads,
+        small_jump_cutoff=small_jump_cutoff, visits=trap.trap_set)
+    p_visit = np.count_nonzero(met) / paths
     se = float(binomial_stderr(p_visit, paths))
     bound = float(sum(2.0 / (n * n) for n in range(1, trap.n_max + 1)))
     visit_ok = p_visit <= bound + 3.0 * se

@@ -46,8 +46,8 @@ SMALL_JUMP_FRACTION = 1e-4
 # drawn this many segments at a time, as the rows of one stream.
 BLOCK_SEGMENTS = 2**14
 
-# Arrival gaps drawn per block by ``_jump_blocks``, and per stage of the k
-# rows of ``_jump_rows``; each is followed by the jump sizes of its arrivals.
+# Arrival gaps drawn per stage of ``_jump_rows``, split evenly among its k
+# rows; each stage is followed by the jump sizes of its arrivals.
 JUMP_BLOCK = 2**12
 
 _ATOL = 1e-9
@@ -89,7 +89,7 @@ class CompoundPoisson:
                 raise ModelRejectionError("atom list is empty")
             probs = np.array([p for _, p in atoms])
             vals = np.array([v for v, _ in atoms])
-            if np.any(probs <= 0) or abs(probs.sum() - 1.0) > 1e-9:
+            if not (np.all(probs > 0) and abs(probs.sum() - 1.0) <= 1e-9):   # NaN too
                 raise ModelRejectionError("atom probabilities must be positive and sum to 1")
             if not np.all(np.isfinite(vals)):
                 raise ModelRejectionError("atom values must be finite")
@@ -98,18 +98,22 @@ class CompoundPoisson:
             name = self.law[0]
             if name == "exponential":
                 (scale,) = map(float, self.law[1:])
-                if scale <= 0:
-                    raise ModelRejectionError("exponential scale must be > 0")
+                if not 0 < scale < math.inf:
+                    raise ModelRejectionError(f"exponential scale must be finite and > 0, got {scale}")
                 object.__setattr__(self, "law", ("exponential", scale))
             elif name == "uniform":
                 lo, hi = map(float, self.law[1:])
+                for key, v in (("lo", lo), ("hi", hi)):
+                    if not math.isfinite(v):
+                        raise ModelRejectionError(f"uniform {key} must be finite, got {v}")
                 if not lo < hi:
                     raise ModelRejectionError("uniform law requires lo < hi")
                 object.__setattr__(self, "law", ("uniform", lo, hi))
             elif name == "pareto":
                 xm, a = map(float, self.law[1:])
-                if xm <= 0 or a <= 0:
-                    raise ModelRejectionError("pareto law requires xm > 0 and tail index > 0")
+                for key, v in (("xm", xm), ("tail index", a)):
+                    if not 0 < v < math.inf:
+                        raise ModelRejectionError(f"pareto {key} must be finite and > 0, got {v}")
                 object.__setattr__(self, "law", ("pareto", xm, a))
             else:
                 raise ModelRejectionError(f"unknown jump law {name!r}")
@@ -251,8 +255,8 @@ def build_model(
 
     if lattice_span is not None:
         alpha = float(lattice_span)
-        if alpha <= 0:
-            raise ModelRejectionError("lattice span must be > 0")
+        if not 0 < alpha < math.inf:
+            raise ModelRejectionError(f"lattice span must be finite and > 0, got {alpha}")
         if gaussian_var != 0.0 or drift != 0.0:
             raise ModelRejectionError("lattice models require zero drift and zero Gaussian part")
         if not isinstance(jumps, CompoundPoisson) or jumps.atoms is None:
@@ -504,29 +508,6 @@ def _jump_cutoff(jumps: TruncatedStable, small_jump_cutoff: Optional[float]) -> 
     return eps
 
 
-def _jump_blocks(rng, lam, draw, horizon):
-    """Arrival times on (0, horizon] of a Poisson stream of rate ``lam``, and
-    ``draw(n)`` jump sizes for them, as a generator of (times, sizes) blocks.
-
-    Each block draws ``JUMP_BLOCK`` exponential gaps, carrying the running
-    time in, then one size per arrival of the block up to the horizon.  The
-    block that holds the first arrival past the horizon is the last.  A
-    reader that stops after some block has drawn a prefix of the full
-    stream, so whatever it kept is the full path's, bit for bit.  This is
-    the one-row case of :func:`_jump_rows`, in scalar steps.
-    """
-    t = 0.0
-    while True:
-        gaps = rng.exponential(1.0 / lam, size=JUMP_BLOCK)
-        gaps[0] += t
-        times = np.cumsum(gaps, out=gaps)
-        n = int(np.searchsorted(times, horizon, side="right"))
-        yield times[:n], draw(n)
-        if n < JUMP_BLOCK:
-            return
-        t = times[-1]
-
-
 def _jump_rows(rng, lam, draw, horizon, k):
     """Arrival times of k Poisson streams of rate ``lam`` (the rows) and
     ``draw(n)`` jump sizes for them, as a generator of stages.
@@ -538,7 +519,8 @@ def _jump_rows(rng, lam, draw, horizon, k):
     to the columns some row reads.  Every row is drawn in every stage, so a
     reader that stops early has drawn a prefix of the full stream, and what
     it kept of any row is the full block's, bit for bit.  With k = 1 this is
-    :func:`_jump_blocks`' stream.
+    the stream of one path, which :func:`simulate_path` and
+    :func:`_simulate_grid` read a stage at a time, the row cut to its count.
     """
     m = max(1, JUMP_BLOCK // k)
     t, every = 0.0, np.full(k, m)
@@ -636,24 +618,29 @@ def simulate_path(
     ----------
     step : float, optional
         Time grid spacing; required when ``gaussian_var > 0``.
+    seed, rng : optional
+        The path's stream: ``rng`` itself, or ``default_rng(seed)``.  One of
+        them is required, so every path can be drawn again.
     small_jump_cutoff : float, optional
         For the truncated stable subordinator, jumps below this threshold are
         replaced by their expected linear drift.  Defaults to
         ``SMALL_JUMP_FRACTION * cutoff``.
     ceiling : float, optional
         Subordinators only: a level above which the caller reads nothing.
-        The path reads no block of :func:`_jump_blocks` past the one that
+        The path reads no stage of :func:`_jump_rows` past the one that
         holds its first sample strictly above ``ceiling``; it is the process
         up to that sample, then goes on at ``linear_rate`` to the horizon.  A
         subordinator never comes back down, so every segment this leaves out
         starts above the ceiling, and the samples kept are the unstopped
-        path's, bit for bit: both read the same blocks.
+        path's, bit for bit: both read the same stages.
     """
     if not (horizon > 0 and math.isfinite(horizon)):
         raise ValueError("horizon must be finite and > 0")
     if ceiling is not None and (math.isnan(ceiling) or not model.is_subordinator):
         raise ValueError("a ceiling needs a subordinator and a level that is not NaN")
     if rng is None:
+        if seed is None:
+            raise ValueError("pass a seed or an rng: a path is never drawn from fresh entropy")
         rng = np.random.default_rng(seed)
 
     if model.gaussian_var > 0:
@@ -662,12 +649,13 @@ def simulate_path(
     # (0, 0), then the value rate * t + S at each arrival (S: the summed
     # jumps), up to the first above the ceiling; then, unless a jump lands on
     # it, the horizon, where the last piece ends
-    times, values, total, rate, blocks = [[0.0]], [[0.0]], 0.0, model.drift, ()
+    times, values, total, rate, stages = [[0.0]], [[0.0]], 0.0, model.drift, ()
     if model.jumps is not None:
         lam, draw, rate = _jump_law(model, rng, small_jump_cutoff)
-        blocks = _jump_blocks(rng, lam, draw, horizon)
-    for jt, sizes in blocks:
-        if not len(jt):   # an empty block is the last
+        stages = _jump_rows(rng, lam, draw, horizon, 1)
+    for jt, n, sizes in stages:     # one row, in scalar steps
+        jt, sizes = jt[0, :n[0]], sizes[0, :n[0]]
+        if not len(jt):   # a stage with no arrival is the last
             break
         sizes[0] += total
         np.cumsum(sizes, out=sizes)
@@ -746,7 +734,7 @@ def reduce_paths(
             if grid:
                 yield _as_block(_simulate_grid(model, horizon, step,
                                                [derive_rng(seed, *key, i) for i in range(s, s + k)]))
-            elif k == 1:    # the one-path generator: the same stream, in scalar steps
+            elif k == 1:    # the same stream, its one row read in scalar steps
                 yield simulate_path(model, horizon, rng=derive_rng(seed, *key, s),
                                     small_jump_cutoff=small_jump_cutoff, ceiling=ceiling)._block
             else:
@@ -809,8 +797,11 @@ def _simulate_grid(model: LevyModel, horizon: float, step: Optional[float],
     if jumps is None:
         times = [grid] * k
     else:
-        landings = [tuple(map(np.concatenate, zip(*_jump_blocks(
-            rng, jumps.rate, partial(jumps.sample, rng), horizon)))) for rng in rngs]
+        landings = []
+        for rng in rngs:
+            rows = [(t[0, :n[0]], s[0, :n[0]]) for t, n, s in
+                    _jump_rows(rng, jumps.rate, partial(jumps.sample, rng), horizon, 1)]
+            landings.append(tuple(map(np.concatenate, zip(*rows))))
         times = [np.unique(np.concatenate([grid, jt])) for jt, _ in landings]
     starts = np.zeros(k + 1, dtype=int)
     np.cumsum([len(t) - 1 for t in times], out=starts[1:])

@@ -51,18 +51,20 @@ BATTY_PROBES = 64           # probe points for beta_hat across the support of f
 
 
 def _segment_contributions(f: TestFunction, block: PathBlock, x: float,
-                           seg=slice(None)) -> np.ndarray:
+                           seg=slice(None), at=None) -> np.ndarray:
     """Integral of f(x + path) over each segment ``seg`` selects (a slice or
-    sorted indices; every segment by default)."""
+    indices; every segment by default): whole, or from its start up to the
+    time ``at`` (one per selected segment, clipped to the segment).  A grid
+    cell gives the linear share ``cell * tau / dt`` of its whole integral."""
     dt, v0 = block.t1[seg] - block.t0[seg], block.v0[seg]
+    tau = dt if at is None else np.clip(at - block.t0[seg], 0.0, dt)
     if block.exact:
         r = block.linear_rate
         if r == 0.0:
-            return f(x + v0) * dt
-        return f.integral_on(x + v0, x + v0 + r * dt) / r
-    if f.kind == "step":
-        return f(x + v0) * dt
-    return 0.5 * (f(x + v0) + f(x + block.v1[seg])) * dt
+            return f(x + v0) * tau
+        return f.integral_on(x + v0, x + v0 + r * tau) / r
+    cell = (f(x + v0) if f.kind == "step" else 0.5 * (f(x + v0) + f(x + block.v1[seg]))) * dt
+    return cell if at is None else cell * tau / dt
 
 
 def integral_along_path(f: TestFunction, path: PathSample | PathBlock,
@@ -96,8 +98,8 @@ def integral_at_times(f: TestFunction, path: PathSample | PathBlock, x: float,
     """
     block = _as_block(path)
     at = np.asarray(at, float)
-    if np.any(at < 0) or np.any(at > block.horizon * (1 + 1e-12)):
-        raise ValueError("evaluation times must lie within the path horizon")
+    if not np.all((at >= 0) & (at <= block.horizon * (1 + 1e-12))):   # NaN too
+        raise ValueError("evaluation times must be finite and lie within the path horizon")
     k, starts = len(block), block.starts
     idx = block._segments_at(at)
     if f.live_intervals.tolist() == [[-math.inf, math.inf]]:
@@ -119,22 +121,10 @@ def integral_at_times(f: TestFunction, path: PathSample | PathBlock, x: float,
     np.cumsum(sums, axis=1, out=sums)
     sums[:, 0] = 0.0
     cum = sums[np.arange(k)[:, None], before]
-    r = block.linear_rate
-    if block.exact and r < 0:
+    if block.exact and block.linear_rate < 0:
         cum[(before == 0) & (idx > starts[:-1, None])] = -0.0
-    # the partial segment, elementwise over the (k, len(at)) times
-    idx, times = idx.ravel(), np.broadcast_to(at, idx.shape).ravel()
-    t0 = block.t0[idx]
-    dt = block.t1[idx] - t0
-    tau = np.clip(times - t0, 0.0, dt)
-    v0 = block.v0[idx]
-    if block.exact:
-        if r == 0.0:
-            partial = f(x + v0) * tau
-        else:
-            partial = f.integral_on(x + v0, x + v0 + r * tau) / r
-    else:
-        partial = _segment_contributions(f, block, x, idx) * tau / dt   # linear share of the cell
+    # the partial segment each time falls in, elementwise over the (k, len(at)) times
+    partial = _segment_contributions(f, block, x, idx.ravel(), np.broadcast_to(at, idx.shape).ravel())
     rows = cum + partial.reshape(cum.shape)
     return rows[0] if block is not path else rows
 
@@ -148,32 +138,6 @@ class IDistribution:
     samples: np.ndarray
     censored: np.ndarray
     meta: dict
-
-
-def _censoring_rule(f, x, rungs):
-    """The ladder's censoring rule as ``(row, split)`` for sorted ``rungs``.
-
-    ``row(block)`` is, for each piece of a path block, the running integral
-    at each rung, then at the start of each rung's final CENSOR_WINDOW share.
-    ``split(rows)`` turns stacked rows into (integrals at the rungs, censored
-    flags): a path is censored at a rung when that final window still
-    accrues more than CENSOR_REL_ACCRUAL of the running integral.
-    """
-    k = len(rungs)
-    eval_times = np.concatenate([rungs, (1.0 - CENSOR_WINDOW) * rungs])
-    order = np.argsort(eval_times)
-    eval_sorted, inv = eval_times[order], np.argsort(order)
-
-    def row(block):
-        # take keeps the rows C-ordered (``[..., inv]`` gives a Fortran-ordered
-        # copy), so a mean over paths sums each column sequentially, as before
-        return np.take(integral_at_times(f, block, x, eval_sorted), inv, axis=-1)
-
-    def split(rows):
-        at_rungs, at_early = rows[:, :k], rows[:, k:]
-        return at_rungs, (at_rungs - at_early) > np.maximum(CENSOR_REL_ACCRUAL * at_rungs, 1e-12)
-
-    return row, split
 
 
 def _live_ceiling(f: TestFunction, x: float) -> float:
@@ -210,24 +174,44 @@ def _integral_samples(f: TestFunction, model: LevyModel, xs, horizon: float, pat
                                        threads=threads, step=step))
 
 
-def _ladder_samples(f, model, x, rungs, paths, seed, step, threads):
-    """Per-path running integrals at each rung, and censored flags.
+def _ladder_samples(f, model, x, rungs, paths, seed, step, threads, *,
+                    small_jump_cutoff=None, visits=None):
+    """Per-path running integrals at each rung, censored flags, and whether
+    each path meets the region ``visits`` (:meth:`RegionSpec.last_visit`;
+    False for every path without one).
 
     One path per index serves every rung (the running integral is
     nondecreasing in the horizon along a fixed path), which couples the
     ladder and keeps the cost of k rungs equal to one long horizon.  The
     rows read only segments that meet f's live intervals, so paths may stop
-    once past their top.
+    once past their top; ``visits`` must lie below it too.  A path is
+    censored at a rung when the rung's final CENSOR_WINDOW share still
+    accrues more than CENSOR_REL_ACCRUAL of the running integral.
     """
     if not math.isfinite(x):
         raise ValueError(f"start point x must be finite, got {x!r}")
     rungs = np.asarray(sorted(rungs), float)
-    row, split = _censoring_rule(f, x, rungs)
-    parts = reduce_paths(model, float(rungs[-1]), paths, seed,
-                         lambda chunk: np.concatenate([row(block) for block in chunk]),
-                         threads=threads, step=step, ceiling=_live_ceiling(f, x))
-    at_rungs, censored = split(np.concatenate(parts))
-    return rungs, at_rungs, censored
+    eval_times = np.concatenate([rungs, (1.0 - CENSOR_WINDOW) * rungs])
+    order = np.argsort(eval_times)
+    eval_sorted, inv = eval_times[order], np.argsort(order)
+
+    def reducer(chunk):
+        rows, met = [], []
+        for block in chunk:
+            # take keeps the rows C-ordered (``[..., inv]`` gives a Fortran-ordered
+            # copy), so a mean over paths sums each column sequentially
+            rows.append(np.take(integral_at_times(f, block, x, eval_sorted), inv, axis=-1))
+            # right after the row, so the visit rule reads its segment index back
+            met.append(np.zeros(len(block), bool) if visits is None
+                       else visits.last_visit(block, x) > -math.inf)
+        return np.concatenate(rows), np.concatenate(met)
+
+    parts = reduce_paths(model, float(rungs[-1]), paths, seed, reducer, threads=threads, step=step,
+                         small_jump_cutoff=small_jump_cutoff, ceiling=_live_ceiling(f, x))
+    rows = np.concatenate([r for r, _ in parts])
+    at_rungs, at_early = rows[:, :len(rungs)], rows[:, len(rungs):]
+    censored = (at_rungs - at_early) > np.maximum(CENSOR_REL_ACCRUAL * at_rungs, 1e-12)
+    return rungs, at_rungs, censored, np.concatenate([m for _, m in parts])
 
 
 def estimate_I_distribution(
@@ -241,7 +225,7 @@ def estimate_I_distribution(
     threads: int = 1,
 ) -> IDistribution:
     """Sample I^x_T over independent paths."""
-    _, vals, censored = _ladder_samples(f, model, x, [horizon], paths, seed, step, threads)
+    _, vals, censored, _ = _ladder_samples(f, model, x, [horizon], paths, seed, step, threads)
     return IDistribution(x=float(x), horizon=float(horizon), samples=vals[:, 0],
                          censored=censored[:, 0],
                          meta={"model": describe(model), "f": f.name, "paths": paths,
@@ -302,14 +286,18 @@ def finiteness_diagnosis(
 
     Median I^x_T stable between the last two rungs with few censored paths
     reads as finite; a significantly positive trend of the median against
-    log-horizon reads as infinite; otherwise inconclusive.
+    log-horizon reads as infinite; otherwise inconclusive.  A horizon that
+    is not finite and > 0 is refused before any draw.
     """
-    rungs = sorted(float(t) for t in rungs)
+    rungs = [float(t) for t in rungs]
+    if not all(0 < t < math.inf for t in rungs):
+        raise ValueError(f"ladder horizons must be finite and > 0, got {rungs}")
+    rungs = sorted(rungs)
     if len(rungs) < 3:
         raise ValueError("ladder needs at least 3 horizons")
     if any(b <= a for a, b in zip(rungs[:-1], rungs[1:])):
         raise ValueError("ladder horizons must be strictly increasing")
-    rung_arr, vals, censored = _ladder_samples(f, model, x, rungs, paths, seed, step, threads)
+    rung_arr, vals, censored, _ = _ladder_samples(f, model, x, rungs, paths, seed, step, threads)
     medians = np.median(vals, axis=0)
     outcome, growth, tstat = _classify_plateau(rung_arr, medians, float(censored[:, -1].mean()))
     evidence = {
@@ -489,6 +477,8 @@ def khasminskii_exponential_check(
         raise ValueError(f"paths must be >= 2 for the trimmed-sample screen, got {paths}")
     if not math.isfinite(theta):
         raise ValueError(f"theta must be finite, got {theta!r}")
+    if j_value is not None and math.isnan(j_value):
+        raise ValueError("j_value must not be NaN (pass None for no bound)")
     warning = None
     if j_value is not None and j_value > 0 and theta >= 1.0 / j_value - 1e-12:
         warning = (f"theta={theta:g} is at or above 1/J={1.0 / j_value:g}; "

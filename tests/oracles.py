@@ -266,3 +266,46 @@ def step_stieltjes_sum(pieces, sites, masses, lower: float) -> float:
                 below += m
         total += below * drop
     return total
+
+
+def running_integral(times, values, rate: float, exact: bool, f: tuple, x: float, at) -> list:
+    """Integral over [0, t] of f(x + path) for each t in ``at``, segment by
+    segment, with closed-form integrals and an exactly rounded sum.
+
+    ``f`` is ``("exp",)`` for e^{-y} or ``("indicator", a, b)`` for the
+    indicator of the open interval (a, b).  Segment s starts at
+    ``times[s]`` and ``y = x + values[s]``.  On an exact path it moves at
+    ``rate`` until ``times[s + 1]``; a time inside it takes the integral up
+    to that time.  On a grid skeleton (``exact`` False) a cell integrates
+    by the trapezoid rule for e^{-y} and the held value y for the
+    indicator, and a time inside it takes the linear share of the cell.
+    """
+    def along(y, tau):      # exact path: integral over the first tau of the segment
+        if f[0] == "exp":
+            return math.exp(-y) * tau if rate == 0.0 else math.exp(-y) * -math.expm1(-rate * tau) / rate
+        a, b = f[1], f[2]
+        if rate == 0.0:
+            return tau if a < y < b else 0.0
+        lo, hi = sorted(((a - y) / rate, (b - y) / rate))
+        return max(0.0, min(hi, tau) - max(lo, 0.0))
+
+    def cell(y, y1, dt):    # grid skeleton: the whole cell
+        if f[0] == "exp":
+            return 0.5 * (math.exp(-y) + math.exp(-y1)) * dt
+        return dt if f[1] < y < f[2] else 0.0
+
+    out = []
+    for t in at:
+        terms = []
+        for s in range(len(times) - 1):
+            t0, t1 = float(times[s]), float(times[s + 1])
+            if t0 >= t:
+                break
+            tau = min(t1, t) - t0
+            y = x + float(values[s])
+            if exact:
+                terms.append(along(y, tau))
+            else:
+                terms.append(cell(y, x + float(values[s + 1]), t1 - t0) * tau / (t1 - t0))
+        out.append(math.fsum(terms))
+    return out

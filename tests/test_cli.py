@@ -6,7 +6,7 @@ import sys
 import pytest
 import yaml
 
-from levyint import cli, counterexamples
+from levyint import cli, counterexamples, perpetual
 from levyint.cli import main
 
 
@@ -404,6 +404,22 @@ def test_empty_level_list_is_config_error(tmp_path, capsys, monkeypatch):
     assert run_cli(["counterexample", "--config", str(path), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: levels must be nonempty")
+    assert not out.exists()
+
+
+def test_ladder_rung_at_zero_is_config_error(tmp_path, capsys, monkeypatch):
+    """A rung at 0 is refused by name before any path is drawn; it used to
+    reach a least-squares fit that failed to converge."""
+    def no_draws(*args, **kwargs):
+        raise AssertionError("paths were drawn")
+    monkeypatch.setattr(perpetual, "reduce_paths", no_draws)
+    path = tmp_path / "cfg.yaml"
+    path.write_text("seed: 1\npaths: 10\nfunction: {kind: constant, value: 1.0}\n"
+                    "ladder: [0.0, 10, 20, 40]\n")
+    out = tmp_path / "o"
+    assert run_cli(["diagnose", "--model", "lattice_cpp", "--config", str(path),
+                    "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("config error: ladder horizons must be finite")
     assert not out.exists()
 
 

@@ -7,6 +7,7 @@ import levyint as L
 from levyint import counterexamples
 from levyint.counterexamples import (FINE_CUTOFF_FRACTION, OvershootTable,
                                      TrapConstructionError, _cutoff_ladder, dkw_halfwidth)
+from levyint.perpetual import _ladder_samples
 
 import oracles
 
@@ -261,6 +262,36 @@ def test_trap_verification_records_potential_warnings(ts_model):
                                     small_jump_cutoff=1e-3)
         assert len(v.details["warnings"]) == 1
         assert v.details["warnings"][0].startswith("UserWarning: horizon 40 is below")
+
+
+def test_trap_verification_reads_the_ladder_and_the_visits_of_each_path(ts_model):
+    """The verification's visit count is the number of paths whose last
+    visit to the trap set is finite, and its medians and means are those of
+    the paths' running integrals at the rungs, each path drawn alone from its
+    own stream (1e-6 cutoff: one path per block) and read whole.  With
+    safety 1 the first bump is wide, so most paths meet it and the medians
+    move between the rungs."""
+    trap = L.build_transient_trap(_limit_law_table(), n_max=4, safety=1.0)
+    paths, seed, horizon, cutoff = 200, 71, 16.0, 1e-6
+    v = L.verify_counterexample(ts_model, trap, paths=paths, seed=seed, horizon=horizon,
+                                small_jump_cutoff=cutoff)
+    rungs = np.array(v.details["rungs"])
+    met, rows = 0, []
+    for i in range(paths):
+        p = L.simulate_path(ts_model, horizon, rng=L.derive_rng(seed, L.rng.STREAM_PATH, i),
+                            small_jump_cutoff=cutoff)
+        met += trap.trap_set.last_visit(p) > -math.inf
+        rows.append(L.integral_at_times(trap.f, p, 0.0, rungs))
+    rows = np.array(rows)
+    assert 0.5 < met / paths < 0.7
+    assert v.visit_fraction == met / paths
+    assert v.details["medians"] == np.median(rows, axis=0).tolist()
+    assert v.details["means"] == rows.mean(axis=0).tolist()
+    assert len(set(v.details["medians"])) > 1
+    # without a region the ladder reader flags no path
+    flags = _ladder_samples(trap.f, ts_model, 0.0, rungs, 20, seed, None, 1,
+                            small_jump_cutoff=1e-3)[3]
+    assert flags.shape == (20,) and not flags.any()
 
 
 def test_trap_verification_median_plateau(trap_verification):

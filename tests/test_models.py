@@ -60,6 +60,35 @@ def test_nonpositive_atom_probability_rejected():
         L.CompoundPoisson(rate=1.0, atoms=((1.0, -0.5), (2.0, 1.5)))
 
 
+@pytest.mark.parametrize("law, name", [
+    (("exponential", math.nan), "exponential scale"),
+    (("exponential", math.inf), "exponential scale"),
+    (("uniform", 0.0, math.inf), "uniform hi"),
+    (("uniform", math.nan, 1.0), "uniform lo"),
+    (("pareto", math.inf, 2.0), "pareto xm"),
+    (("pareto", 1.0, math.nan), "pareto tail index"),
+    (("pareto", 1.0, math.inf), "pareto tail index"),
+], ids=["exp_nan", "exp_inf", "uniform_hi_inf", "uniform_lo_nan", "pareto_xm_inf",
+        "pareto_index_nan", "pareto_index_inf"])
+def test_law_parameters_that_are_not_finite_are_refused_by_name(law, name):
+    """A NaN or infinite law parameter would give a jump mean of NaN or inf,
+    and paths that read NaN; each is refused, naming the parameter."""
+    with pytest.raises(ModelRejectionError, match=name):
+        L.CompoundPoisson(1.0, law=law)
+
+
+def test_atom_probability_that_is_nan_is_refused():
+    with pytest.raises(ModelRejectionError, match="atom probabilities"):
+        L.CompoundPoisson(1.0, atoms=((1.0, math.nan),))
+
+
+@pytest.mark.parametrize("span", [math.inf, math.nan, 0.0])
+def test_lattice_span_that_is_not_finite_and_positive_is_refused_by_name(span):
+    jumps = L.CompoundPoisson(rate=2.0, atoms=((1.0, 1.0),))
+    with pytest.raises(ModelRejectionError, match="lattice span must be finite and > 0"):
+        L.build_model(jumps=jumps, lattice_span=span)
+
+
 # -- path structure ---------------------------------------------------------
 
 def test_pure_drift_path_exact():
@@ -355,6 +384,18 @@ def test_one_atom_law_draws_nothing():
     sizes = L.CompoundPoisson(rate=2.0, atoms=((1.5, 1.0),)).sample(rng, 7)
     assert sizes.tobytes() == np.full(7, 1.5).tobytes()
     assert rng.bit_generator.state == state
+
+
+def test_path_needs_a_seed_or_an_rng(lattice_model, bm_model):
+    """No path is drawn from fresh entropy; with a seed, a grid model still
+    needs its step."""
+    for model in (lattice_model, bm_model):
+        with pytest.raises(ValueError, match="seed or an rng"):
+            L.simulate_path(model, 10.0, step=0.1)
+    with pytest.raises(ValueError, match="step"):
+        L.simulate_path(bm_model, 10.0, seed=3)
+    assert L.simulate_path(lattice_model, 10.0, seed=3).values.tobytes() == \
+        L.simulate_path(lattice_model, 10.0, rng=np.random.default_rng(3)).values.tobytes()
 
 
 def test_gaussian_needs_step(bm_model):

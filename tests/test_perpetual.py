@@ -51,6 +51,13 @@ def test_integral_at_times_out_of_range(ts_model):
         L.integral_at_times(L.exp_decay(), p, 0.0, np.array([6.0]))
 
 
+def test_integral_at_times_refuses_times_that_are_not_finite(ts_model):
+    p = L.simulate_path(ts_model, 5.0, seed=1)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            L.integral_at_times(L.exp_decay(), p, 0.0, np.array([1.0, bad]))
+
+
 def _dense_integral_at_times(f, path, x, at):
     """Reference running integral: every segment's term, one sequential
     cumsum, plus the share of the segment each time falls in."""
@@ -105,6 +112,37 @@ def test_integral_at_times_equals_dense_cumsum(which, f, x, lattice_model, ts_mo
         want = _dense_integral_at_times(f, path, x, at)
         np.testing.assert_array_equal(got, want)
         assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("which", ["lattice", "tstable", "cpp_down", "bm_grid"])
+@pytest.mark.parametrize("f", [("exp",), ("indicator", 1.0, 3.5)], ids=lambda f: f[0])
+@pytest.mark.parametrize("x", [0.0, -0.75])
+def test_integral_at_times_matches_running_integral_oracle(which, f, x, lattice_model,
+                                                           bm_model):
+    """The running integral, partial segments included, against a plain
+    per-segment loop with closed-form integrals, to 1e-12 relative: r = 0,
+    r > 0, r < 0 and grid paths, at 0, at jump times, inside segments and at
+    the horizon.  The truncated stable path keeps jumps above 0.05: at the
+    default cutoff the primitive difference of e^{-y} over a sweep of r * dt
+    about 1e-4 keeps only about 12 digits."""
+    ts = L.build_model(jumps=L.TruncatedStable(activity=1.0, index=0.5, cutoff=1.0))
+    cpp_down = L.build_model(drift=-0.5,
+                             jumps=L.CompoundPoisson(rate=1.0, law=("uniform", 0.5, 2.5)))
+    model, horizon, step, cutoff = {"lattice": (lattice_model, 8.0, None, None),
+                                    "tstable": (ts, 6.0, None, 0.05),
+                                    "cpp_down": (cpp_down, 12.0, None, None),
+                                    "bm_grid": (bm_model, 10.0, 0.05, None)}[which]
+    fn = L.exp_decay() if f[0] == "exp" else L.indicator(f[1], f[2])
+    for i in range(5):
+        path = L.simulate_path(model, horizon, step=step, rng=L.derive_rng(43, i),
+                               small_jump_cutoff=cutoff)
+        t = path.times
+        jumps = t[1:-1:max(1, (len(t) - 2) // 4)]
+        inside = (0.5 * (t[:-1] + t[1:]))[::max(1, (len(t) - 1) // 4)]
+        at = np.sort(np.concatenate([[0.0, 0.37 * horizon, horizon], jumps, inside]))
+        got = L.integral_at_times(fn, path, x, at)
+        want = oracles.running_integral(t, path.values, path.linear_rate, path.exact, f, x, at)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
 
 def test_lattice_sine_path_integral_exactly_zero(lattice_model):
@@ -249,6 +287,30 @@ def test_levels_that_are_not_finite_are_refused_before_any_draw(lattice_model, m
     monkeypatch.setattr(L.perpetual, "estimate_I_distribution", no_draws)
     with pytest.raises(ValueError, match="finite"):
         call(lattice_model)
+
+
+@pytest.mark.parametrize("rungs", [[math.nan, 10.0, 20.0], [0.0, 10.0, 20.0, 40.0],
+                                   [-5.0, 10.0, 20.0], [5.0, 10.0, math.inf]],
+                         ids=["nan", "zero", "negative", "inf"])
+def test_ladder_horizons_that_are_not_finite_and_positive_are_refused_before_any_draw(
+        lattice_model, monkeypatch, rungs):
+    """A NaN rung used to fail on an index, rung 0 in a least-squares fit
+    after every path was drawn, a negative rung after the first block."""
+    def no_draws(*args, **kwargs):
+        raise AssertionError("paths were drawn")
+    monkeypatch.setattr(L.perpetual, "reduce_paths", no_draws)
+    with pytest.raises(ValueError, match="ladder horizons must be finite and > 0"):
+        L.finiteness_diagnosis(L.constant(1.0), lattice_model, 0.0, rungs, paths=10, seed=0)
+
+
+def test_mgf_refuses_a_bound_that_is_nan_before_any_draw(lattice_model, monkeypatch):
+    """A NaN J used to mean "no bound"; None says that."""
+    def no_draws(*args, **kwargs):
+        raise AssertionError("paths were drawn")
+    monkeypatch.setattr(L.perpetual, "estimate_I_distribution", no_draws)
+    with pytest.raises(ValueError, match="j_value"):
+        L.khasminskii_exponential_check(L.exp_decay(), lattice_model, x=0.0, theta=0.1,
+                                        horizon=10.0, paths=10, seed=0, j_value=math.nan)
 
 
 # -- sublevel set -----------------------------------------------------------
