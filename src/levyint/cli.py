@@ -583,7 +583,9 @@ def _parser() -> argparse.ArgumentParser:
         sp.add_argument("--seed", type=int, help="master seed (mandatory if absent from config)")
         sp.add_argument("--paths", type=int, help="Monte Carlo path budget")
         sp.add_argument("--horizon", type=float, help="time horizon")
-        sp.add_argument("--threads", type=int, help="worker threads (does not change results)")
+        sp.add_argument("--threads", type=int,
+                        help="worker threads; they speed up Gaussian grid paths and the "
+                             "overshoot table, and never change results")
         sp.add_argument("--out", help="output directory")
         sp.add_argument("--model", help="model kind or preset name")
         if name in ("test", "diagnose", "scan"):

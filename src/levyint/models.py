@@ -22,7 +22,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .rng import DEFAULT_CHUNK, STREAM_PATH, derive_rng, map_chunks
+from .rng import DEFAULT_CHUNK, STREAM_PATH, _check_threads, derive_rng, map_chunks
 
 __all__ = [
     "ModelRejectionError",
@@ -705,12 +705,15 @@ def reduce_paths(
     which return one row per piece, and reads ``block.pieces()`` only when
     it needs whole paths.  The per-chunk results come back in chunk order,
     so the caller's final reduction, and every random stream, is the same
-    for any number of threads.  k = 1 paths and grid blocks use the
-    ``threads`` pool, since their draws and reducers are numpy-bound; the
-    reducers of blocks of light jump paths hold the GIL, so two threads
-    would pass it back and forth and run slower, and by a varying amount,
-    than one.  A budget below one path is refused, so is a horizon that is
-    not finite and > 0, and so is ``threads`` below 1 (by :func:`map_chunks`).
+    for any number of threads.  Only grid blocks use the ``threads`` pool:
+    their cells come in arrays long enough for numpy to release the GIL for
+    a while.  Every jump path, k = 1 included, runs on the calling thread.
+    A stage of a k = 1 path is about a dozen numpy calls on 4096 elements, a
+    block of light paths a reducer that holds the GIL, so two threads would
+    pass the GIL back and forth at every call and run no faster than one
+    while burning a second core.  A budget below one path is refused, so is
+    a horizon that is not finite and > 0, and so is a ``threads`` that is not
+    an integer >= 1, whether or not the pool is used.
 
     A reducer that reads nothing of ``x + path`` above some level (a
     potential grid's top edge, the top of ``f.live_intervals``) passes that
@@ -723,6 +726,7 @@ def reduce_paths(
         raise ValueError(f"paths must be >= 1, got {paths}")
     if not (horizon > 0 and math.isfinite(horizon)):
         raise ValueError("horizon must be finite and > 0")
+    threads = _check_threads(threads)
     block = _block_paths(model, horizon, small_jump_cutoff, step)
     grid = model.gaussian_var > 0
     if not model.is_subordinator:
@@ -742,7 +746,7 @@ def reduce_paths(
                                   small_jump_cutoff, ceiling)
 
     return map_chunks(paths, lambda a, b: reducer(chunk_blocks(a, b)),
-                      threads=threads if block == 1 or grid else min(threads, 1))
+                      threads=threads if grid else 1)
 
 
 def _block_paths(model: LevyModel, horizon: float, small_jump_cutoff: Optional[float],

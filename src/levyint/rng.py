@@ -13,6 +13,7 @@ chunk order."""
 
 from __future__ import annotations
 
+import operator
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -40,16 +41,31 @@ def chunk_ranges(n: int, chunk: int = DEFAULT_CHUNK) -> list[tuple[int, int]]:
     return [(s, min(s + chunk, n)) for s in range(0, n, chunk)]
 
 
+def _check_threads(threads) -> int:
+    """``threads`` as an int, refused by name unless it is an integer >= 1.
+
+    Integers are read as ``operator.index`` reads them (numpy integers pass);
+    a float, even 2.0, and a bool are refused, and so is NaN, on which a pool
+    would wait forever for a worker it never starts.
+    """
+    try:
+        count = 0 if isinstance(threads, bool) else operator.index(threads)
+    except TypeError:
+        count = 0
+    if count < 1:
+        raise ValueError(f"threads must be >= 1 and an integer, got {threads!r}")
+    return count
+
+
 def map_chunks(n: int, worker, threads: int = 1, chunk: int = DEFAULT_CHUNK) -> list:
     """Apply ``worker(start, stop)`` over index chunks, results in chunk order.
 
     Thread scheduling may finish chunks out of order; the returned list is
     always ordered by chunk index so downstream reductions are deterministic.
     A single chunk runs on the calling thread: a pool would only add a thread.
-    ``threads`` below 1 is refused.
+    A ``threads`` that is not an integer >= 1 is refused, one chunk or many.
     """
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
+    threads = _check_threads(threads)
     ranges = chunk_ranges(n, chunk)
     if threads <= 1 or len(ranges) <= 1:
         return [worker(a, b) for a, b in ranges]

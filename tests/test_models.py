@@ -490,12 +490,14 @@ def test_reduce_paths_single_path_blocks_are_uncut(bm_model, ts_model):
             assert path.values.tobytes() == ref.values.tobytes()
 
 
-def test_reduce_paths_threads_only_single_path_blocks(lattice_model, bm_model):
-    """Blocks of light jump paths run every chunk on the calling thread,
-    whatever ``threads`` asks; k = 1 paths and grid blocks with several chunks go to
-    the pool."""
-    for m, kw, pooled in ((lattice_model, {}, False), (bm_model, {"step": 0.5}, True)):
-        ran_on = reduce_paths(m, 3.0, 600, 5, lambda chunk: (list(chunk), threading.get_ident())[1],
+def test_reduce_paths_threads_only_single_path_blocks(lattice_model, bm_model, ts_model):
+    """Every jump path runs on the calling thread, whatever ``threads`` asks:
+    blocks of light paths (lattice) and k = 1 paths (truncated stable at
+    H = 50) alike.  Only grid blocks with several chunks go to the pool."""
+    assert models._block_paths(ts_model, 50.0, None) == 1
+    for m, h, kw, pooled in ((lattice_model, 3.0, {}, False), (bm_model, 3.0, {"step": 0.5}, True),
+                             (ts_model, 50.0, {}, False)):
+        ran_on = reduce_paths(m, h, 600, 5, lambda chunk: (list(chunk), threading.get_ident())[1],
                               threads=2, **kw)
         assert len(ran_on) == 3
         assert (set(ran_on) != {threading.get_ident()}) == pooled

@@ -78,3 +78,23 @@ def test_map_chunks_refuses_threads_below_one(lattice_model):
             rng.map_chunks(10, lambda a, b: b - a, threads=threads)
         with pytest.raises(ValueError, match="threads must be >= 1"):
             reduce_paths(lattice_model, 5.0, 10, 1, list, threads=threads)
+
+
+@pytest.mark.parametrize("threads", [float("nan"), 2.5, 2.0, 1.0, True, np.bool_(True), "2", None],
+                         ids=["nan", "2.5", "2.0", "1.0", "True", "np.True_", "str", "None"])
+def test_map_chunks_refuses_threads_that_are_not_integers(threads, lattice_model, ts_model):
+    """NaN passes a ``< 1`` test, and a pool of NaN workers never starts one;
+    a float, a bool or a string is not a worker count either.  One chunk, so
+    a call that slipped through would return rather than hang."""
+    with pytest.raises(ValueError, match="threads must be >= 1 and an integer"):
+        rng.map_chunks(10, lambda a, b: b - a, threads=threads)
+    for m in (lattice_model, ts_model):
+        with pytest.raises(ValueError, match="threads must be >= 1 and an integer"):
+            reduce_paths(m, 5.0, 10, 1, list, threads=threads)
+
+
+def test_map_chunks_takes_numpy_integers():
+    worker = lambda a, b: (a, b)
+    want = rng.map_chunks(600, worker, threads=2)
+    for threads in (np.int64(2), np.int32(2), np.uint8(2)):
+        assert rng.map_chunks(600, worker, threads=threads) == want
