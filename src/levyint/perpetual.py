@@ -20,6 +20,7 @@ from . import rng as _rng
 from .functions import TestFunction
 from .models import (LevyModel, PathBlock, PathSample, _as_block, binomial_stderr, describe,
                      reduce_paths)
+from .potential import occupation_histogram
 
 __all__ = [
     "IDistribution",
@@ -143,12 +144,46 @@ class IDistribution:
 def _live_ceiling(f: TestFunction, x: float) -> float:
     """A level c such that ``x + v`` lies above every live interval of f for
     every path value v > c, rounding included: ``top - x``, stepped up until
-    ``x + c`` itself is above the top (+inf for a whole-line f)."""
-    top = float(f.live_intervals[-1, 1])
+    ``x + c`` itself is above the top (+inf for a whole-line f), with top the
+    top of ``f.support``."""
+    top = f.support[1]
     c = top - x
     while x + c <= top < math.inf:
         c += math.ulp(max(abs(x), abs(top), abs(c)))
     return c
+
+
+def _lattice_integrals(f: TestFunction, block: PathBlock, xs: np.ndarray,
+                       span: float) -> np.ndarray:
+    """(k, len(xs)) integrals of f(x + path) over each piece of a block of
+    lattice paths, for every x in ``xs``: sum over sites s of occupation(s) *
+    f(x + s).
+
+    The sites are s = span * j, j = rint(v0 / span) over the block's range.
+    One ``occupation_histogram`` call, with edges at the half-sites, gives
+    each piece's row of occupation times.  The columns are the sites where
+    some x + s meets the closed hull of f's live intervals (f vanishes off
+    it): a block stopped past the top of the hull, and the same block
+    unstopped, keep the same columns.  Column x is each row's pairwise
+    ``.sum()`` of occupation * f(x + s), never a BLAS product, whose order
+    depends on the CPU.  Where f is not finite at a site some piece misses,
+    0 * f is NaN, so such a block is integrated once per x instead.
+    """
+    j = np.rint(block.v0 / span)
+    sites = np.arange(j.min(), j.max() + 1)
+    y = xs[:, None] + span * sites
+    lo, hi = f.support
+    cols = np.nonzero(((y >= lo) & (y <= hi)).any(axis=0))[0]
+    if not len(cols):
+        return np.zeros((len(block), len(xs)))
+    first, last = sites[cols[0]], sites[cols[-1]]
+    occ = np.zeros((len(block), cols[-1] - cols[0] + 1))
+    occupation_histogram(block, span * (np.arange(first, last + 2) - 0.5), occ)
+    occ = np.take(occ, cols - cols[0], axis=1)
+    values = f(np.take(y, cols, axis=1).ravel()).reshape(len(xs), len(cols))
+    if not np.isfinite(values).all():
+        return np.column_stack([integral_along_path(f, block, x) for x in xs])
+    return np.column_stack([(occ * row).sum(axis=1) for row in values])
 
 
 def _integral_samples(f: TestFunction, model: LevyModel, xs, horizon: float, paths: int,
@@ -159,19 +194,28 @@ def _integral_samples(f: TestFunction, model: LevyModel, xs, horizon: float, pat
 
     Every start point reads the same paths (starting at x only shifts them),
     so the columns are coupled: for nonincreasing f, I^x falls with x along
-    every row.  The reducer's per-block step integrates each block once per
-    start point.  Start points are checked before any draw.
+    every row.  A lattice model's block is read once for every x, through
+    one occupation row per piece (:func:`_lattice_integrals`); its sums run
+    over fixed site columns, so its paths stop past the top of f.  Every
+    other block is integrated once per start point by
+    :func:`integral_along_path`, on whole paths: its pairwise sums over
+    segments round differently when trailing zero terms are cut.  Start
+    points are checked before any draw.
     """
     xs = np.asarray(xs, float)
     if xs.ndim != 1 or len(xs) == 0 or not np.all(np.isfinite(xs)):
         raise ValueError(f"start points must be a nonempty sequence of finite numbers, got {xs}")
+    span = model.lattice_span
 
     def reducer(chunk):
-        return np.concatenate([np.column_stack([integral_along_path(f, block, x) for x in xs])
-                               for block in chunk])
+        return np.concatenate([
+            _lattice_integrals(f, block, xs, span) if span is not None
+            else np.column_stack([integral_along_path(f, block, x) for x in xs])
+            for block in chunk])
 
+    ceiling = None if span is None else _live_ceiling(f, float(xs.min()))
     return np.concatenate(reduce_paths(model, horizon, paths, seed, reducer, key=key,
-                                       threads=threads, step=step))
+                                       threads=threads, step=step, ceiling=ceiling))
 
 
 def _ladder_samples(f, model, x, rungs, paths, seed, step, threads, *,

@@ -114,20 +114,24 @@ def occupation_histogram(path: PathSample | PathBlock, edges: np.ndarray,
     dropped, and a value on an edge counts in the bin above it (cadlag
     convention).
 
-    A nondecreasing path (a subordinator's) spends min(tau_b, H) - min(tau_a,
-    H) in [a, b), with tau_y its first time at or above y: its row is the
-    difference of its passage times over the edges
-    (``PathBlock._passage_times``), one search per edge.  Other exact
+    Exact paths with r = 0 (every lattice path) and grid skeletons attribute
+    each segment to the bin of its left endpoint, in segment order, in one
+    ``bincount``; segments outside the grid are dropped before the bin
+    search.  A nondecreasing path with r > 0 (a truncated stable
+    subordinator's) spends min(tau_b, H) - min(tau_a, H) in [a, b), with
+    tau_y its first time at or above y: its row is the difference of its
+    passage times over the edges (``PathBlock._passage_times``), one search
+    per edge.  A bin one lattice site wide holds at most one segment of a
+    nondecreasing lattice piece, so its ``bincount`` weight 0.0 + (t1 - t0)
+    is the passage-time difference, the same float.  Other exact
     piecewise-linear paths split linear sweeps across bin edges exactly,
     summed from 0.0 in segment order, the sweeps that stay in one bin first,
-    then the crossing sweeps.  Grid skeletons (and exact paths with r = 0)
-    attribute each cell to the bin of its left endpoint, in segment order;
-    cells outside the grid are dropped before the bin search.
+    then the crossing sweeps.
     """
     block = _as_block(path)
     k, nbins = len(block), len(edges) - 1
     r = block.linear_rate
-    if block.nondecreasing:
+    if block.nondecreasing and r != 0.0:
         out += np.diff(block._passage_times(edges), axis=1).reshape(out.shape)
         return
     v0, crossing = block.v0, ()

@@ -102,6 +102,46 @@ def test_block_rows_equal_piece_views(which, f, x):
         _same(rows, want)
 
 
+_LATTICE_ATOMS = {"unit": ((1.0, 1.0),), "atoms_1_2": ((1.0, 0.5), (2.0, 0.5)),
+                  "pm1": ((1.0, 0.7), (-1.0, 0.3))}
+
+
+def _binned_by_hand(block, edges):
+    """Each piece's row: 0.0, plus the duration of each of its segments in
+    the bin of its start value, in segment order (values outside dropped)."""
+    rows = np.zeros((len(block), len(edges) - 1))
+    for c, (a, b) in enumerate(zip(block.starts[:-1], block.starts[1:])):
+        for s in range(a, b):
+            i = np.searchsorted(edges, block.v0[s], side="right") - 1
+            if 0 <= i < len(edges) - 1:
+                rows[c, i] += block.t1[s] - block.t0[s]
+    return rows
+
+
+@pytest.mark.parametrize("atoms, ceiling", [("unit", None), ("unit", 4.0), ("atoms_1_2", None),
+                                            ("atoms_1_2", 4.0), ("pm1", None)])
+def test_lattice_rows_are_binned_by_left_endpoints(atoms, ceiling):
+    """Every r = 0 block, lattice paths included, is binned by its segments'
+    start values in one ``bincount``.  On a nondecreasing lattice block each
+    site holds at most one segment of a piece, so its rows are bit for bit
+    the passage-time differences they were once computed as; a ±1 walk keeps
+    its rows.  Grids reach below 0 and past the top of every path."""
+    model = L.build_model(jumps=L.CompoundPoisson(rate=2.0, atoms=_LATTICE_ATOMS[atoms]),
+                          lattice_span=1.0)
+    assert model.is_subordinator == (atoms != "pm1")
+    blocks = [models._jump_paths(model, 6.0, L.derive_rng(17, i), 40, None, ceiling)
+              for i in range(3)]
+    blocks.append(L.simulate_path(model, 6.0, seed=17, ceiling=ceiling)._block)
+    for block in blocks:
+        top = np.abs(block.v0).max()
+        for edges in (np.arange(-3.0, top + 3.0) - 0.5, np.arange(-1.0, 3.0) - 0.5):
+            rows = np.zeros((len(block), len(edges) - 1))
+            occupation_histogram(block, edges, rows)
+            _same(rows, _binned_by_hand(block, edges))
+            if block.nondecreasing:
+                _same(rows, np.diff(block._passage_times(edges), axis=1))
+
+
 def test_segment_search_survives_rounding_ties():
     """Piece 199's keys sit near 199 * 8 = 1592, where adding t0 rounds to
     2.3e-13: a segment starting 1e-13 after the query time ties with it and

@@ -275,3 +275,40 @@ def test_trap_verification_is_unchanged_by_the_ceiling(monkeypatch, ts_model, tr
                                                      horizon=90.0, small_jump_cutoff=cutoff))
     assert n_got < n_want
     assert repr(got.to_dict()) == repr(want.to_dict())
+
+
+_SCAN_XS = [-2.0, -0.5, 0.0, 0.75, 1.5]
+
+
+@pytest.mark.parametrize("x", [-0.5, 0.75])
+def test_lattice_scan_and_batty_are_unchanged_by_the_ceiling(monkeypatch, lattice_model, x):
+    """The sampler reads a lattice block over fixed site columns, so it stops
+    its rows past the top of f: a scan and both Batty estimates are the same
+    bytes as on whole rows."""
+    f = L.indicator(0.5, 2.5)
+    for call in (lambda: perpetual._integral_samples(f, lattice_model, _SCAN_XS, 30.0, 300, 4),
+                 lambda: L.estimate_L_set(f, lattice_model, a=0.5, q=0.5, x_grid=_SCAN_XS,
+                                          horizon=30.0, paths=300, seed=4),
+                 lambda: L.batty_inequality_check(f, lattice_model, x=x, a=1.0, t=30.0,
+                                                  n_outer=300, seed=4)):
+        (got, n_got), (want, n_want) = _rows_stopped_and_whole(monkeypatch, perpetual, call)
+        monkeypatch.undo()
+        assert n_got < n_want
+        assert repr(got) == repr(want)
+        if isinstance(got, np.ndarray):
+            assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("x", [-0.5, 0.75])
+def test_truncated_stable_scan_and_batty_draw_whole_paths(monkeypatch, ts_model, x):
+    """Truncated-stable blocks are integrated once per x, a pairwise sum over
+    every segment, which rounds differently when trailing zero terms are
+    cut: the sampler draws their paths whole."""
+    f = L.indicator(0.5, 2.5)
+    for call in (lambda: L.estimate_L_set(f, ts_model, a=0.5, q=0.5, x_grid=_SCAN_XS,
+                                          horizon=30.0, paths=20, seed=4),
+                 lambda: L.batty_inequality_check(f, ts_model, x=x, a=1.0, t=30.0,
+                                                  n_outer=20, seed=4)):
+        (got, n_got), (want, n_want) = _stopped_and_whole(monkeypatch, call)
+        assert n_got == n_want
+        assert repr(got) == repr(want)

@@ -208,30 +208,60 @@ _SAMPLER_CASES = {
     # (model, horizon, step, paths): every case spans two chunks of paths
     "lattice": (L.build_model(jumps=L.CompoundPoisson(rate=2.0, atoms=((1.0, 1.0),)),
                               lattice_span=1.0), 3.0, None, 300),
+    "lattice_1_2": (L.build_model(jumps=L.CompoundPoisson(rate=2.0, atoms=((1.0, 0.5), (2.0, 0.5))),
+                                  lattice_span=1.0), 3.0, None, 300),
+    "lattice_pm1": (L.build_model(jumps=L.CompoundPoisson(rate=2.0, atoms=((1.0, 0.7), (-1.0, 0.3))),
+                                  lattice_span=1.0), 20.0, None, 300),
     "tstable_k1": (L.build_model(jumps=L.TruncatedStable(activity=1.0, index=0.5, cutoff=1.0)),
                    100.0, None, 258),
     "bm_grid": (L.build_model(drift=1.0, gaussian_var=1.0), 3.0, 0.05, 300),
 }
+# A lattice block's I^x is the row sum of occupation(s) * f(x + s) over its
+# sites s: the terms are grouped by site, not by segment, so it matches the
+# per-segment sums within this relative band, not bit for bit.
+LATTICE_BAND = 1e-13
 
 
 @pytest.mark.parametrize("which", sorted(_SAMPLER_CASES))
 @pytest.mark.parametrize("f", [L.exp_decay(), L.indicator(0.5, 2.5)], ids=lambda f: f.name)
 @pytest.mark.parametrize("threads", [1, 2])
 def test_integral_samples_match_per_piece_oracle(which, f, threads):
-    """The sampler's (paths, len(xs)) matrix is, bit for bit, a plain loop
-    over every piece of every block and every x of ``integral_along_path``."""
+    """The sampler's (paths, len(xs)) matrix is a plain loop over every piece
+    of every block and every x of ``integral_along_path``: bit for bit, and
+    within ``LATTICE_BAND`` for lattice models, whose sums are also checked
+    against an exactly rounded per-segment sum."""
     model, horizon, step, paths = _SAMPLER_CASES[which]
     xs = [-0.75, 0.0, 0.5]
     k = models._block_paths(model, horizon, None, step)
     assert (k == 1) == (which == "tstable_k1")
     blocks = [b for part in models.reduce_paths(model, horizon, paths, 29, list, step=step)
               for b in part]
-    want = np.array([[L.integral_along_path(f, p, x) for x in xs]
-                     for b in blocks for p in b.pieces()])
+    pieces = [p for b in blocks for p in b.pieces()]
+    want = np.array([[L.integral_along_path(f, p, x) for x in xs] for p in pieces])
     got = L.perpetual._integral_samples(f, model, xs, horizon, paths, 29, step=step,
                                         threads=threads)
     assert got.shape == (paths, len(xs))
-    assert got.tobytes() == want.tobytes()
+    if model.lattice_span is None:
+        assert got.tobytes() == want.tobytes()
+        return
+    np.testing.assert_allclose(got, want, rtol=LATTICE_BAND, atol=0.0)
+    spec = ("exp",) if f.name == "exp_decay" else ("indicator", 0.5, 2.5)
+    exact = [[oracles.running_integral(p.times, p.values, 0.0, True, spec, x, [horizon])[0]
+              for x in xs] for p in pieces]
+    np.testing.assert_allclose(got, exact, rtol=LATTICE_BAND, atol=0.0)
+
+
+def test_function_with_no_live_piece_integrates_to_zero(lattice_model, ts_model):
+    """A step function whose coefficients are all 0 has no live interval and
+    reads 0.0 along every path, from every start point."""
+    f = L.step_function([(0.0, 0.5, 2.5)])
+    assert f.live_intervals.shape == (0, 2)
+    for model in (lattice_model, ts_model):
+        dist = L.estimate_I_distribution(f, model, x=0.25, horizon=10.0, paths=20, seed=3)
+        assert dist.samples.tolist() == [0.0] * 20
+        lset = L.estimate_L_set(f, model, a=0.0, q=0.5, x_grid=[-1.0, 0.0, 2.0], horizon=10.0,
+                                paths=20, seed=3)
+        assert lset.g_hat.tolist() == [0.0] * 3
 
 
 def test_batty_reads_two_path_passes(lattice_model, monkeypatch):
