@@ -405,6 +405,10 @@ def cmd_potential(cfg: dict) -> int:
     return EXIT_OK
 
 
+_TESTS = ("dk", "potential_integral", "erickson_maller", "blackwell", "khasminskii_j", "batty",
+          "mgf")
+
+
 def cmd_test(cfg: dict) -> int:
     model = model_from_config(_require(cfg, "model"))
     f = function_from_config(_require(cfg, "function"))
@@ -412,6 +416,9 @@ def cmd_test(cfg: dict) -> int:
     if not (isinstance(which, list) and all(isinstance(name, str) for name in which)):
         raise ConfigError(f"config key 'tests' must be a list of test names, got {which!r}")
     # read before the potential measure is drawn
+    for name in which:
+        if name not in _TESTS:
+            raise ConfigError(f"unknown test '{name}' (one of {', '.join(_TESTS)})")
     x = _num(cfg, "x", 0.0)
     cutoff = _num(cfg, "lower_cutoff", 1.0)
     dk_cutoff = _num(cfg, "dk_cutoff", 0.0)
@@ -442,14 +449,12 @@ def cmd_test(cfg: dict) -> int:
                 f, model, x, a=_num(cfg, "a", 1.0), t=_num(cfg, "t", 10.0),
                 n_outer=_num(cfg, "paths", 400, int), seed=cfg["seed"],
                 step=_num(cfg, "step")).__dict__
-        elif name == "mgf":
+        else:   # mgf
             rep = khasminskii_exponential_check(
                 f, model, x, theta=_num(cfg, "theta", 1.0),
                 horizon=_num(cfg, "horizon", 50.0), paths=_num(cfg, "paths", 2000, int),
                 seed=cfg["seed"], j_value=_num(cfg, "j_value"), step=_num(cfg, "step"),
                 threads=cfg["threads"]).__dict__
-        else:
-            raise ConfigError(f"unknown test '{name}'")
         if isinstance(rep, CriterionReport):    # a verdict: one row of comparison.csv
             comparison.append((name, rep.value, rep.verdict))
             rep = rep.to_dict()

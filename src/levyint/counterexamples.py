@@ -22,7 +22,7 @@ from . import rng as _rng
 from .criteria import RegionSpec, dk_test, potential_integral
 from .functions import TestFunction, lattice_sine, triangle_train
 from .models import LevyModel, TruncatedStable, binomial_stderr, describe
-from .perpetual import _classify_plateau, _integral_samples, _ladder_samples
+from .perpetual import _integral_samples, _ladder_verdict
 from .potential import estimate_potential
 
 __all__ = [
@@ -352,7 +352,7 @@ def build_transient_trap(table: OvershootTable, n_max: int, safety: float = 2.0)
     # f lives exactly on the trap set: both come from (alpha, beta = alpha + eps)
     f = triangle_train(alpha, eps_arr, name=f"trap_bumps_{n_max}")
     trap_set = RegionSpec(intervals=[(a, b) for a, b in zip(alpha, beta)], name="trap")
-    # tail beyond the materialized depth, stated with the doubled per-n bound
+    # tail beyond the materialized depth, with the visit check's per-n bound 2/n^2
     tail = float(np.cumsum(2.0 / np.arange(n_max + 1, 100_000) ** 2)[-1])   # summed in order
     meta = {**table.meta, "n_max": n_max, "safety": safety,
             "dkw99_band": band, "limit_gap": table.limit_gap}
@@ -444,9 +444,10 @@ def verify_counterexample(
 ) -> TrapVerification:
     """Check the built trap against fresh paths.
 
-    (i) the fraction of paths entering any bump interval respects the
-    doubled certificate bound plus 3 standard errors; (ii) the horizon
-    ladder diagnosis of the bump integrand is finite; (iii) the potential
+    (i) the fraction of paths entering any bump interval is at most the sum
+    of 2/n^2 over the built depths n, four times the sum of their certified
+    caps 1/(2 n^2), plus 3 standard errors; (ii) the horizon ladder
+    diagnosis of the bump integrand is finite; (iii) the potential
     integral restricted to the off-trap region is exactly zero; (iv) the
     tail Lebesgue test on the bump train diverges.
 
@@ -466,17 +467,14 @@ def verify_counterexample(
     # the bumps' live intervals are the trap set, and both end at beta_top:
     # the ladder rows and the visit rule read one segment index per block
     # and nothing above beta_top
-    rungs, at_rungs, censored, met = _ladder_samples(
+    diagnosis, met = _ladder_verdict(
         trap.f, model, 0.0, [horizon / 4.0, horizon / 2.0, horizon], paths, seed, None, threads,
         small_jump_cutoff=small_jump_cutoff, visits=trap.trap_set)
     p_visit = np.count_nonzero(met) / paths
     se = float(binomial_stderr(p_visit, paths))
     bound = float(sum(2.0 / (n * n) for n in range(1, trap.n_max + 1)))
     visit_ok = p_visit <= bound + 3.0 * se
-
-    outcome, growth, tstat = _classify_plateau(rungs, np.median(at_rungs, axis=0),
-                                               float(censored[:, -1].mean()))
-    diagnosis_ok = outcome == "finite"
+    diagnosis_ok = diagnosis.outcome == "finite"
 
     # Far-bin truncation is irrelevant here: f lives on the bumps, all below
     # beta_top, and the check is an exact zero on the complement region.  The
@@ -492,14 +490,15 @@ def verify_counterexample(
     dk_ok = dk.verdict == "infinite"
 
     passed = bool(visit_ok and diagnosis_ok and potential_ok and dk_ok)
+    ev = diagnosis.evidence
     details = {
         "horizon": float(horizon),
         "paths": paths,
-        "rungs": [float(t) for t in rungs],
-        "medians": [float(m) for m in np.median(at_rungs, axis=0)],
-        "means": [float(m) for m in at_rungs.mean(axis=0)],
-        "censored_fraction_last": float(censored[:, -1].mean()),
-        "median_growth": growth if math.isfinite(growth) else "inf",
+        "rungs": ev["rungs"],
+        "medians": ev["medians"],
+        "means": ev["means"],
+        "censored_fraction_last": ev["censored_fraction"][-1],
+        "median_growth": ev["median_growth_last"],
         "model": describe(model),
         "master_seed": seed,
         "small_jump_cutoff": small_jump_cutoff,
@@ -508,6 +507,6 @@ def verify_counterexample(
     }
     return TrapVerification(
         visit_fraction=float(p_visit), visit_bound=bound, visit_stderr=float(se),
-        visit_ok=bool(visit_ok), diagnosis_outcome=outcome, diagnosis_ok=bool(diagnosis_ok),
+        visit_ok=bool(visit_ok), diagnosis_outcome=diagnosis.outcome, diagnosis_ok=bool(diagnosis_ok),
         potential_integral_value=float(pot.details["partial_value"]), potential_ok=bool(potential_ok),
         dk_verdict=dk.verdict, dk_ok=bool(dk_ok), passed=passed, details=details)

@@ -242,9 +242,10 @@ def build_model(
     Raises
     ------
     ModelRejectionError
-        If ``gaussian_var < 0``, the lattice constraints fail, or neither
-        ``mean > 0`` (finite or +inf) nor the nonzero-subordinator condition
-        can certify drift to +infinity.
+        If ``gaussian_var < 0``, a Gaussian part comes with truncated stable
+        jumps (no path of such a model can be drawn), the lattice constraints
+        fail, or neither ``mean > 0`` (finite or +inf) nor the
+        nonzero-subordinator condition can certify drift to +infinity.
     """
     drift = float(drift)
     gaussian_var = float(gaussian_var)
@@ -252,6 +253,9 @@ def build_model(
         raise ModelRejectionError("drift must be finite")
     if not (gaussian_var >= 0 and math.isfinite(gaussian_var)):
         raise ModelRejectionError("gaussian_var must be finite and >= 0")
+    if gaussian_var > 0 and isinstance(jumps, TruncatedStable):
+        raise ModelRejectionError("a Gaussian part combined with a truncated stable subordinator "
+                                  "is not supported")
 
     if lattice_span is not None:
         alpha = float(lattice_span)
@@ -501,16 +505,36 @@ def _as_block(path: PathSample | PathBlock) -> PathBlock:
     return path._block if isinstance(path, PathSample) else path
 
 
-def _jump_cutoff(jumps: TruncatedStable, small_jump_cutoff: Optional[float]) -> float:
+def _jump_law(model: LevyModel, small_jump_cutoff: Optional[float]):
+    """The one reader of a model's jumps for drawing paths: their arrival
+    rate, ``draw(rng, n)`` for n jump sizes, and the linear rate of the paths
+    between arrivals, which is the drift plus the mean of the small jumps a
+    truncated stable subordinator drops.  Without jumps the rate is 0 and
+    there is nothing to draw.  A cutoff outside (0, r) is refused."""
+    jumps = model.jumps
+    if jumps is None:
+        return 0.0, None, model.drift
+    if isinstance(jumps, CompoundPoisson):
+        return jumps.rate, jumps.sample, model.drift
     eps = small_jump_cutoff if small_jump_cutoff is not None else SMALL_JUMP_FRACTION * jumps.cutoff
     if not (0 < eps < jumps.cutoff):
         raise ValueError("small_jump_cutoff must lie in (0, cutoff)")
-    return eps
+    return (jumps.tail_mass(eps), partial(jumps.sample_jumps, eps=eps),
+            model.drift + jumps.small_jump_drift(eps))
+
+
+def _grid_step(step: Optional[float]) -> float:
+    """``step``, the time between the grid points of a Gaussian model's
+    paths, refused unless it is finite and > 0 (so None and NaN too)."""
+    if step is None or not 0 < step < math.inf:
+        raise ValueError(f"a Gaussian part needs a finite step > 0, got {step}")
+    return step
 
 
 def _jump_rows(rng, lam, draw, horizon, k):
     """Arrival times of k Poisson streams of rate ``lam`` (the rows) and
-    ``draw(n)`` jump sizes for them, as a generator of stages.
+    ``draw(rng, n)`` jump sizes for them, as a generator of stages; with
+    ``lam`` 0 (no jumps), of none.
 
     A stage draws m = ``JUMP_BLOCK // k`` gaps for every row, row-major,
     carrying each row's time in, then the sizes of the arrivals up to the
@@ -524,34 +548,22 @@ def _jump_rows(rng, lam, draw, horizon, k):
     """
     m = max(1, JUMP_BLOCK // k)
     t, every = 0.0, np.full(k, m)
-    while True:
+    while lam:
         times = rng.exponential(1.0 / lam, size=(k, m))
         times[:, 0] += t
         np.cumsum(times, axis=1, out=times)
         t = times[:, -1]
         if t.max() <= horizon:
-            yield times, every, draw(k * m).reshape(k, m)
+            yield times, every, draw(rng, k * m).reshape(k, m)
             continue
         n = (times <= horizon).sum(axis=1)
         live = np.flatnonzero(n)
         drawn = live[-1] * m + n[live[-1]] if len(live) else 0
-        sizes = np.concatenate([draw(drawn), np.zeros(k * m - drawn)]).reshape(k, m)
+        sizes = np.concatenate([draw(rng, drawn), np.zeros(k * m - drawn)]).reshape(k, m)
         w = max(n.max(), 1)     # the columns some row reads
         yield times[:, :w], n, sizes[:, :w]
         if t.min() > horizon:
             return
-
-
-def _jump_law(model: LevyModel, rng, small_jump_cutoff: Optional[float]):
-    """A jump model's arrival rate, ``draw(n)`` for n of its jump sizes from
-    ``rng``, and the linear rate of its paths between arrivals: the drift,
-    plus the mean of the small jumps a truncated stable subordinator drops."""
-    jumps = model.jumps
-    if isinstance(jumps, CompoundPoisson):
-        return jumps.rate, partial(jumps.sample, rng), model.drift
-    eps = _jump_cutoff(jumps, small_jump_cutoff)
-    return (jumps.tail_mass(eps), partial(jumps.sample_jumps, rng, eps=eps),
-            model.drift + jumps.small_jump_drift(eps))
 
 
 def _jump_paths(model: LevyModel, horizon: float, rng, k: int,
@@ -564,14 +576,11 @@ def _jump_paths(model: LevyModel, horizon: float, rng, k: int,
     arrivals up to its first sample above it, and no stage is drawn past the
     one where every row is past that sample or its horizon.
     """
-    rate, stages = model.drift, ()
-    if model.jumps is not None:
-        lam, draw, rate = _jump_law(model, rng, small_jump_cutoff)
-        stages = _jump_rows(rng, lam, draw, horizon, k)
+    lam, draw, rate = _jump_law(model, small_jump_cutoff)
     # per row: (0, 0), then its arrivals, of which it keeps the first count
     ts, vs, count, low = [np.zeros((k, 1))], [np.zeros((k, 1))], np.zeros(k, int), None
     total = 0.0
-    for times, n, sizes in stages:
+    for times, n, sizes in _jump_rows(rng, lam, draw, horizon, k):
         sizes[:, 0] += total
         total = np.cumsum(sizes, axis=1, out=sizes)[:, -1]
         values = np.multiply(times, rate)
@@ -649,11 +658,9 @@ def simulate_path(
     # (0, 0), then the value rate * t + S at each arrival (S: the summed
     # jumps), up to the first above the ceiling; then, unless a jump lands on
     # it, the horizon, where the last piece ends
-    times, values, total, rate, stages = [[0.0]], [[0.0]], 0.0, model.drift, ()
-    if model.jumps is not None:
-        lam, draw, rate = _jump_law(model, rng, small_jump_cutoff)
-        stages = _jump_rows(rng, lam, draw, horizon, 1)
-    for jt, n, sizes in stages:     # one row, in scalar steps
+    times, values, total = [[0.0]], [[0.0]], 0.0
+    lam, draw, rate = _jump_law(model, small_jump_cutoff)
+    for jt, n, sizes in _jump_rows(rng, lam, draw, horizon, 1):     # one row, in scalar steps
         jt, sizes = jt[0, :n[0]], sizes[0, :n[0]]
         if not len(jt):   # a stage with no arrival is the last
             break
@@ -756,18 +763,10 @@ def _block_paths(model: LevyModel, horizon: float, small_jump_cutoff: Optional[f
     paths, and ``2 * BLOCK_SEGMENTS`` cells for grid skeletons (a Gaussian
     part; one cell per ``step``, plus one per jump), whose k paths are drawn
     side by side, each from its own stream."""
-    jumps = model.jumps
-    if jumps is None:
-        segments = 0.0
-    elif isinstance(jumps, CompoundPoisson):
-        segments = jumps.rate * horizon
-    else:
-        segments = jumps.tail_mass(_jump_cutoff(jumps, small_jump_cutoff)) * horizon
+    segments = _jump_law(model, small_jump_cutoff)[0] * horizon
     budget = BLOCK_SEGMENTS
     if model.gaussian_var > 0:
-        if step is None or step <= 0:
-            raise ValueError("a positive step is required for models with a Gaussian part")
-        segments += horizon / step
+        segments += horizon / _grid_step(step)
         budget *= 2
     if not segments > 0:   # pure drift
         return DEFAULT_CHUNK
@@ -791,20 +790,15 @@ def _simulate_grid(model: LevyModel, horizon: float, step: Optional[float],
     the end of its cell.  Without jumps every path has the same cells, so the
     grid, dt and the drift and volatility terms are built once per block.
     """
-    if step is None or step <= 0:
-        raise ValueError("a positive step is required for models with a Gaussian part")
-    jumps = model.jumps
-    if isinstance(jumps, TruncatedStable):
-        raise ModelRejectionError("Gaussian part combined with a truncated stable subordinator is not supported")
-    grid = np.linspace(0.0, horizon, max(1, int(round(horizon / step))) + 1)
+    grid = np.linspace(0.0, horizon, max(1, int(round(horizon / _grid_step(step)))) + 1)
     k, sd = len(rngs), math.sqrt(model.gaussian_var)
-    if jumps is None:
+    lam, draw, _ = _jump_law(model, None)
+    if not lam:
         times = [grid] * k
     else:
         landings = []
         for rng in rngs:
-            rows = [(t[0, :n[0]], s[0, :n[0]]) for t, n, s in
-                    _jump_rows(rng, jumps.rate, partial(jumps.sample, rng), horizon, 1)]
+            rows = [(t[0, :n[0]], s[0, :n[0]]) for t, n, s in _jump_rows(rng, lam, draw, horizon, 1)]
             landings.append(tuple(map(np.concatenate, zip(*rows))))
         times = [np.unique(np.concatenate([grid, jt])) for jt, _ in landings]
     starts = np.zeros(k + 1, dtype=int)
@@ -812,7 +806,7 @@ def _simulate_grid(model: LevyModel, horizon: float, step: Optional[float],
     incr = np.empty(starts[-1])
     for rng, a, b in zip(rngs, starts[:-1], starts[1:]):
         rng.standard_normal(out=incr[a:b])
-    if jumps is None:
+    if not lam:
         dt = np.diff(grid)
         rows = incr.reshape(k, -1)
         rows *= sd * np.sqrt(dt)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import ClassVar, Optional, Sequence
 
 import numpy as np
 
@@ -80,8 +80,8 @@ def integral_along_path(f: TestFunction, path: PathSample | PathBlock,
 
 def integral_at_times(f: TestFunction, path: PathSample | PathBlock, x: float,
                       at: np.ndarray) -> np.ndarray:
-    """Running integral of each piece of a path block at times within [0,
-    horizon]: a (k, len(at)) array, or one row for a :class:`PathSample`.
+    """Running integral of each piece of a path block at times in [0, horizon],
+    in any order: a (k, len(at)) array, or one row for a :class:`PathSample`.
 
     Only the segments whose closed sweep range meets ``f.live_intervals``
     are integrated (``PathBlock._sweep_index``, the index the visit rule
@@ -235,16 +235,13 @@ def _ladder_samples(f, model, x, rungs, paths, seed, step, threads, *,
     if not math.isfinite(x):
         raise ValueError(f"start point x must be finite, got {x!r}")
     rungs = np.asarray(sorted(rungs), float)
+    # integral_at_times searches each time on its own: they need no order
     eval_times = np.concatenate([rungs, (1.0 - CENSOR_WINDOW) * rungs])
-    order = np.argsort(eval_times)
-    eval_sorted, inv = eval_times[order], np.argsort(order)
 
     def reducer(chunk):
         rows, met = [], []
         for block in chunk:
-            # take keeps the rows C-ordered (``[..., inv]`` gives a Fortran-ordered
-            # copy), so a mean over paths sums each column sequentially
-            rows.append(np.take(integral_at_times(f, block, x, eval_sorted), inv, axis=-1))
+            rows.append(integral_at_times(f, block, x, eval_times))
             # right after the row, so the visit rule reads its segment index back
             met.append(np.zeros(len(block), bool) if visits is None
                        else visits.last_visit(block, x) > -math.inf)
@@ -287,33 +284,46 @@ class Verdict:
 
     outcome: str                       # finite | infinite | inconclusive
     evidence: dict
-    note: str = ("P(I < inf) is 0 or 1 for these models; the ladder verdict "
-                 "extrapolates finite-horizon medians toward that dichotomy")
+    note: ClassVar[str] = ("P(I < inf) is 0 or 1 for these models; the ladder verdict "
+                           "extrapolates finite-horizon medians toward that dichotomy")
 
     def __post_init__(self):
         if self.outcome not in ("finite", "infinite", "inconclusive"):
             raise ValueError(f"unknown outcome {self.outcome!r}")
 
 
-def _classify_plateau(rungs, medians, censored_last):
+def _ladder_verdict(f, model, x, rungs, paths, seed, step, threads, **ladder):
+    """The plateau test of :func:`finiteness_diagnosis` on the rows of
+    :func:`_ladder_samples` (``ladder``: its keywords), as a :class:`Verdict`
+    with its evidence, and each path's visit flag."""
+    rungs, vals, censored, met = _ladder_samples(f, model, x, rungs, paths, seed, step, threads,
+                                                 **ladder)
+    medians, censored_fraction = np.median(vals, axis=0), censored.mean(axis=0)
     m_prev, m_last = medians[-2], medians[-1]
     if m_prev <= 0.0:
         growth = 0.0 if m_last <= 0.0 else math.inf
     else:
         growth = (m_last - m_prev) / m_prev
-    if growth < PLATEAU_GROWTH and censored_last < PLATEAU_CENSORED:
-        return "finite", growth, None
-    logt = np.log(rungs)
-    slope, intercept = np.polyfit(logt, medians, 1)
-    resid = medians - (slope * logt + intercept)
-    dof = max(len(rungs) - 2, 1)
-    s2 = float(resid @ resid) / dof
-    denom = float(((logt - logt.mean()) ** 2).sum())
-    se = math.sqrt(s2 / denom) if denom > 0 else math.inf
-    tstat = slope / se if se > 0 else math.inf * np.sign(slope)
-    if slope > 0 and tstat > GROWTH_TSTAT:
-        return "infinite", growth, float(tstat)
-    return "inconclusive", growth, float(tstat) if math.isfinite(tstat) else None
+    outcome, tstat = "finite", None
+    if not (growth < PLATEAU_GROWTH and censored_fraction[-1] < PLATEAU_CENSORED):
+        logt = np.log(rungs)
+        slope, intercept = np.polyfit(logt, medians, 1)
+        resid = medians - (slope * logt + intercept)
+        s2 = float(resid @ resid) / max(len(rungs) - 2, 1)
+        denom = float(((logt - logt.mean()) ** 2).sum())
+        se = math.sqrt(s2 / denom) if denom > 0 else math.inf
+        tstat = float(slope / se if se > 0 else math.inf * np.sign(slope))
+        outcome = "infinite" if slope > 0 and tstat > GROWTH_TSTAT else "inconclusive"
+        if outcome == "inconclusive" and not math.isfinite(tstat):
+            tstat = None
+    return Verdict(outcome, {
+        "rungs": rungs.tolist(),
+        "medians": medians.tolist(),
+        "means": vals.mean(axis=0).tolist(),
+        "censored_fraction": censored_fraction.tolist(),
+        "median_growth_last": float(growth) if math.isfinite(growth) else "inf",
+        "log_slope_tstat": tstat,
+    }), met
 
 
 def finiteness_diagnosis(
@@ -326,7 +336,7 @@ def finiteness_diagnosis(
     step: Optional[float] = None,
     threads: int = 1,
 ) -> Verdict:
-    """Plateau test on a horizon ladder.
+    """Plateau test on a horizon ladder (:func:`_ladder_verdict`).
 
     Median I^x_T stable between the last two rungs with few censored paths
     reads as finite; a significantly positive trend of the median against
@@ -341,23 +351,10 @@ def finiteness_diagnosis(
         raise ValueError("ladder needs at least 3 horizons")
     if any(b <= a for a, b in zip(rungs[:-1], rungs[1:])):
         raise ValueError("ladder horizons must be strictly increasing")
-    rung_arr, vals, censored, _ = _ladder_samples(f, model, x, rungs, paths, seed, step, threads)
-    medians = np.median(vals, axis=0)
-    outcome, growth, tstat = _classify_plateau(rung_arr, medians, float(censored[:, -1].mean()))
-    evidence = {
-        "rungs": [float(t) for t in rung_arr],
-        "medians": [float(m) for m in medians],
-        "means": [float(m) for m in vals.mean(axis=0)],
-        "censored_fraction": [float(c) for c in censored.mean(axis=0)],
-        "median_growth_last": float(growth) if math.isfinite(growth) else "inf",
-        "log_slope_tstat": tstat,
-        "paths": paths,
-        "model": describe(model),
-        "f": f.name,
-        "x": float(x),
-        "master_seed": seed,
-    }
-    return Verdict(outcome=outcome, evidence=evidence)
+    verdict, _ = _ladder_verdict(f, model, x, rungs, paths, seed, step, threads)
+    verdict.evidence.update(paths=paths, model=describe(model), f=f.name, x=float(x),
+                            master_seed=seed)
+    return verdict
 
 
 @dataclass

@@ -36,7 +36,7 @@ OPTIONAL_PARAMETERS = {
     "TestFunction": ("primitive", "breakpoints", "ladder_windows"),
     "TrapConstruction": (),
     "TruncatedStable": (),
-    "Verdict": ("note",),
+    "Verdict": (),
     "analytic_potential": (),
     "batty_inequality_check": ("step",),
     "blackwell_equivalence_check": ("lower_cutoff",),

@@ -102,6 +102,21 @@ def test_block_rows_equal_piece_views(which, f, x):
         _same(rows, want)
 
 
+@pytest.mark.parametrize("which", sorted(_MODELS))
+@pytest.mark.parametrize("f", _FUNCTIONS, ids=lambda f: f.name)
+def test_running_integral_reads_times_in_any_order(which, f):
+    """Times are searched one by one: shuffled times, repeats among them,
+    give the sorted call's columns in the same shuffle, bit for bit."""
+    build, horizon = _MODELS[which]
+    rng = np.random.default_rng(3)
+    for block in _blocks(build(), horizon, step=_STEP.get(which)):
+        at = _eval_times(block, horizon)
+        at = np.sort(np.concatenate([at, at[:2], rng.uniform(0.0, horizon, 5)]))
+        shuffle = rng.permutation(len(at))
+        _same(L.integral_at_times(f, block, -0.75, at[shuffle]),
+              L.integral_at_times(f, block, -0.75, at)[:, shuffle])
+
+
 _LATTICE_ATOMS = {"unit": ((1.0, 1.0),), "atoms_1_2": ((1.0, 0.5), (2.0, 0.5)),
                   "pm1": ((1.0, 0.7), (-1.0, 0.3))}
 

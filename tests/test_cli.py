@@ -6,7 +6,7 @@ import sys
 import pytest
 import yaml
 
-from levyint import cli, counterexamples, perpetual
+from levyint import cli, counterexamples, models, perpetual
 from levyint.cli import main
 
 
@@ -274,6 +274,22 @@ def test_test_inputs_are_checked_before_the_potential_is_drawn(tmp_path, capsys,
     err = capsys.readouterr().err
     assert f"'{key}'" in err and "finite" in err
     assert drawn == [] and not out.exists()
+
+
+def test_unknown_test_name_is_refused_before_the_potential_is_drawn(tmp_path, capsys,
+                                                                  monkeypatch):
+    """An unknown name among the tests is refused by name before any path
+    stream is derived; it used to be refused after the potential was drawn."""
+    streams, derive = [], models.derive_rng
+    monkeypatch.setattr(models, "derive_rng", lambda *key: streams.append(key) or derive(*key))
+    path = tmp_path / "cfg.yaml"
+    path.write_text(yaml.safe_dump({"seed": 1, "paths": 20,
+                                    "tests": ["potential_integral", "bogus"]}))
+    out = tmp_path / "o"
+    assert run_cli(["test", "--model", "lattice_cpp", "--function", "exp_decay",
+                    "--config", str(path), "--out", str(out)]) == 2
+    assert "unknown test 'bogus'" in capsys.readouterr().err
+    assert streams == [] and not out.exists()
 
 
 @pytest.mark.parametrize("scan, key", [(5, "scan"), ([0.5], "scan"), ({"x": 5}, "x")])

@@ -3,6 +3,7 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import levyint as L
 from levyint import models
@@ -403,6 +404,57 @@ def test_gaussian_needs_step(bm_model):
         L.simulate_path(bm_model, 10.0)
     p = L.simulate_path(bm_model, 10.0, step=0.1, seed=3)
     assert not p.exact and p.linear_rate == 0.0
+
+
+@pytest.mark.filterwarnings("ignore:horizon")
+@pytest.mark.parametrize("step", [math.inf, math.nan])
+def test_grid_step_that_is_not_finite_is_refused_before_any_draw(monkeypatch, bm_model, step):
+    """A Gaussian model's step is refused by name before any stream is
+    derived or read: ``step=inf`` used to draw one-cell paths, and
+    ``step=nan`` died converting NaN to an integer."""
+    def no_streams(*args, **kwargs):
+        raise AssertionError("a path stream was derived")
+    monkeypatch.setattr(models, "derive_rng", no_streams)
+    rng = np.random.default_rng(5)
+    state = rng.bit_generator.state
+    for call in (lambda: L.simulate_path(bm_model, 20.0, step=step, rng=rng),
+                 lambda: L.estimate_potential(bm_model, np.linspace(0.0, 8.0, 9), paths=20,
+                                              seed=1, horizon=20.0, step=step),
+                 lambda: L.estimate_I_distribution(L.exp_decay(), bm_model, x=0.0, horizon=20.0,
+                                                   paths=20, seed=1, step=step)):
+        with pytest.raises(ValueError, match="step"):
+            call()
+    assert rng.bit_generator.state == state
+
+
+_JUMP_SPECS = st.one_of(
+    st.none(),
+    st.builds(lambda rate, values: L.CompoundPoisson(
+        rate, atoms=tuple((v, 1.0 / len(values)) for v in values)),
+        st.floats(0.1, 5.0), st.lists(st.sampled_from([-2.0, -1.0, 1.0, 2.0, 3.0]),
+                                      min_size=1, max_size=3, unique=True)),
+    st.builds(lambda rate, law: L.CompoundPoisson(rate, law=law), st.floats(0.1, 5.0),
+              st.sampled_from([("exponential", 1.0), ("uniform", -1.0, 2.0), ("pareto", 1.0, 0.8)])),
+    st.builds(L.TruncatedStable, st.floats(0.1, 3.0), st.floats(0.05, 0.95), st.floats(0.1, 1.0)),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(drift=st.sampled_from([-1.0, 0.0, 0.5]), gaussian_var=st.sampled_from([0.0, 1.0]),
+       jumps=_JUMP_SPECS, lattice=st.booleans())
+@example(drift=0.5, gaussian_var=1.0, jumps=L.TruncatedStable(1.0, 0.5, 1.0), lattice=False)
+def test_every_accepted_model_draws_a_path(drift, gaussian_var, jumps, lattice):
+    """What ``build_model`` accepts, the engine draws: one path through
+    ``reduce_paths``, on a grid when the model has a Gaussian part.  A
+    Gaussian part with truncated stable jumps used to be accepted and then
+    refused by every draw."""
+    try:
+        model = L.build_model(drift, gaussian_var, jumps, 1.0 if lattice else None)
+    except ModelRejectionError:
+        return
+    step = 0.1 if gaussian_var > 0 else None
+    [[block]] = reduce_paths(model, 2.0, 1, 7, list, step=step)
+    assert len(block) == 1 and block.horizon == 2.0
 
 
 def test_bit_reproducible(ts_model, bm_model):

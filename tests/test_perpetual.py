@@ -251,6 +251,41 @@ def test_integral_samples_match_per_piece_oracle(which, f, threads):
     np.testing.assert_allclose(got, exact, rtol=LATTICE_BAND, atol=0.0)
 
 
+def _per_x_loop(f, model, xs, horizon, paths, seed):
+    """I^x of every piece of every whole path, one ``integral_along_path`` call per x."""
+    blocks = [b for part in models.reduce_paths(model, horizon, paths, seed, list) for b in part]
+    return np.concatenate([np.column_stack([L.integral_along_path(f, b, x) for x in xs])
+                           for b in blocks])
+
+
+def test_lattice_sampler_reads_zeros_where_no_site_meets_f(lattice_model, monkeypatch):
+    """No x + site meets the support of f: the lattice reader bins nothing
+    and returns the per-x loop's zeros, bit for bit."""
+    def no_binning(*args):
+        raise AssertionError("occupation was binned")
+    monkeypatch.setattr(L.perpetual, "occupation_histogram", no_binning)
+    f, xs = L.indicator(50.0, 60.0), [-0.5, 0.0, 1.0]
+    got = L.perpetual._integral_samples(f, lattice_model, xs, 3.0, 300, 29)
+    want = _per_x_loop(f, lattice_model, xs, 3.0, 300, 29)
+    assert got.tobytes() == want.tobytes() and not got.any()
+
+
+def test_lattice_sampler_falls_back_where_f_is_not_finite_at_a_missed_site(lattice_model):
+    """f is +inf at 2 alone.  A piece that never sits at x + site = 2 has a
+    finite I^x, where occupation 0 times inf would read NaN; such a block is
+    integrated by the per-x loop, and both kinds of piece come out as there,
+    bit for bit."""
+    f = L.functions.TestFunction(
+        name="pole_at_2", kind="closed_form",
+        evaluator=lambda y: np.where(y == 2.0, math.inf, np.exp(-np.abs(y))))
+    xs = [0.0, 1.0, 0.5]
+    got = L.perpetual._integral_samples(f, lattice_model, xs, 3.0, 300, 29)
+    want = _per_x_loop(f, lattice_model, xs, 3.0, 300, 29)
+    assert got.tobytes() == want.tobytes()
+    assert np.isinf(got[:, 0]).any() and np.isfinite(got[:, 0]).any()
+    assert np.isfinite(got[:, 2]).all()
+
+
 def test_function_with_no_live_piece_integrates_to_zero(lattice_model, ts_model):
     """A step function whose coefficients are all 0 has no live interval and
     reads 0.0 along every path, from every start point."""
