@@ -80,7 +80,10 @@ class OvershootTable:
     ``cdfs[i, j]`` estimates P(overshoot over levels[i] <= eps_grid[j]).
     The CDF at the largest level doubles as the proxy for the stationary
     overshoot law; ``limit_gap`` records the sup-distance between the two
-    largest levels as a convergence diagnostic.
+    largest levels as a convergence diagnostic.  The rows share one set of
+    paths, each climbing through every level, so each row has its own law
+    and DKW band but the rows are not independent: ``limit_gap`` and the
+    choice of x_n compare rows of the same paths.
     """
 
     levels: np.ndarray
@@ -131,41 +134,49 @@ def _cutoff_ladder(r: float, level: float) -> list[tuple[float, float]]:
     return stages
 
 
-def _overshoot_chunk(jumps: TruncatedStable, level: float, n: int,
+def _overshoot_chunk(jumps: TruncatedStable, levels: np.ndarray, n: int,
                      rng: np.random.Generator) -> np.ndarray:
-    """Overshoots over ``level`` of ``n`` compensated-jump skeletons.
+    """Overshoots of ``n`` compensated-jump skeletons over every level, one row
+    per level of the sorted ``levels``.
 
-    0.0 marks a crossing via the drift.  At each stage of :func:`_cutoff_ladder`
-    the paths at or below its stop draw rows of (gap, size) pairs: the live rows'
-    own expected jump counts to the stop in all, clipped to [OVERSHOOT_MIN_CELLS,
-    OVERSHOOT_CELLS] cells and split evenly.  A row's first position past the
-    stop decides it: the path goes to the stop if the drift segment before that
-    jump crossed first (a crossing only when the stop is the level), else to
-    where the jump lands.  Rows not yet past the stop draw again.
+    Each path climbs once: it runs the stages of :func:`_cutoff_ladder` for each
+    level in increasing order from where it landed over the one before, a fresh
+    start by the strong Markov property, so every row keeps its own law.  0.0
+    marks a crossing via the drift.  At each stage the paths at or below its
+    stop draw rows of (gap, size) pairs: the live rows' own expected jump counts
+    to the stop in all, clipped to [OVERSHOOT_MIN_CELLS, OVERSHOOT_CELLS] cells
+    and split evenly.  A row's first position past the stop decides it: the path
+    goes to the stop if the drift segment before that jump crossed first (a
+    crossing only when the stop is the level), else to where the jump lands.
+    Rows not yet past the stop draw again; a path already past a stop skips its
+    stage, and one that landed above a level reads that as its overshoot.
     """
     pos = np.zeros(n)
-    for eps, stop in _cutoff_ladder(jumps.cutoff, level):
-        rate, drift = jumps.tail_mass(eps), jumps.small_jump_drift(eps)
-        live = np.flatnonzero(pos <= stop)
-        while len(live):
-            cells = rate * (stop - pos[live]).sum() / jumps.jump_part_mean   # all rows' jumps left
-            shape = (len(live), int(np.clip(cells, OVERSHOOT_MIN_CELLS, OVERSHOOT_CELLS)) // len(live))
-            positions = rng.exponential(1.0 / rate, size=shape)   # gaps, then steps, in place
-            sizes = jumps.sample_jumps(rng, positions.size, eps).reshape(shape)
-            positions *= drift
-            positions += sizes
-            np.cumsum(positions, axis=1, out=positions)
-            positions += pos[live, None]
-            crossed = positions > stop
-            k = crossed.argmax(axis=1)
-            hit = crossed[np.arange(len(live)), k]
-            rows, k = np.flatnonzero(hit), k[hit]
-            landed = positions[rows, k]
-            pos[live[hit]] = np.where(landed - sizes[rows, k] > stop, stop, landed)
-            live = live[~hit]
-            pos[live] = positions[~hit, -1]
-    # a path above the level cleared it by a jump; one at the level crept over
-    return pos - level
+    over = np.empty((len(levels), n))
+    for level, row in zip(levels, over):
+        for eps, stop in _cutoff_ladder(jumps.cutoff, level):
+            rate, drift = jumps.tail_mass(eps), jumps.small_jump_drift(eps)
+            live = np.flatnonzero(pos <= stop)
+            while len(live):
+                cells = rate * (stop - pos[live]).sum() / jumps.jump_part_mean   # all rows' jumps left
+                shape = (len(live), int(np.clip(cells, OVERSHOOT_MIN_CELLS, OVERSHOOT_CELLS)) // len(live))
+                positions = rng.exponential(1.0 / rate, size=shape)   # gaps, then steps, in place
+                sizes = jumps.sample_jumps(rng, positions.size, eps).reshape(shape)
+                positions *= drift
+                positions += sizes
+                np.cumsum(positions, axis=1, out=positions)
+                positions += pos[live, None]
+                crossed = positions > stop
+                k = crossed.argmax(axis=1)
+                hit = crossed[np.arange(len(live)), k]
+                rows, k = np.flatnonzero(hit), k[hit]
+                landed = positions[rows, k]
+                pos[live[hit]] = np.where(landed - sizes[rows, k] > stop, stop, landed)
+                live = live[~hit]
+                pos[live] = positions[~hit, -1]
+        # a path above the level cleared it by a jump; one at the level crept over
+        np.subtract(pos, level, out=row)
+    return over
 
 
 def estimate_overshoot_cdf(
@@ -185,11 +196,13 @@ def estimate_overshoot_cdf(
     drift are counted as overshoot mass at 0+ (conservative for
     small-overshoot bounds) and reported.
 
-    Each (level, chunk of ``rng.DEFAULT_CHUNK`` paths) draws from one stream,
-    ``derive_rng(seed, STREAM_PATH, level_index, chunk_start)``; all of them
-    share one ``threads`` pool and each level adds up integer counts, so the
-    table is the same bytes for any ``threads``.  Repeated levels are refused
-    before any draw, as is an empty level list.
+    Each chunk of ``rng.DEFAULT_CHUNK`` paths draws from one stream,
+    ``derive_rng(seed, STREAM_OVERSHOOT, chunk_start)``, and every path climbs
+    once through all the levels (:func:`_overshoot_chunk`), so the rows share
+    their paths.  The chunks share one ``threads`` pool and their integer
+    counts are added in chunk order, so the table is the same bytes for any
+    ``threads``.  Repeated levels are refused before any draw, as is an empty
+    level list.
     """
     jumps = model.jumps
     if not isinstance(jumps, TruncatedStable) or model.drift != 0.0 or model.gaussian_var != 0.0:
@@ -203,15 +216,12 @@ def estimate_overshoot_cdf(
         raise ValueError(f"levels must be distinct, got {levels.tolist()}")
     eps_grid = np.geomspace(1e-9, jumps.cutoff, 181)
 
-    tasks = [(li, a, b) for li in range(len(levels)) for a, b in _rng.chunk_ranges(paths)]
-    def worker(i, _):        # one pool over every (level, chunk)
-        li, a, b = tasks[i]
-        over = _overshoot_chunk(jumps, levels[li], b - a,
-                                _rng.derive_rng(seed, _rng.STREAM_PATH, li, a))
-        return np.append(np.count_nonzero(over[:, None] <= eps_grid, axis=0),
-                         np.count_nonzero(over == 0.0))
-    counts = np.sum(np.reshape(_rng.map_chunks(len(tasks), worker, threads=threads, chunk=1),
-                               (len(levels), -1, len(eps_grid) + 1)), axis=1) / paths
+    def worker(a, b):        # (level, eps) counts, then each level's creep count
+        over = _overshoot_chunk(jumps, levels, b - a,
+                                _rng.derive_rng(seed, _rng.STREAM_OVERSHOOT, a))
+        return np.column_stack((np.count_nonzero(over[:, :, None] <= eps_grid, axis=1),
+                                np.count_nonzero(over == 0.0, axis=1)))
+    counts = np.sum(_rng.map_chunks(paths, worker, threads=threads), axis=0) / paths
 
     meta = {"model": describe(model), "paths_per_level": paths, "master_seed": seed,
             "coarse_cutoff_fraction": COARSE_CUTOFF_FRACTION,

@@ -531,6 +531,27 @@ def _grid_step(step: Optional[float]) -> float:
     return step
 
 
+def _finite_knobs(step: Optional[float], small_jump_cutoff: Optional[float]) -> None:
+    """Refuse a ``step`` or ``small_jump_cutoff`` that is given but not
+    finite, on every model; a finite value a model does not use is ignored."""
+    for name, value in (("step", step), ("small_jump_cutoff", small_jump_cutoff)):
+        if value is not None and not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+
+
+def _path_plan(model: LevyModel, horizon: float, paths: int, threads: int,
+               step: Optional[float] = None,
+               small_jump_cutoff: Optional[float] = None) -> tuple[int, int]:
+    """The threads and the paths per block of a :func:`reduce_paths` call,
+    after every input it draws with is refused by name if it is bad."""
+    if paths < 1:
+        raise ValueError(f"paths must be >= 1, got {paths}")
+    if not (horizon > 0 and math.isfinite(horizon)):
+        raise ValueError("horizon must be finite and > 0")
+    _finite_knobs(step, small_jump_cutoff)
+    return _check_threads(threads), _block_paths(model, horizon, small_jump_cutoff, step)
+
+
 def _jump_rows(rng, lam, draw, horizon, k):
     """Arrival times of k Poisson streams of rate ``lam`` (the rows) and
     ``draw(rng, n)`` jump sizes for them, as a generator of stages; with
@@ -633,7 +654,8 @@ def simulate_path(
     small_jump_cutoff : float, optional
         For the truncated stable subordinator, jumps below this threshold are
         replaced by their expected linear drift.  Defaults to
-        ``SMALL_JUMP_FRACTION * cutoff``.
+        ``SMALL_JUMP_FRACTION * cutoff``.  A ``step`` or cutoff that is not
+        finite is refused on every model, even one that does not use it.
     ceiling : float, optional
         Subordinators only: a level above which the caller reads nothing.
         The path reads no stage of :func:`_jump_rows` past the one that
@@ -645,6 +667,7 @@ def simulate_path(
     """
     if not (horizon > 0 and math.isfinite(horizon)):
         raise ValueError("horizon must be finite and > 0")
+    _finite_knobs(step, small_jump_cutoff)
     if ceiling is not None and (math.isnan(ceiling) or not model.is_subordinator):
         raise ValueError("a ceiling needs a subordinator and a level that is not NaN")
     if rng is None:
@@ -719,8 +742,9 @@ def reduce_paths(
     block of light paths a reducer that holds the GIL, so two threads would
     pass the GIL back and forth at every call and run no faster than one
     while burning a second core.  A budget below one path is refused, so is
-    a horizon that is not finite and > 0, and so is a ``threads`` that is not
-    an integer >= 1, whether or not the pool is used.
+    a horizon that is not finite and > 0, a ``step`` or ``small_jump_cutoff``
+    that is not finite (whether or not the model uses it), and a ``threads``
+    that is not an integer >= 1, whether or not the pool is used.
 
     A reducer that reads nothing of ``x + path`` above some level (a
     potential grid's top edge, the top of ``f.live_intervals``) passes that
@@ -729,12 +753,7 @@ def reduce_paths(
     horizon, which adds nothing to what the reducer reads.  Other models
     ignore the ceiling: a path that can come back down must be drawn whole.
     """
-    if paths < 1:
-        raise ValueError(f"paths must be >= 1, got {paths}")
-    if not (horizon > 0 and math.isfinite(horizon)):
-        raise ValueError("horizon must be finite and > 0")
-    threads = _check_threads(threads)
-    block = _block_paths(model, horizon, small_jump_cutoff, step)
+    threads, block = _path_plan(model, horizon, paths, threads, step, small_jump_cutoff)
     grid = model.gaussian_var > 0
     if not model.is_subordinator:
         ceiling = None

@@ -15,8 +15,8 @@ from typing import Optional
 
 import numpy as np
 
-from .models import (LevyModel, CompoundPoisson, PathBlock, PathSample, _as_block, describe,
-                     reduce_paths)
+from .models import (LevyModel, CompoundPoisson, PathBlock, PathSample, _as_block, _path_plan,
+                     describe, reduce_paths)
 
 __all__ = [
     "PotentialMeasure",
@@ -183,7 +183,8 @@ def estimate_potential(
     horizon : float, optional
         Truncation horizon; defaults to :func:`horizon_heuristic`.  A warning
         (not a failure) is issued when an explicit horizon undercuts the
-        heuristic, since far-field bins are then biased low.
+        heuristic, since far-field bins are then biased low; it comes after
+        every input is checked, so a refused call does not warn.
     """
     edges = _checked_edges(edges)
     heuristic = None
@@ -195,16 +196,16 @@ def estimate_potential(
         if heuristic is None:
             raise ValueError("model mean is not finite/positive; pass horizon explicitly")
         horizon = heuristic
-    elif heuristic is not None and horizon < heuristic:
-        warnings.warn(
-            f"horizon {horizon:g} is below the heuristic {heuristic:g}; "
-            "occupation of far bins will be truncation-biased", stacklevel=2)
-
     if model.lattice_span is not None:
         alpha = model.lattice_span
         sites = np.round(0.5 * (edges[:-1] + edges[1:]) / alpha)
         if len(np.unique(sites)) != len(sites) or np.any(np.diff(edges) > alpha + 1e-9):
             raise ValueError("lattice grids need exactly one site per bin (width <= span)")
+    _path_plan(model, horizon, paths, threads, step)     # a refused call warns of nothing
+    if heuristic is not None and horizon < heuristic:
+        warnings.warn(
+            f"horizon {horizon:g} is below the heuristic {heuristic:g}; "
+            "occupation of far bins will be truncation-biased", stacklevel=2)
 
     nbins = len(edges) - 1
 

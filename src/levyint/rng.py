@@ -6,7 +6,7 @@ entropy tuple ``(master_seed, stream, index, ...)``.  The tuple alone pins
 down the stream, with no shared mutable state, so a stream is the same
 whichever thread draws it and whenever.  In ``models.reduce_paths`` the index
 is a path, or the first path of a block of paths drawn as the rows of one
-stream; the overshoot table keys a stream by (level, first path of a chunk).
+stream; the overshoot table keys a stream by the first path of a chunk.
 Results are bit-identical for any number of worker threads because work is
 split into fixed-size chunks, tiled by whole blocks, that are reduced in
 chunk order."""
@@ -21,6 +21,7 @@ import numpy as np
 # Stream tags keep draws of unrelated stages decorrelated under one master seed.
 STREAM_PATH = 1        # top-level path simulation
 STREAM_INNER = 2       # inner paths shared by every probe of the Batty check
+STREAM_OVERSHOOT = 3   # overshoot table paths, one stream per chunk
 
 # Paths per work unit.  Fixed (never derived from the thread count) so that
 # the float accumulation order cannot depend on parallelism.

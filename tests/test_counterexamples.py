@@ -64,7 +64,7 @@ def test_overshoot_refuses_an_empty_level_list_before_any_draw(ts_model, monkeyp
         L.estimate_overshoot_cdf(ts_model, [], paths=400, seed=1)
 
 
-# 257: a one-path last chunk; 200: one chunk per level, so the levels share the pool
+# 257: a one-path last chunk; 200: one chunk, drawn on the calling thread
 @pytest.mark.parametrize("paths", [600, 257, 200])
 def test_overshoot_table_is_the_same_bytes_for_any_threads(ts_model, paths):
     tables = [L.estimate_overshoot_cdf(ts_model, [2, 6], paths=paths, seed=12, threads=t)
@@ -72,6 +72,51 @@ def test_overshoot_table_is_the_same_bytes_for_any_threads(ts_model, paths):
     for t in tables[1:]:
         assert t.cdfs.tobytes() == tables[0].cdfs.tobytes()
         assert t.creep_fraction.tobytes() == tables[0].creep_fraction.tobytes()
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_overshoot_table_over_fewer_levels_is_a_prefix(ts_model, threads):
+    """Each path climbs once through the levels in increasing order, so a
+    table over the lowest j levels is the first j rows of the whole table,
+    bit for bit, over two chunks at any ``threads``."""
+    levels = [2, 4, 6, 12]
+    whole = L.estimate_overshoot_cdf(ts_model, levels, paths=300, seed=21, threads=threads)
+    for j in range(1, len(levels) + 1):
+        part = L.estimate_overshoot_cdf(ts_model, levels[:j], paths=300, seed=21, threads=threads)
+        assert part.cdfs.tobytes() == whole.cdfs[:j].tobytes()
+        assert part.creep_fraction.tobytes() == whole.creep_fraction[:j].tobytes()
+
+
+def test_overshoot_table_climbs_once_per_path(ts_model, monkeypatch):
+    """The table calls the sampler once per chunk with every level, and its
+    rows share their paths: a path that landed over 2 and 2.5 in one jump
+    reads overshoots 0.5 apart, and no path reads a negative overshoot."""
+    calls, climb = [], counterexamples._overshoot_chunk
+    def recorded(jumps, levels, n, rng):
+        calls.append((list(levels), n, climb(jumps, levels, n, rng)))
+        return calls[-1][2]
+    monkeypatch.setattr(counterexamples, "_overshoot_chunk", recorded)
+    L.estimate_overshoot_cdf(ts_model, [2.5, 2.0], paths=300, seed=22)
+    assert [(levels, n) for levels, n, _ in calls] == [([2.0, 2.5], 256), ([2.0, 2.5], 44)]
+    over = np.hstack([o for *_, o in calls])
+    both = over[0] > 0.5
+    assert 0 < np.count_nonzero(both) < over.shape[1]
+    assert np.allclose(over[1, both], over[0, both] - 0.5, rtol=0.0, atol=1e-12)
+    assert np.all(over[1, ~both] >= 0.0)
+
+
+def test_overshoot_row_between_levels_matches_single_cutoff_reference(ts_model):
+    """A row whose paths climbed from where they landed over a lower level
+    (level 6 of 2, 6, 12) keeps the overshoot law of a climb from 0: it lies
+    in the two-sample DKW band of the brute-force single-cutoff sampler, as
+    a lone level does."""
+    n, level, ref_cutoff = 4000, 6.0, 1e-5
+    table = L.estimate_overshoot_cdf(ts_model, [2.0, level, 12.0], paths=n, seed=104)
+    ref = oracles.ts_overshoot_single_cutoff(level, n, 104, cutoff=ref_cutoff)
+    keep = table.eps_grid >= ref_cutoff
+    ref_cdf = (ref[:, None] <= table.eps_grid[keep]).mean(axis=0)
+    gap = np.abs(table.cdfs[1, keep] - ref_cdf).max()
+    assert gap <= 2.0 * dkw_halfwidth(n, confidence=0.995)
 
 
 def test_overshoot_creep_matches_single_cutoff_reference(ts_model, monkeypatch):

@@ -427,6 +427,45 @@ def test_grid_step_that_is_not_finite_is_refused_before_any_draw(monkeypatch, bm
     assert rng.bit_generator.state == state
 
 
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("knob", ["step", "small_jump_cutoff"])
+@pytest.mark.parametrize("name", ["lattice_model", "bm_model", "ts_model"])
+def test_knob_that_is_not_finite_is_refused_on_every_model(request, monkeypatch, name, knob,
+                                                          value):
+    """A ``step`` or ``small_jump_cutoff`` that is not finite is refused by
+    name before any stream is derived or read, also on a model that does not
+    use it: a lattice model used to draw a path with ``step=nan``, and its
+    potential with ``step=inf``.  ``estimate_potential`` has no cutoff."""
+    model = request.getfixturevalue(name)
+    def no_streams(*args, **kwargs):
+        raise AssertionError("a path stream was derived")
+    monkeypatch.setattr(models, "derive_rng", no_streams)
+    rng = np.random.default_rng(5)
+    state = rng.bit_generator.state
+    knobs = {"step": 0.1, knob: value}     # a Gaussian model gets a usable step otherwise
+    calls = [lambda: L.simulate_path(model, 20.0, rng=rng, **knobs),
+             lambda: reduce_paths(model, 20.0, 20, 1, list, **knobs)]
+    if knob == "step":      # the potential takes no cutoff
+        calls.append(lambda: L.estimate_potential(model, np.arange(9.0) - 0.5, paths=20, seed=1,
+                                                  horizon=20.0, step=value))
+    for call in calls:
+        with pytest.raises(ValueError, match=f"{knob} must be finite"):
+            call()
+    assert rng.bit_generator.state == state
+
+
+def test_finite_knob_a_model_does_not_use_is_ignored(lattice_model, bm_model):
+    """A finite ``step`` or ``small_jump_cutoff`` that the model does not use
+    leaves its path as it was, bit for bit, even where it would be refused
+    on a model that uses it."""
+    for model, knobs in ((lattice_model, {"step": -1.0, "small_jump_cutoff": 5.0}),
+                         (bm_model, {"step": 0.1, "small_jump_cutoff": -2.0})):
+        plain = L.simulate_path(model, 20.0, seed=3, step=knobs["step"])
+        path = L.simulate_path(model, 20.0, seed=3, **knobs)
+        assert path.times.tobytes() == plain.times.tobytes()
+        assert path.values.tobytes() == plain.values.tobytes()
+
+
 _JUMP_SPECS = st.one_of(
     st.none(),
     st.builds(lambda rate, values: L.CompoundPoisson(

@@ -265,3 +265,21 @@ def test_passage_rows_match_sweep_oracle(which, ts_model):
             assert len(paths[1].times) < len(full.times)
         for path in paths:
             np.testing.assert_allclose(_rows(path, edges), want, rtol=0, atol=1e-12 * want.max())
+
+
+@pytest.mark.parametrize("bad", [{"step": math.inf}, {"step": math.nan}, {"paths": 0},
+                                 {"threads": 2.5}],
+                         ids=["step-inf", "step-nan", "paths-0", "threads-2.5"])
+def test_refused_potential_call_does_not_warn(bm_model, bad):
+    """A call refused for its step, budget or threads is refused before the
+    horizon warning: H = 20 is below the heuristic on [0, 8], and an accepted
+    call with the same horizon does warn."""
+    edges = np.linspace(0.0, 8.0, 9)
+    call = {"paths": 20, "seed": 1, "horizon": 20.0, "step": 0.1}
+    with pytest.warns(UserWarning, match="horizon 20 is below the heuristic"):
+        L.estimate_potential(bm_model, edges, **call)
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        with pytest.raises(ValueError):
+            L.estimate_potential(bm_model, edges, **{**call, **bad})
+    assert not seen, [str(w.message) for w in seen]
