@@ -5,8 +5,9 @@
    integral is identically zero.
 2. A sparse train of narrow unit-mass bumps placed where a subordinator
    almost never lands ("transient trap"): the tail integral diverges while
-   the perpetual integral is almost surely finite.  Bump placement is
-   certified from empirical overshoot distributions.
+   the perpetual integral is almost surely finite.  Bump widths come from
+   the exact stationary overshoot law, bump offsets from empirical overshoot
+   distributions.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 from . import rng as _rng
 from .criteria import RegionSpec, dk_test, potential_integral
 from .functions import TestFunction, lattice_sine, triangle_train
-from .models import LevyModel, TruncatedStable, binomial_stderr, describe
+from .models import LevyModel, TruncatedStable, _jump_law, binomial_stderr, describe
 from .perpetual import _integral_samples, _ladder_verdict
 from .potential import estimate_potential
 
@@ -77,12 +78,12 @@ def dkw_halfwidth(n: int, confidence: float = DKW_CONFIDENCE) -> float:
 class OvershootTable:
     """Empirical first-passage overshoot CDFs at increasing levels.
 
-    ``cdfs[i, j]`` estimates P(overshoot over levels[i] <= eps_grid[j]).
-    The CDF at the largest level doubles as the proxy for the stationary
-    overshoot law; ``limit_gap`` records the sup-distance between the two
-    largest levels as a convergence diagnostic.  The rows share one set of
-    paths, each climbing through every level, so each row has its own law
-    and DKW band but the rows are not independent: ``limit_gap`` and the
+    ``cdfs[i, j]`` estimates P(overshoot over levels[i] <= eps_grid[j]), and
+    ``limit_cdf[j]`` is the exact stationary overshoot law there, the rows'
+    limit as the level grows.  ``limit_gap`` records the sup-distance between
+    the two largest levels as a convergence diagnostic.  The rows share one
+    set of paths, each climbing through every level, so each row has its own
+    law and DKW band but the rows are not independent: ``limit_gap`` and the
     choice of x_n compare rows of the same paths.
     """
 
@@ -91,6 +92,7 @@ class OvershootTable:
     cdfs: np.ndarray
     paths_per_level: int
     creep_fraction: np.ndarray       # crossings via the compensation drift
+    limit_cdf: np.ndarray
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -98,24 +100,17 @@ class OvershootTable:
             raise ValueError("levels must be strictly increasing")
         if np.any(np.diff(self.eps_grid) <= 0):
             raise ValueError("eps grid must be strictly increasing")
-        if self.cdfs.shape != (len(self.levels), len(self.eps_grid)):
+        if (self.cdfs.shape != (len(self.levels), len(self.eps_grid))
+                or self.limit_cdf.shape != self.eps_grid.shape):
             raise ValueError("cdf table shape mismatch")
         if np.any(self.cdfs < 0) or np.any(self.cdfs > 1) or np.any(np.diff(self.cdfs, axis=1) < 0):
             raise ValueError("each CDF row must be nondecreasing within [0, 1]")
-
-    @property
-    def limit_proxy(self) -> np.ndarray:
-        return self.cdfs[-1]
 
     @property
     def limit_gap(self) -> float:
         if len(self.levels) < 2:
             return math.nan
         return float(np.abs(self.cdfs[-1] - self.cdfs[-2]).max())
-
-    @property
-    def dkw99(self) -> float:
-        return dkw_halfwidth(self.paths_per_level)
 
 
 def _cutoff_ladder(r: float, level: float) -> list[tuple[float, float]]:
@@ -134,7 +129,7 @@ def _cutoff_ladder(r: float, level: float) -> list[tuple[float, float]]:
     return stages
 
 
-def _overshoot_chunk(jumps: TruncatedStable, levels: np.ndarray, n: int,
+def _overshoot_chunk(model: LevyModel, levels: np.ndarray, n: int,
                      rng: np.random.Generator) -> np.ndarray:
     """Overshoots of ``n`` compensated-jump skeletons over every level, one row
     per level of the sorted ``levels``.
@@ -142,8 +137,9 @@ def _overshoot_chunk(jumps: TruncatedStable, levels: np.ndarray, n: int,
     Each path climbs once: it runs the stages of :func:`_cutoff_ladder` for each
     level in increasing order from where it landed over the one before, a fresh
     start by the strong Markov property, so every row keeps its own law.  0.0
-    marks a crossing via the drift.  At each stage the paths at or below its
-    stop draw rows of (gap, size) pairs: the live rows' own expected jump counts
+    marks a crossing via the drift.  A stage reads its jump law through
+    :func:`models._jump_law` at its cutoff; the paths at or below its stop
+    draw rows of (gap, size) pairs: the live rows' own expected jump counts
     to the stop in all, clipped to [OVERSHOOT_MIN_CELLS, OVERSHOOT_CELLS] cells
     and split evenly.  A row's first position past the stop decides it: the path
     goes to the stop if the drift segment before that jump crossed first (a
@@ -154,14 +150,14 @@ def _overshoot_chunk(jumps: TruncatedStable, levels: np.ndarray, n: int,
     pos = np.zeros(n)
     over = np.empty((len(levels), n))
     for level, row in zip(levels, over):
-        for eps, stop in _cutoff_ladder(jumps.cutoff, level):
-            rate, drift = jumps.tail_mass(eps), jumps.small_jump_drift(eps)
+        for eps, stop in _cutoff_ladder(model.jumps.cutoff, level):
+            rate, draw, drift = _jump_law(model, eps)
             live = np.flatnonzero(pos <= stop)
             while len(live):
-                cells = rate * (stop - pos[live]).sum() / jumps.jump_part_mean   # all rows' jumps left
+                cells = rate * (stop - pos[live]).sum() / model.mean   # all rows' jumps left
                 shape = (len(live), int(np.clip(cells, OVERSHOOT_MIN_CELLS, OVERSHOOT_CELLS)) // len(live))
                 positions = rng.exponential(1.0 / rate, size=shape)   # gaps, then steps, in place
-                sizes = jumps.sample_jumps(rng, positions.size, eps).reshape(shape)
+                sizes = draw(rng, positions.size).reshape(shape)
                 positions *= drift
                 positions += sizes
                 np.cumsum(positions, axis=1, out=positions)
@@ -191,24 +187,24 @@ def estimate_overshoot_cdf(
     The model must be a driftless truncated stable subordinator (infinite
     activity, jumps bounded by the truncation level r); atomic jump laws
     make the overshoot distribution lattice-degenerate and useless for trap
-    construction.  The CDFs are tabulated on the grid
-    ``geomspace(1e-9, r, 181)``.  Crossings via the small-jump compensation
-    drift are counted as overshoot mass at 0+ (conservative for
-    small-overshoot bounds) and reported.
+    construction.  The CDFs, and the exact stationary law ``limit_cdf``, are
+    tabulated on the grid ``geomspace(1e-9, r, 181)``.  Crossings via the
+    small-jump compensation drift are counted as overshoot mass at 0+
+    (conservative for small-overshoot bounds) and reported.
 
     Each chunk of ``rng.DEFAULT_CHUNK`` paths draws from one stream,
     ``derive_rng(seed, STREAM_OVERSHOOT, chunk_start)``, and every path climbs
     once through all the levels (:func:`_overshoot_chunk`), so the rows share
     their paths.  The chunks share one ``threads`` pool and their integer
     counts are added in chunk order, so the table is the same bytes for any
-    ``threads``.  Repeated levels are refused before any draw, as is an empty
-    level list.
+    ``threads``.  Repeated levels are refused before any draw, as are an
+    empty level list and a ``paths`` or ``seed`` that is not an integer.
     """
     jumps = model.jumps
     if not isinstance(jumps, TruncatedStable) or model.drift != 0.0 or model.gaussian_var != 0.0:
         raise ValueError("overshoot tables need a driftless truncated stable subordinator")
-    if paths < 1:
-        raise ValueError(f"paths must be >= 1, got {paths}")
+    _rng._check_count(paths, "paths")
+    _rng._check_count(seed, "seed", 0)
     levels = np.asarray(sorted(float(v) for v in levels))
     if len(levels) == 0 or not np.all(np.isfinite(levels) & (levels > 0)):
         raise ValueError(f"levels must be nonempty, positive and finite, got {levels.tolist()}")
@@ -217,7 +213,7 @@ def estimate_overshoot_cdf(
     eps_grid = np.geomspace(1e-9, jumps.cutoff, 181)
 
     def worker(a, b):        # (level, eps) counts, then each level's creep count
-        over = _overshoot_chunk(jumps, levels, b - a,
+        over = _overshoot_chunk(model, levels, b - a,
                                 _rng.derive_rng(seed, _rng.STREAM_OVERSHOOT, a))
         return np.column_stack((np.count_nonzero(over[:, :, None] <= eps_grid, axis=1),
                                 np.count_nonzero(over == 0.0, axis=1)))
@@ -230,7 +226,8 @@ def estimate_overshoot_cdf(
             # overshoots below the floor are not resolved
             "cutoff_floor": FINE_CUTOFF_FRACTION * jumps.cutoff}
     return OvershootTable(levels=levels, eps_grid=eps_grid, cdfs=counts[:, :-1],
-                          paths_per_level=paths, creep_fraction=counts[:, -1], meta=meta)
+                          paths_per_level=paths, creep_fraction=counts[:, -1],
+                          limit_cdf=jumps.overshoot_limit_cdf(eps_grid), meta=meta)
 
 
 @dataclass
@@ -284,33 +281,26 @@ class TrapConstruction:
 def build_transient_trap(table: OvershootTable, n_max: int, safety: float = 2.0) -> TrapConstruction:
     """Select (eps_n, x_n) from the overshoot table and assemble the trap.
 
-    eps_n is the largest grid value whose limit-proxy CDF is at most
-    1 / (2 * safety * n^2); x_n is the smallest tabulated level whose CDF at
-    eps_n is within the safety factor of the limit proxy.  Both sequences
-    are forced strictly monotone.  The per-n certified visit cap is the
-    design target 1 / (2 n^2) — independent of the safety factor, so a
-    larger safety factor can only tighten, never loosen, the certificate.
-    Empirical margins and the 99% uniform CDF band are recorded per n so the
-    reader can see where raw statistical confidence runs out.  An eps_n below
-    the sampler's resolution floor (``table.meta["cutoff_floor"]``; a table
-    without one counts as exact) is refused; each entry records eps_n over
-    that floor.
+    eps_n is the largest grid value below eps_{n-1} where the exact law
+    ``table.limit_cdf`` is at most 1 / (2 * safety * n^2), whatever the draws;
+    x_n is the smallest level, at least x_{n-1}, whose Monte Carlo CDF at
+    eps_n is within the safety factor of the law there.  The per-n certified
+    visit cap is the design target 1 / (2 n^2) — independent of the safety
+    factor, so a larger safety factor can only tighten, never loosen, the
+    certificate.  Empirical margins and the 99% uniform CDF band are
+    recorded per n so the reader can see where raw statistical confidence
+    runs out.  A depth where no grid value certifies the law is refused, as
+    is an eps_n below the sampler's resolution floor
+    (``table.meta["cutoff_floor"]``; a table without one counts as exact);
+    each entry records eps_n over that floor.
     """
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
+    n_max = _rng._check_count(n_max, "n_max")
     if not 1.0 <= safety < math.inf:
         raise ValueError(f"safety factor must be finite and >= 1, got {safety}")
-    limit = table.limit_proxy
-    if limit[0] > 0.05:
-        raise TrapConstructionError(
-            "limit overshoot CDF has substantial mass at the bottom of the grid "
-            f"({limit[0]:.3g}); possible atom at 0, cannot certify small-overshoot bounds")
-
+    limit = table.limit_cdf
     floor = table.meta.get("cutoff_floor", 0.0)
-    eps_list, x_list, cert = [], [], []
-    prev_eps = math.inf
-    prev_x = -math.inf
-    band = table.dkw99
+    cert, prev_eps, prev_x = [], math.inf, -math.inf
+    band = dkw_halfwidth(table.paths_per_level)
     for n in range(1, n_max + 1):
         threshold = 1.0 / (2.0 * safety * n * n)
         ok = np.nonzero((limit <= threshold) & (table.eps_grid < prev_eps))[0]
@@ -330,14 +320,12 @@ def build_transient_trap(table: OvershootTable, n_max: int, safety: float = 2.0)
                             & (table.levels >= prev_x))[0]
         if len(lvl_ok) == 0:
             raise TrapConstructionError(
-                f"no tabulated level matches the limit proxy within the safety factor "
+                f"no tabulated level matches the limit law within the safety factor "
                 f"at depth n={n}; extend the level list")
         li = int(lvl_ok[0])
         x_n = float(table.levels[li])
         lvl_val = float(table.cdfs[li, gi])
 
-        eps_list.append(eps_n)
-        x_list.append(x_n)
         prev_eps, prev_x = eps_n, x_n
         cert.append({
             "n": n,
@@ -351,8 +339,8 @@ def build_transient_trap(table: OvershootTable, n_max: int, safety: float = 2.0)
             "eps_over_floor": eps_n / floor if floor > 0 else math.inf,
         })
 
-    x_arr = np.array(x_list)
-    eps_arr = np.array(eps_list)
+    x_arr = np.array([c["x"] for c in cert])
+    eps_arr = np.array([c["eps"] for c in cert])
     alpha = np.empty(n_max)
     alpha[0] = x_arr[0]
     for n in range(1, n_max):

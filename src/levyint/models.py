@@ -22,7 +22,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .rng import DEFAULT_CHUNK, STREAM_PATH, _check_threads, derive_rng, map_chunks
+from .rng import DEFAULT_CHUNK, STREAM_PATH, _check_count, derive_rng, map_chunks
 
 __all__ = [
     "ModelRejectionError",
@@ -188,6 +188,12 @@ class TruncatedStable:
         """Levy measure of (eps, r]: rate of jumps retained above eps."""
         c, rho, r = self.activity, self.index, self.cutoff
         return c * (eps ** -rho - r ** -rho) / rho
+
+    def overshoot_limit_cdf(self, eps):
+        """Stationary overshoot CDF, the integrated tail over the mean (Bertoin
+        1996, ch. III): (1/rho)[(eps/r)^{1-rho} - (1-rho) eps/r], 1 past r."""
+        u = np.minimum(eps, self.cutoff) / self.cutoff
+        return (u ** (1.0 - self.index) - (1.0 - self.index) * u) / self.index
 
     def small_jump_drift(self, eps: float) -> float:
         """Mean motion per unit time carried by jumps below eps."""
@@ -539,17 +545,17 @@ def _finite_knobs(step: Optional[float], small_jump_cutoff: Optional[float]) -> 
             raise ValueError(f"{name} must be finite, got {value}")
 
 
-def _path_plan(model: LevyModel, horizon: float, paths: int, threads: int,
+def _path_plan(model: LevyModel, horizon: float, paths: int, seed: int, threads: int,
                step: Optional[float] = None,
                small_jump_cutoff: Optional[float] = None) -> tuple[int, int]:
     """The threads and the paths per block of a :func:`reduce_paths` call,
     after every input it draws with is refused by name if it is bad."""
-    if paths < 1:
-        raise ValueError(f"paths must be >= 1, got {paths}")
+    _check_count(paths, "paths")
+    _check_count(seed, "seed", 0)
     if not (horizon > 0 and math.isfinite(horizon)):
         raise ValueError("horizon must be finite and > 0")
     _finite_knobs(step, small_jump_cutoff)
-    return _check_threads(threads), _block_paths(model, horizon, small_jump_cutoff, step)
+    return _check_count(threads, "threads"), _block_paths(model, horizon, small_jump_cutoff, step)
 
 
 def _jump_rows(rng, lam, draw, horizon, k):
@@ -649,8 +655,8 @@ def simulate_path(
     step : float, optional
         Time grid spacing; required when ``gaussian_var > 0``.
     seed, rng : optional
-        The path's stream: ``rng`` itself, or ``default_rng(seed)``.  One of
-        them is required, so every path can be drawn again.
+        The path's stream: ``rng`` itself, or ``default_rng(seed)`` of an
+        integer seed >= 0.  One is required, so every path can be drawn again.
     small_jump_cutoff : float, optional
         For the truncated stable subordinator, jumps below this threshold are
         replaced by their expected linear drift.  Defaults to
@@ -673,7 +679,7 @@ def simulate_path(
     if rng is None:
         if seed is None:
             raise ValueError("pass a seed or an rng: a path is never drawn from fresh entropy")
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(_check_count(seed, "seed", 0))
 
     if model.gaussian_var > 0:
         return _simulate_grid(model, horizon, step, [rng])
@@ -741,10 +747,10 @@ def reduce_paths(
     A stage of a k = 1 path is about a dozen numpy calls on 4096 elements, a
     block of light paths a reducer that holds the GIL, so two threads would
     pass the GIL back and forth at every call and run no faster than one
-    while burning a second core.  A budget below one path is refused, so is
-    a horizon that is not finite and > 0, a ``step`` or ``small_jump_cutoff``
-    that is not finite (whether or not the model uses it), and a ``threads``
-    that is not an integer >= 1, whether or not the pool is used.
+    while burning a second core.  A budget, seed or ``threads`` that is not an
+    integer (>= 1; a seed >= 0) is refused, pool or no pool, so is a horizon
+    that is not finite and > 0, and a ``step`` or ``small_jump_cutoff`` that
+    is not finite, whether or not the model uses it.
 
     A reducer that reads nothing of ``x + path`` above some level (a
     potential grid's top edge, the top of ``f.live_intervals``) passes that
@@ -753,7 +759,7 @@ def reduce_paths(
     horizon, which adds nothing to what the reducer reads.  Other models
     ignore the ceiling: a path that can come back down must be drawn whole.
     """
-    threads, block = _path_plan(model, horizon, paths, threads, step, small_jump_cutoff)
+    threads, block = _path_plan(model, horizon, paths, seed, threads, step, small_jump_cutoff)
     grid = model.gaussian_var > 0
     if not model.is_subordinator:
         ceiling = None

@@ -449,6 +449,7 @@ def batty_inequality_check(
     """
     if not math.isfinite(a):
         raise ValueError(f"level a must be finite, got {a!r}")
+    _rng._check_count(n_outer, "n_outer paths")
     outer = _integral_samples(f, model, [x], t, n_outer, seed, step=step)[:, 0]
     mean_i = float(outer.mean())
     se_mean = float(outer.std(ddof=1) / math.sqrt(n_outer)) if n_outer > 1 else 0.0
@@ -514,8 +515,7 @@ def khasminskii_exponential_check(
     the estimate moves < 10% between the half sample and the full sample and
     < 25% when the top 1% of the sample is excluded, so it needs two paths.
     """
-    if paths < 2:
-        raise ValueError(f"paths must be >= 2 for the trimmed-sample screen, got {paths}")
+    _rng._check_count(paths, "paths", 2)      # the trimmed-sample screen needs two
     if not math.isfinite(theta):
         raise ValueError(f"theta must be finite, got {theta!r}")
     if j_value is not None and math.isnan(j_value):

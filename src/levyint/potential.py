@@ -201,7 +201,7 @@ def estimate_potential(
         sites = np.round(0.5 * (edges[:-1] + edges[1:]) / alpha)
         if len(np.unique(sites)) != len(sites) or np.any(np.diff(edges) > alpha + 1e-9):
             raise ValueError("lattice grids need exactly one site per bin (width <= span)")
-    _path_plan(model, horizon, paths, threads, step)     # a refused call warns of nothing
+    _path_plan(model, horizon, paths, seed, threads, step)     # a refused call warns of nothing
     if heuristic is not None and horizon < heuristic:
         warnings.warn(
             f"horizon {horizon:g} is below the heuristic {heuristic:g}; "

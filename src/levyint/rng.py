@@ -33,28 +33,31 @@ def derive_rng(master_seed: int, *indices: int) -> np.random.Generator:
 
     The entropy tuple is fed to ``SeedSequence`` verbatim, so equal tuples give
     equal streams and distinct tuples give statistically independent ones.
+    Each entry must be an integer >= 0: 1.9 or True is refused, not read as 1.
     """
-    ss = np.random.SeedSequence(entropy=(int(master_seed), *map(int, indices)))
-    return np.random.Generator(np.random.SFC64(ss))
+    entropy = (_check_count(master_seed, "seed", 0),
+               *(_check_count(i, "stream index", 0) for i in indices))
+    return np.random.Generator(np.random.SFC64(np.random.SeedSequence(entropy=entropy)))
 
 
 def chunk_ranges(n: int, chunk: int = DEFAULT_CHUNK) -> list[tuple[int, int]]:
     return [(s, min(s + chunk, n)) for s in range(0, n, chunk)]
 
 
-def _check_threads(threads) -> int:
-    """``threads`` as an int, refused by name unless it is an integer >= 1.
+def _check_count(value, name: str, least: int = 1) -> int:
+    """``value`` as an int, refused by name unless it is an integer >= ``least``.
 
+    The one integer rule for thread counts, path budgets, depths and seeds.
     Integers are read as ``operator.index`` reads them (numpy integers pass);
     a float, even 2.0, and a bool are refused, and so is NaN, on which a pool
     would wait forever for a worker it never starts.
     """
     try:
-        count = 0 if isinstance(threads, bool) else operator.index(threads)
+        count = None if isinstance(value, bool) else operator.index(value)
     except TypeError:
-        count = 0
-    if count < 1:
-        raise ValueError(f"threads must be >= 1 and an integer, got {threads!r}")
+        count = None
+    if count is None or count < least:
+        raise ValueError(f"{name} must be >= {least} and an integer, got {value!r}")
     return count
 
 
@@ -66,7 +69,7 @@ def map_chunks(n: int, worker, threads: int = 1, chunk: int = DEFAULT_CHUNK) -> 
     A single chunk runs on the calling thread: a pool would only add a thread.
     A ``threads`` that is not an integer >= 1 is refused, one chunk or many.
     """
-    threads = _check_threads(threads)
+    threads = _check_count(threads, "threads")
     ranges = chunk_ranges(n, chunk)
     if threads <= 1 or len(ranges) <= 1:
         return [worker(a, b) for a, b in ranges]

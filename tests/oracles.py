@@ -42,39 +42,41 @@ def exp_mgf(rate: float, theta: float) -> float:
     return rate / (rate - theta)
 
 
-def ts_levy_tail(y: float) -> float:
+def ts_levy_tail(y: float, index: float = TS_INDEX, cutoff: float = TS_CUTOFF) -> float:
     """Mass of jumps larger than y, by quadrature of the jump density.
 
     Integrated in log space (x = e^t) so the steep power-law left end is
     resolved even for y many orders of magnitude below the cutoff.
     """
-    if y >= TS_CUTOFF:
+    if y >= cutoff:
         return 0.0
     lo = math.log(max(y, 1e-300))
     val, _ = integrate.quad(
-        lambda t: TS_ACTIVITY * math.exp(-TS_INDEX * t), lo, math.log(TS_CUTOFF),
+        lambda t: TS_ACTIVITY * math.exp(-index * t), lo, math.log(cutoff),
         limit=200)
     return val
 
 
-def ts_mean_quad() -> float:
+def ts_mean_quad(index: float = TS_INDEX, cutoff: float = TS_CUTOFF) -> float:
     """Mean drift of the subordinator: integral of x times the jump density."""
-    val, _ = integrate.quad(lambda x: x * TS_ACTIVITY * x ** (-1.0 - TS_INDEX), 0, TS_CUTOFF)
+    val, _ = integrate.quad(lambda x: x * TS_ACTIVITY * x ** (-1.0 - index), 0, cutoff)
     return val
 
 
-def overshoot_limit_cdf_quad(u: float) -> float:
+def overshoot_limit_cdf_quad(u: float, index: float = TS_INDEX, cutoff: float = TS_CUTOFF) -> float:
     """Stationary overshoot CDF: integrated jump tail over the mean.
 
     Classical renewal form: F(u) = (1/m) * integral_0^u tail(y) dy.
     """
     if u <= 0:
         return 0.0
-    m = ts_mean_quad()
-    # y = s^2 removes the integrable y^(-index) singularity at the origin.
-    top = math.sqrt(min(u, TS_CUTOFF))
-    val, _ = integrate.quad(lambda s: ts_levy_tail(s * s) * 2.0 * s, 0.0, top,
-                            limit=200)
+    m = ts_mean_quad(index, cutoff)
+    # y = s^k, k = 1 / (1 - index), removes the integrable y^(-index)
+    # singularity at the origin (y = s^2 at index 1/2).
+    k = 1.0 / (1.0 - index)
+    top = min(u, cutoff) ** (1.0 / k)
+    val, _ = integrate.quad(lambda s: ts_levy_tail(s ** k, index, cutoff) * k * s ** (k - 1.0),
+                            0.0, top, limit=200)
     return val / m
 
 

@@ -25,8 +25,29 @@ def test_overshoot_limit_matches_renewal_oracle(overshoot_table):
     of the integrated-tail stationary law."""
     t = overshoot_table
     exact = np.array([oracles.overshoot_limit_cdf_quad(u) for u in t.eps_grid])
-    gap = np.abs(t.limit_proxy - exact).max()
+    gap = np.abs(t.cdfs[-1] - exact).max()
     assert gap < dkw_halfwidth(t.paths_per_level) + t.limit_gap + 0.01
+
+
+def test_overshoot_limit_cdf_is_the_closed_form_law(overshoot_table):
+    """The table's ``limit_cdf`` is the stationary law 2 sqrt(u) - u on its
+    grid, not a Monte Carlo row."""
+    t = overshoot_table
+    exact = np.array([oracles.overshoot_limit_cdf_closed(u) for u in t.eps_grid])
+    assert t.limit_cdf == pytest.approx(exact, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("cutoff", [0.5, 1.0])
+@pytest.mark.parametrize("index", [0.3, 0.5, 0.8])
+def test_overshoot_limit_cdf_matches_integrated_tail_oracle(index, cutoff):
+    """Away from index 1/2 the law tells rho from 1 - rho: it matches the
+    quadrature of the integrated jump tail over the mean on the grid."""
+    model = L.build_model(jumps=L.TruncatedStable(activity=1.0, index=index, cutoff=cutoff))
+    t = L.estimate_overshoot_cdf(model, [1.0], paths=1, seed=0)
+    grid = t.eps_grid[::20]
+    exact = [oracles.overshoot_limit_cdf_quad(u, index, cutoff) for u in grid]
+    assert t.limit_cdf[::20] == pytest.approx(exact, rel=1e-6, abs=0.0)
+    assert t.limit_cdf[-1] == pytest.approx(1.0, rel=1e-12)
 
 
 def test_overshoot_levels_converge(overshoot_table):
@@ -229,7 +250,55 @@ def _limit_law_table(floor=None):
     meta = {} if floor is None else {"cutoff_floor": floor}
     return OvershootTable(levels=np.array([2.0, 30.0]), eps_grid=grid,
                           cdfs=np.vstack([row, row]), paths_per_level=8000,
-                          creep_fraction=np.zeros(2), meta=meta)
+                          creep_fraction=np.zeros(2), limit_cdf=row, meta=meta)
+
+
+TRAP_LEVELS = [2, 3, 4, 6, 8, 12, 16, 22, 30]
+
+
+def _law_eps(grid, n_max, safety):
+    """eps_n from the closed-form law alone: the largest grid value below
+    eps_{n-1} where 2 sqrt(u) - u is at most 1 / (2 safety n^2)."""
+    law = np.array([oracles.overshoot_limit_cdf_closed(u) for u in grid])
+    eps, prev = [], math.inf
+    for n in range(1, n_max + 1):
+        prev = grid[(law <= 1.0 / (2.0 * safety * n * n)) & (grid < prev)].max()
+        eps.append(prev)
+    return eps
+
+
+def test_trap_eps_does_not_depend_on_the_table(ts_model):
+    """Two tables at different seeds give the same widths: those of the
+    closed-form law, whatever the Monte Carlo rows read."""
+    traps = [L.build_transient_trap(L.estimate_overshoot_cdf(ts_model, TRAP_LEVELS, paths=200,
+                                                             seed=seed), n_max=5)
+             for seed in (31, 32)]
+    assert traps[0].eps.tobytes() == traps[1].eps.tobytes()
+    assert traps[0].eps.tolist() == _law_eps(np.geomspace(1e-9, 1.0, 181), 5, 2.0)
+
+
+def test_trap_builds_from_the_quick_table(ts_model):
+    """The 2000-path table at seed 5558 certifies depth 20: eps_20 comes
+    from the law, not from the second-smallest of 2000 overshoots."""
+    table = L.estimate_overshoot_cdf(ts_model, TRAP_LEVELS, paths=2000, seed=5558)
+    trap = L.build_transient_trap(table, n_max=20, safety=2.0)
+    assert trap.eps.tolist() == _law_eps(table.eps_grid, 20, 2.0)
+    assert all(c["eps_over_floor"] >= 1.0 for c in trap.certificate)
+
+
+@pytest.mark.parametrize("seed", range(5540, 5546))
+def test_trap_builds_at_the_bench_budget(ts_model, seed):
+    """Nine levels of 200 paths certify depth 5 on every seed of a sweep,
+    each with the law's widths."""
+    table = L.estimate_overshoot_cdf(ts_model, TRAP_LEVELS, paths=200, seed=seed)
+    trap = L.build_transient_trap(table, n_max=5, safety=2.0)
+    assert trap.eps.tolist() == _law_eps(table.eps_grid, 5, 2.0)
+
+
+@pytest.mark.parametrize("n_max", [2.5, math.nan, True, 0])
+def test_trap_refuses_a_depth_that_is_not_an_integer_at_least_1(n_max):
+    with pytest.raises(ValueError, match="n_max must be >= 1 and an integer"):
+        L.build_transient_trap(_limit_law_table(), n_max=n_max)
 
 
 def test_trap_refuses_eps_below_cutoff_floor():

@@ -1,5 +1,6 @@
 import math
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -669,6 +670,48 @@ def test_zero_path_budget_refused(routine, lattice_model):
     """No routine returns an estimate, or a pass, from zero paths."""
     with pytest.raises(ValueError, match="paths must be >= 1"):
         _ZERO_BUDGET[routine](lattice_model)
+
+
+# each routine with one integer input set to ``bad``, given the lattice and
+# the truncated-stable model; the lattice potential at horizon 20 is below
+# its heuristic, so it would warn if it got that far
+_INTEGER_INPUTS = {
+    "estimate_potential.paths": ("paths", lambda m, ts, bad: L.estimate_potential(
+        m, np.arange(11.0) - 0.5, paths=bad, seed=1, horizon=20.0)),
+    "estimate_potential.seed": ("seed", lambda m, ts, bad: L.estimate_potential(
+        m, np.arange(11.0) - 0.5, paths=50, seed=bad, horizon=20.0)),
+    "reduce_paths.seed": ("seed", lambda m, ts, bad: reduce_paths(m, 5.0, 10, bad, list)),
+    "simulate_path.seed": ("seed", lambda m, ts, bad: L.simulate_path(m, 5.0, seed=bad)),
+    "estimate_overshoot_cdf.paths": ("paths", lambda m, ts, bad: L.estimate_overshoot_cdf(
+        ts, [2.0], paths=bad, seed=1)),
+    "estimate_overshoot_cdf.seed": ("seed", lambda m, ts, bad: L.estimate_overshoot_cdf(
+        ts, [2.0], paths=10, seed=bad)),
+    "batty_inequality_check.n_outer": ("n_outer", lambda m, ts, bad: L.batty_inequality_check(
+        L.indicator(0.0, 1.0), m, 0.0, a=1.0, t=5.0, n_outer=bad, seed=1)),
+    "khasminskii_exponential_check.paths": ("paths", lambda m, ts, bad: L.khasminskii_exponential_check(
+        L.exp_decay(), m, x=0.0, theta=0.5, horizon=20.0, paths=bad, seed=3)),
+    "estimate_I_distribution.seed": ("seed", lambda m, ts, bad: L.estimate_I_distribution(
+        L.exp_decay(), m, x=0.0, horizon=20.0, paths=20, seed=bad)),
+}
+
+
+@pytest.mark.parametrize("bad", [2.5, 1.9, math.nan, True, -1], ids=["2.5", "1.9", "nan", "True", "-1"])
+@pytest.mark.parametrize("routine", sorted(_INTEGER_INPUTS))
+def test_integer_inputs_refused_by_name_before_any_stream_or_warning(routine, bad, lattice_model,
+                                                                   ts_model, monkeypatch):
+    """A path budget, depth or seed that is not an integer at or above its
+    least value is refused by name, before any stream is derived and before
+    the horizon warning: seed 1.9 or True used to draw seed 1's paths, and
+    ``paths=nan`` died in ``range`` after the warning."""
+    def no_streams(*args, **kwargs):
+        raise AssertionError("a stream was derived")
+    monkeypatch.setattr(models, "derive_rng", no_streams)
+    monkeypatch.setattr(L.rng, "derive_rng", no_streams)
+    name, call = _INTEGER_INPUTS[routine]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=rf"{name}\b.* must be >= \d and an integer"):
+            call(lattice_model, ts_model, bad)
 
 
 @pytest.mark.filterwarnings("ignore:horizon")

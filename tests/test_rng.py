@@ -59,6 +59,20 @@ def test_map_chunks_preserves_order():
     assert flat == sorted(flat)
 
 
+@pytest.mark.parametrize("key", [(1.9,), (True,), (-1,), (1, 2.5), (1, False), (1, -2),
+                                 (float("nan"),), ("1",)])
+def test_derive_rng_refuses_an_entropy_value_that_is_not_an_integer_at_least_0(key):
+    """No stream is keyed by a truncated value: 1.9 and True are not seed 1."""
+    with pytest.raises(ValueError, match=r"(seed|stream index) must be >= 0 and an integer"):
+        rng.derive_rng(*key)
+
+
+def test_derive_rng_takes_numpy_integers():
+    want = rng.derive_rng(5, rng.STREAM_PATH, 7).random(4)
+    got = rng.derive_rng(np.int64(5), np.uint8(rng.STREAM_PATH), np.int32(7)).random(4)
+    assert np.array_equal(got, want)
+
+
 def test_map_chunks_single_chunk_runs_on_calling_thread():
     ran_on = []
 
